@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", required=True)
     p.add_argument("--k", type=int, required=True)
     _add_config_flags(p, weights=True, standardize=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--proxy-accuracy", action="store_true",
                    help="also record each ensemble's majority-vote accuracy "
                         "against the pool's target labels")
@@ -120,21 +121,9 @@ def cmd_select(args) -> int:
     cfg = _resolve_config(args)
     pool = data_io.load_pool(args.pool)
     cache = metrics.read_cache(args.cache)
-    if args.strategy == "greedy":
-        trace = selection.greedy_select(pool, args.k, cache, cfg)
-    else:
-        cand, _ = selection.exhaustive_select(pool, args.k, cache, cfg)
-        # present the exhaustive winner as a single-step trace per member
-        modular, pair = metrics.effective_terms(cache, cfg)
-        steps = []
-        f_cum = 0.0
-        chosen = []
-        for mid in cand.ids:
-            gain = selection._gain(modular, pair, chosen, mid)
-            f_cum += gain
-            chosen.append(mid)
-            steps.append(selection.SelectionStep(mid, float(gain), float(f_cum), 0.0))
-        trace = selection.SelectionTrace(steps=tuple(steps), final=cand)
+    select = {"greedy": selection.greedy_select,
+              "exhaustive": selection.exhaustive_trace}[args.strategy]
+    trace = select(pool, args.k, cache, cfg)
     selection.write_selection(trace, args.out)
     return 0
 
@@ -143,7 +132,7 @@ def cmd_score(args) -> int:
     cfg = _resolve_config(args)
     pool = data_io.load_pool(args.pool)
     cache = metrics.read_cache(args.cache)
-    scored = selection.score_all(pool, args.k, cache, cfg, threads=args.threads)
+    scored = selection.score_all(pool, args.k, cache, cfg)
     records = selection.rankings_from_scores(scored)
     if args.proxy_accuracy:
         records = [

@@ -8,11 +8,10 @@ value across a write/read cycle.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,6 +17,10 @@ from scipy.stats import kendalltau, rankdata
 from .data_io import LabelVector, PredictionVector, format_real
 from .errors import ComputationError, ValidationError
 
+# rows of the pair table that weighted_kendall_tau sums at once; each of its
+# temporaries then holds at most _WKT_BLOCK * N floats instead of N * N
+_WKT_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class CorrelationReport:
@@ -117,7 +121,8 @@ def weighted_kendall_tau(xs, ys) -> float:
     based); a pair (i, j) gets weight 1/(rank_i + 1) + 1/(rank_j + 1), so
     disagreements near the top of the accuracy ordering cost more than
     disagreements at the bottom.  Tied pairs on either side contribute zero
-    to the numerator but keep their weight in the normalizer.
+    to the numerator but keep their weight in the normalizer.  Pairs are
+    summed in blocks of rows, so memory grows linearly with the input length.
     """
     x, y = _paired(xs, ys, "weighted_kendall_tau")
     if np.all(x == x[0]) or np.all(y == y[0]):
@@ -126,12 +131,15 @@ def weighted_kendall_tau(xs, ys) -> float:
         )
     ranks = rankdata(-y, method="average") - 1.0
     w_item = 1.0 / (ranks + 1.0)
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    w = w_item[:, None] + w_item[None, :]
-    upper = np.triu_indices(x.shape[0], k=1)
-    num = float((w[upper] * sx[upper] * sy[upper]).sum())
-    den = float(w[upper].sum())
+    num = den = 0.0
+    for s in range(0, x.shape[0], _WKT_BLOCK):
+        rows = slice(s, s + _WKT_BLOCK)
+        # pairs (i, j) with i in this block and j > i: the block's rows
+        # against columns s.., above the block's own diagonal
+        w = np.triu(w_item[rows, None] + w_item[None, s:], k=1)
+        sxy = np.sign(x[rows, None] - x[None, s:]) * np.sign(y[rows, None] - y[None, s:])
+        num += float((w * sxy).sum())
+        den += float(w.sum())
     return num / den
 
 

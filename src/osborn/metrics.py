@@ -29,7 +29,7 @@ from .data_io import (
     stratified_indices,
     substream_seed,
 )
-from .errors import ComputationError, ValidationError
+from .errors import ValidationError
 from .ot_core import Coupling, MarginalWeights, cost_matrix, median_positive_cost, \
     sinkhorn, sinkhorn_frobenius
 
@@ -189,10 +189,9 @@ def cohesion_pair(pred_i: PredictionVector, pred_j: PredictionVector) -> float:
         raise ValidationError(
             f"prediction lengths differ ({len(pred_i)} vs {len(pred_j)})"
         )
-    n = len(pred_i)
-    counts = np.zeros((pred_i.num_classes, pred_j.num_classes))
-    np.add.at(counts, (pred_i.values, pred_j.values), 1.0)
-    P = counts / n
+    ci, cj = pred_i.num_classes, pred_j.num_classes
+    codes = pred_i.values * cj + pred_j.values
+    P = np.bincount(codes, minlength=ci * cj).reshape(ci, cj) / len(pred_i)
     col = P.sum(axis=0)
     mask = P > 0
     cells = P[mask]
@@ -236,14 +235,17 @@ def _pair_value(cache, a, b):
 # ---------------------------------------------------------------------------
 
 
-def _zscore_table(table: dict) -> dict:
-    keys = sorted(table)
-    vals = np.array([table[k] for k in keys], dtype=np.float64)
+def _zscore(vals: np.ndarray) -> np.ndarray:
     std = float(vals.std())
     if std == 0.0:
-        return {k: 0.0 for k in keys}
-    mean = float(vals.mean())
-    return {k: (table[k] - mean) / std for k in keys}
+        return np.zeros_like(vals)
+    return (vals - float(vals.mean())) / std
+
+
+def _zscore_table(table: dict) -> dict:
+    keys = sorted(table)
+    vals = _zscore(np.array([table[k] for k in keys], dtype=np.float64))
+    return dict(zip(keys, vals.tolist()))
 
 
 def standardize_terms(cache: PairwiseCache) -> PairwiseCache:
@@ -269,18 +271,23 @@ def _check_members(ids, cache):
 
 
 def effective_terms(cache: PairwiseCache, config: TEConfig):
-    """Collapse the cache into one modular term per model and one weighted
-    entry per ordered pair, honoring the config's weights and standardization
-    choice.  Every scorer and selector reads these same numbers, which keeps
-    incremental gains and from-scratch scores consistent to rounding.
+    """The cache as arrays over its sorted ids, weighted and (optionally)
+    standardized: ``(ids, a, H)`` with ``a[i] = lambda_d * wd + lambda_t * wt``
+    for model i and ``H[i, j] = lambda_c * H(pred_i | pred_j)`` off a zero
+    diagonal, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).  Every selector
+    reads these same numbers, which keeps incremental gains and from-scratch
+    scores consistent to rounding.
     """
-    use = standardize_terms(cache) if config.standardize else cache
-    modular = {
-        mid: config.lambda_d * use.wd[mid] + config.lambda_t * use.wt[mid]
-        for mid in use.wd
-    }
-    pair = {key: config.lambda_c * v for key, v in use.pair_h.items()}
-    return modular, pair
+    ids = cache.model_ids()
+    wd = np.array([cache.wd[i] for i in ids], dtype=np.float64)
+    wt = np.array([cache.wt[i] for i in ids], dtype=np.float64)
+    pair = np.array([cache.pair_h[(i, j)] for i in ids for j in ids if i != j],
+                    dtype=np.float64)
+    if config.standardize:
+        wd, wt, pair = _zscore(wd), _zscore(wt), _zscore(pair)
+    H = np.zeros((len(ids), len(ids)))
+    H[~np.eye(len(ids), dtype=bool)] = config.lambda_c * pair
+    return ids, config.lambda_d * wd + config.lambda_t * wt, H
 
 
 def osborn_score(ensemble, cache: PairwiseCache, config: TEConfig) -> ScoreBreakdown:
@@ -346,8 +353,9 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
     seeds derived from ``config.seed``.  Cohesion uses the full prediction
     vectors since it is linear-time.
 
-    Work is farmed out to a thread pool but results are keyed and assembled
-    in sorted id order, so the cache is identical for any thread count.
+    The per-model solves are farmed out to a thread pool but results are
+    assembled in sorted id order, so the cache is identical for any thread
+    count.  Pair entropies cost microseconds each and run in this thread.
     """
     if pool.size < 1:
         raise ValidationError("pool is empty")
@@ -359,32 +367,22 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
         substream_seed(config.seed, "subsample-target"),
     )
 
-    wd, wt, converged = {}, {}, {}
-    pair_h = {}
-    pair_keys = [(a, b) for a in ids for b in ids if a != b]
-
     def model_job(mid):
         return _model_terms(records[mid], pool.target_labels, tgt_idx, config)
 
-    def pair_job(key):
-        a, b = key
-        return cohesion_pair(records[a].target_predictions,
-                             records[b].target_predictions)
-
     if threads == 1:
-        model_results = {mid: model_job(mid) for mid in ids}
-        pair_results = {key: pair_job(key) for key in pair_keys}
+        results = [model_job(mid) for mid in ids]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            model_futs = {mid: pool_exec.submit(model_job, mid) for mid in ids}
-            pair_futs = {key: pool_exec.submit(pair_job, key) for key in pair_keys}
-            model_results = {mid: fut.result() for mid, fut in model_futs.items()}
-            pair_results = {key: fut.result() for key, fut in pair_futs.items()}
-
-    for mid in ids:
-        wd[mid], wt[mid], converged[mid] = model_results[mid]
-    for key in pair_keys:
-        pair_h[key] = pair_results[key]
+            results = list(pool_exec.map(model_job, ids))
+    wd, wt, converged = {}, {}, {}
+    for mid, (d, t, c) in zip(ids, results):
+        wd[mid], wt[mid], converged[mid] = d, t, c
+    pair_h = {
+        (a, b): cohesion_pair(records[a].target_predictions,
+                              records[b].target_predictions)
+        for a in ids for b in ids if a != b
+    }
     return PairwiseCache(wd=wd, wt=wt, converged=converged, pair_h=pair_h)
 
 

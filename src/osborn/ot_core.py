@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from .errors import ComputationError, ValidationError
 
@@ -136,6 +135,12 @@ def _lse_cols(A):
     return mx + np.log(np.exp(A - mx[None, :]).sum(axis=0))
 
 
+def _residual(P, b, g) -> float:
+    """The worse of the row and column marginal defects (infinity norm)."""
+    return max(float(np.abs(P.sum(axis=1) - b).max()),
+               float(np.abs(P.sum(axis=0) - g).max()))
+
+
 def _newton_polish_step(K, f, h, P, b, g, res):
     """One damped Newton step on the entropic dual in the potentials (f, h).
 
@@ -165,8 +170,7 @@ def _newton_polish_step(K, f, h, P, b, g, res):
         f_try = f + alpha * step[:nr]
         h_try = h + alpha * step[nr:]
         P_try = np.exp(K + f_try[:, None] + h_try[None, :])
-        res_try = max(float(np.abs(P_try.sum(axis=1) - b).max()),
-                      float(np.abs(P_try.sum(axis=0) - g).max()))
+        res_try = _residual(P_try, b, g)
         if res_try < res:
             return f_try, h_try, P_try, res_try, True
     return f, h, P, res, False
@@ -260,8 +264,7 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
                 h = log_g - _lse_cols(K + f[:, None])
                 z = K + f[:, None] + h[None, :]
             P = np.exp(z)
-            res = max(float(np.abs(P.sum(axis=1) - b).max()),
-                      float(np.abs(P.sum(axis=0) - g).max()))
+            res = _residual(P, b, g)
         if res <= tol:
             converged = True
             break
@@ -326,11 +329,8 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
         P = np.maximum(shifted, 0.0)
         correction = shifted - P
         X = P
-        res_row = float(np.abs(P.sum(axis=1) - b).max())
-        res_col = float(np.abs(P.sum(axis=0) - g).max())
-        total_err = abs(float(P.sum()) - 1.0)
         iters = it
-        if max(res_row, res_col) <= float(tol) and total_err <= 1e-9:
+        if _residual(P, b, g) <= float(tol):
             converged = True
             break
     if not np.all(np.isfinite(P)):
@@ -372,12 +372,9 @@ def exact_ot(cost, marginals: MarginalWeights) -> Coupling:
     if not res.success:
         raise ComputationError(f"exact transport LP failed: {res.message}")
     P = np.maximum(res.x.reshape(nr, mc), 0.0)
-    res_row = float(np.abs(P.sum(axis=1) - b).max())
-    res_col = float(np.abs(P.sum(axis=0) - g).max())
-    if max(res_row, res_col) > 1e-10:
-        raise ComputationError(
-            f"exact transport LP returned marginal residual {max(res_row, res_col):g}"
-        )
+    res = _residual(P, b, g)
+    if res > 1e-10:
+        raise ComputationError(f"exact transport LP returned marginal residual {res:g}")
     plan = _embed_plan(P, rows, cols, C.shape)
     return Coupling(
         plan=_freeze(plan),

@@ -7,19 +7,21 @@ terms, which can only lower the gain.  Greedy forward selection therefore
 carries the usual (1 - 1/e) guarantee relative to the best cardinality-k
 subset whenever the raw (non-negative) terms are used.
 
+Every selector reads the terms as arrays, ``(ids, a, H)`` from
+``metrics.effective_terms``, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).
 All candidate enumeration and tie-breaking is lexicographic on model ids, so
-results are reproducible across runs and thread counts.
+results are reproducible across runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .data_io import PoolManifest, RankingRecord, TEConfig
+import numpy as np
+
+from .data_io import RankingRecord, TEConfig
 from .errors import ValidationError
 from .metrics import PairwiseCache, effective_terms
 
@@ -53,7 +55,6 @@ class SelectionStep:
     chosen_id: str
     gain: float
     f_cumulative: float
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -62,16 +63,16 @@ class SelectionTrace:
     final: EnsembleCandidate
 
 
-def _resolve_ids(pool, cache: PairwiseCache):
-    ids = sorted(cache.model_ids())
+def _terms(pool, cache: PairwiseCache, config: TEConfig):
+    ids, a, H = effective_terms(cache, config)
     if pool is not None:
-        pool_ids = sorted(pool.model_ids())
+        pool_ids = tuple(sorted(pool.model_ids()))
         if pool_ids != ids:
             raise ValidationError(
                 "cache and pool disagree on model ids "
                 f"({len(ids)} cached vs {len(pool_ids)} in pool)"
             )
-    return ids
+    return ids, a, H
 
 
 def _check_k(k: int, m: int) -> int:
@@ -81,19 +82,48 @@ def _check_k(k: int, m: int) -> int:
     return k
 
 
-def _gain(modular, pair, members, v):
-    g = -modular[v]
-    for m in members:
-        g -= pair[(m, v)] + pair[(v, m)]
-    return g
+def _combinations(m: int, k: int) -> np.ndarray:
+    """Every size-k subset of range(m) as one row, in lexicographic order."""
+    count = math.comb(m, k)
+    if count > EXHAUSTIVE_BUDGET:
+        raise ValidationError(
+            f"exhaustive enumeration of C({m}, {k}) subsets exceeds the "
+            f"budget of {EXHAUSTIVE_BUDGET}"
+        )
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
+    return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+
+
+def _subset_f(a, H, combos) -> np.ndarray:
+    """f of every row of ``combos``.  Terms are subtracted one member and
+    one ordered pair at a time, in the order the rows list them, so each
+    value rounds the same way as a scalar loop over the subset would."""
+    f = np.zeros(combos.shape[0])
+    for col in combos.T:
+        f -= a[col]
+    for i, j in itertools.permutations(range(combos.shape[1]), 2):
+        f -= H[combos[:, i], combos[:, j]]
+    return f
+
+
+def _trace(ids, a, H, order) -> SelectionTrace:
+    """The trace of adding ``order`` (indices into ``ids``) one at a time."""
+    sym = H + H.T
+    gains = -a
+    f_cum = 0.0
+    steps = []
+    for v in order:
+        f_cum += gains[v]
+        steps.append(SelectionStep(chosen_id=ids[v], gain=float(gains[v]),
+                                   f_cumulative=float(f_cum)))
+        gains = gains - sym[v]
+    return SelectionTrace(steps=tuple(steps),
+                          final=EnsembleCandidate(tuple(ids[v] for v in order)))
 
 
 def marginal_gain(current, v, cache: PairwiseCache, config: TEConfig) -> float:
-    """f(current + v) - f(current) in closed form from cached terms.
-
-    Touches only v's modular term and its pair terms against current members,
-    so the cost is O(|current|) instead of re-scoring both sets.
-    """
+    """f(current + v) - f(current) in closed form from cached terms: the
+    last gain of the trace that adds the current members, then v."""
     members = list(current.ids) if isinstance(current, EnsembleCandidate) else \
         [str(i) for i in current]
     v = str(v)
@@ -103,8 +133,9 @@ def marginal_gain(current, v, cache: PairwiseCache, config: TEConfig) -> float:
     for mid in members + [v]:
         if mid not in known:
             raise ValidationError(f"model '{mid}' is not in the cache")
-    modular, pair = effective_terms(cache, config)
-    return float(_gain(modular, pair, members, v))
+    ids, a, H = effective_terms(cache, config)
+    pos = {mid: i for i, mid in enumerate(ids)}
+    return _trace(ids, a, H, [pos[m] for m in members + [v]]).steps[-1].gain
 
 
 def greedy_select(pool, k: int, cache: PairwiseCache,
@@ -112,52 +143,20 @@ def greedy_select(pool, k: int, cache: PairwiseCache,
     """Forward greedy maximization of f under a cardinality budget.
 
     At every step the candidate with the largest marginal gain is taken;
-    ties go to the lexicographically smallest id.  Gains are computed from
-    the cached incremental form, so a full run costs O(k * M) pair lookups.
+    ties go to the lexicographically smallest id.  All M gains are updated
+    with one vector operation per step, so a full run costs O(k * M).
     """
-    ids = _resolve_ids(pool, cache)
+    ids, a, H = _terms(pool, cache, config)
     k = _check_k(k, len(ids))
-    modular, pair = effective_terms(cache, config)
-    chosen = []
-    remaining = list(ids)
-    f_cum = 0.0
-    steps = []
+    sym = H + H.T
+    gains = -a
+    order = []
     for _ in range(k):
-        t0 = time.perf_counter()
-        best_id = None
-        best_gain = -math.inf
-        for v in remaining:
-            g = _gain(modular, pair, chosen, v)
-            if g > best_gain:
-                best_gain = g
-                best_id = v
-        chosen.append(best_id)
-        remaining.remove(best_id)
-        f_cum += best_gain
-        steps.append(SelectionStep(
-            chosen_id=best_id,
-            gain=float(best_gain),
-            f_cumulative=float(f_cum),
-            wall_time=time.perf_counter() - t0,
-        ))
-    return SelectionTrace(steps=tuple(steps), final=EnsembleCandidate(tuple(chosen)))
-
-
-def _combo_budget(m: int, k: int):
-    if math.comb(m, k) > EXHAUSTIVE_BUDGET:
-        raise ValidationError(
-            f"exhaustive enumeration of C({m}, {k}) subsets exceeds the "
-            f"budget of {EXHAUSTIVE_BUDGET}"
-        )
-
-
-def _f_of(modular, pair, combo):
-    val = 0.0
-    for mid in combo:
-        val -= modular[mid]
-    for a, b in itertools.permutations(combo, 2):
-        val -= pair[(a, b)]
-    return val
+        v = int(np.argmax(gains))  # first maximum: smallest id wins ties
+        order.append(v)
+        gains -= sym[v]
+        gains[v] = -np.inf
+    return _trace(ids, a, H, order)
 
 
 def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig):
@@ -166,49 +165,33 @@ def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig):
     Returns (candidate, f_value).  Guarded by an enumeration budget; use
     greedy_select beyond it.
     """
-    ids = _resolve_ids(pool, cache)
-    k = _check_k(k, len(ids))
-    _combo_budget(len(ids), k)
-    modular, pair = effective_terms(cache, config)
-    best_combo = None
-    best_f = -math.inf
-    for combo in itertools.combinations(ids, k):
-        f = _f_of(modular, pair, combo)
-        if f > best_f:
-            best_f = f
-            best_combo = combo
-    return EnsembleCandidate(best_combo), float(best_f)
+    ids, a, H = _terms(pool, cache, config)
+    combos = _combinations(len(ids), _check_k(k, len(ids)))
+    f = _subset_f(a, H, combos)
+    best = int(np.argmax(f))
+    return EnsembleCandidate(tuple(ids[i] for i in combos[best])), float(f[best])
 
 
-def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig,
-              threads: int = 1):
+def exhaustive_trace(pool, k: int, cache: PairwiseCache,
+                     config: TEConfig) -> SelectionTrace:
+    """The exhaustive winner as a trace: its members in id order, each with
+    its gain over the members before it."""
+    cand, _ = exhaustive_select(pool, k, cache, config)
+    ids, a, H = effective_terms(cache, config)
+    pos = {mid: i for i, mid in enumerate(ids)}
+    return _trace(ids, a, H, [pos[m] for m in cand.ids])
+
+
+def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):
     """Score every size-k subset; rows come back in lexicographic id order.
 
-    Returns a list of (EnsembleCandidate, osborn_value) pairs.  Chunks are
-    evaluated in parallel but reassembled in enumeration order, so output is
-    independent of the thread count.
+    Returns a list of (EnsembleCandidate, osborn_value) pairs.
     """
-    ids = _resolve_ids(pool, cache)
+    ids, a, H = _terms(pool, cache, config)
     k = _check_k(k, len(ids))
-    _combo_budget(len(ids), k)
-    threads = max(1, int(threads))
-    modular, pair = effective_terms(cache, config)
-    combos = list(itertools.combinations(ids, k))
-
-    def eval_chunk(chunk):
-        return [(EnsembleCandidate(c), float(-_f_of(modular, pair, c)))
-                for c in chunk]
-
-    if threads == 1 or len(combos) < 64:
-        return eval_chunk(combos)
-    size = (len(combos) + threads - 1) // threads
-    chunks = [combos[i:i + size] for i in range(0, len(combos), size)]
-    with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-        parts = list(pool_exec.map(eval_chunk, chunks))
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
+    values = (-_subset_f(a, H, _combinations(len(ids), k))).tolist()
+    return [(EnsembleCandidate(c), v)
+            for c, v in zip(itertools.combinations(ids, k), values)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ byte-identical pool every time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

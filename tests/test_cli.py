@@ -9,6 +9,7 @@ import pytest
 from osborn import cli
 from osborn.data_io import TEConfig, load_pool, read_scores
 from osborn.metrics import read_cache
+from osborn.selection import exhaustive_select
 from osborn.synth import read_synth_spec
 
 SPEC_TEXT = (
@@ -183,6 +184,23 @@ def test_select_exhaustive_matches_greedy_here(tmp_path, pool_dir):
     e_ens = [ln for ln in e.read_text().splitlines()
              if ln.startswith("ensemble,")][0]
     assert g_ens == e_ens
+
+
+@pytest.mark.parametrize("standardize", ["true", "false"])
+def test_select_exhaustive_trace_ends_at_the_exhaustive_value(tmp_path, pool_dir,
+                                                              standardize):
+    pool = pool_dir / "pool.json"
+    cache = tmp_path / "cache.csv"
+    out = tmp_path / "exhaustive.csv"
+    assert cli.main(["pairwise", "--pool", str(pool), "--out", str(cache)]) == 0
+    assert cli.main(["select", "--pool", str(pool), "--cache", str(cache),
+                     "--k", "3", "--strategy", "exhaustive",
+                     "--standardize", standardize, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    cand, best_f = exhaustive_select(load_pool(pool), 3, read_cache(cache),
+                                     TEConfig(standardize=standardize == "true"))
+    assert [ln.split(",")[1] for ln in lines[1:-1]] == list(cand.ids)
+    assert float(lines[-2].split(",")[3]) == pytest.approx(best_f, abs=1e-12)
 
 
 def test_module_runs_as_script(tmp_path):

@@ -277,6 +277,19 @@ def test_frobenius_plans_are_feasible_and_beat_entropic_on_their_objective():
         assert _quad_objective(frob.plan, C, eps) <= _quad_objective(ent.plan, C, eps)
 
 
+def test_frobenius_converged_means_residual_within_tol():
+    rng = np.random.default_rng(0)
+    C = cost_matrix(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)) + 0.5)
+    marg = MarginalWeights.uniform(6, 6)
+    eps = 0.1 * median_positive_cost(C)
+    done = sinkhorn_frobenius(C, marg, eps, max_iters=20000, tol=1e-5)
+    assert done.converged and _residual(done, marg) <= 1e-5
+    # one iteration fewer must be both unconverged and outside tol
+    short = sinkhorn_frobenius(C, marg, eps, max_iters=done.iterations_used - 1,
+                               tol=1e-5)
+    assert not short.converged and _residual(short, marg) > 1e-5
+
+
 def test_frobenius_matches_quadratic_program_oracle():
     cvxpy = pytest.importorskip("cvxpy")
     for seed in range(6):

@@ -7,7 +7,12 @@ import pytest
 
 from osborn.data_io import RankingRecord, TEConfig
 from osborn.errors import ValidationError
-from osborn.metrics import PairwiseCache, build_pairwise_cache, osborn_score
+from osborn.metrics import (
+    PairwiseCache,
+    build_pairwise_cache,
+    osborn_score,
+    standardize_terms,
+)
 from osborn.selection import (
     EXHAUSTIVE_BUDGET,
     EnsembleCandidate,
@@ -147,6 +152,47 @@ def test_greedy_cumulative_f_matches_rescoring():
         assert gains == sorted(gains, reverse=True)
 
 
+def _loop_greedy(cache, cfg, k):
+    """Greedy selection written as scalar loops over dict-keyed terms."""
+    use = standardize_terms(cache) if cfg.standardize else cache
+    modular = {m: cfg.lambda_d * use.wd[m] + cfg.lambda_t * use.wt[m]
+               for m in use.wd}
+    pair = {key: cfg.lambda_c * v for key, v in use.pair_h.items()}
+
+    def gain(members, v):
+        g = -modular[v]
+        for m in members:
+            g -= pair[(m, v)] + pair[(v, m)]
+        return g
+
+    chosen, steps, f_cum = [], [], 0.0
+    for _ in range(k):
+        best_id, best_gain = None, -np.inf
+        for v in sorted(modular):
+            if v not in chosen and gain(chosen, v) > best_gain:
+                best_id, best_gain = v, gain(chosen, v)
+        chosen.append(best_id)
+        f_cum += best_gain
+        steps.append((best_id, best_gain, f_cum))
+    return steps
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_greedy_trace_equals_scalar_loop(standardize):
+    cfg = TEConfig(standardize=standardize, lambda_d=1.5, lambda_t=0.5,
+                   lambda_c=2.0)
+    for trial in range(10):
+        rng = np.random.default_rng(700 + trial)
+        cache = _random_cache(rng, 8)
+        if trial % 2:
+            # ties everywhere: every selector must take the smallest id
+            cache = _cache({m: 1.0 for m in cache.wd}, {m: 0.0 for m in cache.wt},
+                           {key: 0.5 for key in cache.pair_h})
+        trace = greedy_select(None, 6, cache, cfg)
+        got = [(s.chosen_id, s.gain, s.f_cumulative) for s in trace.steps]
+        assert got == _loop_greedy(cache, cfg, 6)
+
+
 def test_greedy_validates_k_and_pool_agreement(tiny_pool):
     cache = _random_cache(np.random.default_rng(4), 3)
     cfg = TEConfig()
@@ -194,6 +240,8 @@ def test_exhaustive_budget_guard():
     assert math.comb(40, 20) > EXHAUSTIVE_BUDGET
     with pytest.raises(ValidationError, match="budget"):
         exhaustive_select(None, 20, cache, TEConfig())
+    with pytest.raises(ValidationError, match="budget"):
+        score_all(None, 20, cache, TEConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +250,16 @@ def test_exhaustive_budget_guard():
 
 
 def test_score_all_enumerates_lexicographically_and_matches_scores():
-    cache = _random_cache(np.random.default_rng(6), 5)
     cfg = TEConfig(standardize=False)
-    scored = score_all(None, 2, cache, cfg)
-    ids = sorted(cache.wd)
-    expected_combos = list(itertools.combinations(ids, 2))
-    assert [c.ids for c, _ in scored] == expected_combos
-    for cand, value in scored:
-        assert value == pytest.approx(
-            osborn_score(cand.ids, cache, cfg).osborn_value, abs=1e-12)
-
-
-def test_score_all_thread_invariant():
-    cache = _random_cache(np.random.default_rng(7), 9)
-    cfg = TEConfig(standardize=True)
-    a = score_all(None, 3, cache, cfg, threads=1)
-    b = score_all(None, 3, cache, cfg, threads=4)
-    assert [(c.ids, v) for c, v in a] == [(c.ids, v) for c, v in b]
+    for m, k in [(5, 2), (1, 1), (4, 1), (4, 4), (7, 3), (6, 6)]:
+        cache = _random_cache(np.random.default_rng(6), m)
+        scored = score_all(None, k, cache, cfg)
+        ids = sorted(cache.wd)
+        expected_combos = list(itertools.combinations(ids, k))
+        assert [c.ids for c, _ in scored] == expected_combos
+        for cand, value in scored:
+            assert value == pytest.approx(
+                osborn_score(cand.ids, cache, cfg).osborn_value, abs=1e-12)
 
 
 def test_rankings_negate_scores():
