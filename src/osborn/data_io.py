@@ -118,6 +118,11 @@ class PoolManifest:
     models: tuple
     target_labels: LabelVector
 
+    def __post_init__(self):
+        # reversed, so the first record wins on a repeated id, as a scan would
+        object.__setattr__(self, "_by_id",
+                           {m.model_id: m for m in reversed(self.models)})
+
     @property
     def size(self) -> int:
         return len(self.models)
@@ -126,10 +131,10 @@ class PoolManifest:
         return tuple(m.model_id for m in self.models)
 
     def record(self, model_id: str) -> ModelRecord:
-        for m in self.models:
-            if m.model_id == model_id:
-                return m
-        raise ValidationError(f"unknown model id '{model_id}'")
+        try:
+            return self._by_id[model_id]
+        except KeyError:
+            raise ValidationError(f"unknown model id '{model_id}'") from None
 
 
 @dataclass(frozen=True)

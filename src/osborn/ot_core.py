@@ -4,9 +4,8 @@ Three routes to a transport plan:
 
 * ``sinkhorn``         -- entropic regularization, log-domain scaling updates
 * ``sinkhorn_frobenius`` -- squared-Frobenius regularization, solved by
-  Dykstra alternating projections (the regularized objective is, up to a
-  constant, the squared distance from ``-C / (2 eps)`` to the transport
-  polytope, so the minimizer is exactly the Euclidean projection onto it)
+  L-BFGS on its smooth dual in the potentials (Blondel, Seguy & Rolet 2018),
+  finished by semismooth Newton steps when a tight tolerance needs them
 * ``exact_ot``         -- the unregularized LP, for small reference instances
 
 All solvers accept explicit marginal weights and tolerate zero-mass rows or
@@ -18,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from .errors import ComputationError, ValidationError
 
 EXACT_MAX_CELLS = 64
+# largest n + m for which the solvers take dense (n+m)^2 Newton steps
+NEWTON_MAX_POTENTIALS = 1024
 
 
 @dataclass(frozen=True)
@@ -141,24 +142,27 @@ def _residual(P, b, g) -> float:
                float(np.abs(P.sum(axis=0) - g).max()))
 
 
-def _newton_polish_step(K, f, h, P, b, g, res):
-    """One damped Newton step on the entropic dual in the potentials (f, h).
+def _newton_polish_step(W, plan_of, f, h, P, b, g, res):
+    """One damped Newton step on a transport dual in the potentials (f, h).
 
-    The dual gradient is the marginal defect and the Hessian is
-    ``[[diag(r), P], [P^T, diag(c)]]`` (up to the shared epsilon factor,
-    which cancels in the step).  The constant-shift nullspace is handled by
-    a tiny Tikhonov term.  Backtracks on the residual; reports failure so
-    the caller can fall back to scaling updates.
+    The dual gradient is the marginal defect of ``P = plan_of(f, h)`` and the
+    Hessian is ``[[diag(W 1), W], [W^T, diag(W^T 1)]]``: ``W`` is the plan
+    itself for the entropic dual (up to the shared epsilon factor, which
+    cancels in the step) and the 0/1 support of the plan over ``2 epsilon``
+    for the quadratic dual, where this is a semismooth Newton step on the
+    current support.  The constant-shift nullspace is handled by a tiny
+    Tikhonov term.  Backtracks on the residual; reports failure so the
+    caller can fall back or stop.
     """
     nr = f.shape[0]
-    r = P.sum(axis=1)
-    c = P.sum(axis=0)
-    grad = np.concatenate([r - b, c - g])
+    r = W.sum(axis=1)
+    c = W.sum(axis=0)
+    grad = np.concatenate([P.sum(axis=1) - b, P.sum(axis=0) - g])
     H = np.zeros((nr + c.shape[0], nr + c.shape[0]))
     H[:nr, :nr] = np.diag(r)
     H[nr:, nr:] = np.diag(c)
-    H[:nr, nr:] = P
-    H[nr:, :nr] = P.T
+    H[:nr, nr:] = W
+    H[nr:, :nr] = W.T
     lam = 1e-12 * (1.0 + float(max(r.max(), c.max())))
     try:
         step = np.linalg.solve(H + lam * np.eye(H.shape[0]), -grad)
@@ -169,7 +173,7 @@ def _newton_polish_step(K, f, h, P, b, g, res):
     for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
         f_try = f + alpha * step[:nr]
         h_try = h + alpha * step[nr:]
-        P_try = np.exp(K + f_try[:, None] + h_try[None, :])
+        P_try = plan_of(f_try, h_try)
         res_try = _residual(P_try, b, g)
         if res_try < res:
             return f_try, h_try, P_try, res_try, True
@@ -239,14 +243,16 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     check_every = 25
     last_res = np.inf
     converged = False
-    newton_ok = (nr + mc) <= 1024
+    newton_ok = (nr + mc) <= NEWTON_MAX_POTENTIALS
     newton_gate = max(100.0 * float(tol), 1e-4)
     P = np.exp(K + f[:, None] + h[None, :])
     res = np.inf
     while iters < max_iters:
         iters += 1
         if newton_ok and res <= newton_gate:
-            f, h, P, res, ok = _newton_polish_step(K, f, h, P, b, g, res)
+            f, h, P, res, ok = _newton_polish_step(
+                P, lambda f, h: np.exp(K + f[:, None] + h[None, :]),
+                f, h, P, b, g, res)
             if not ok:
                 newton_ok = False
         else:
@@ -286,30 +292,27 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     )
 
 
-def _project_transport_affine(X, b, g):
-    """Euclidean projection onto {P : P 1 = b, P^T 1 = g} (signs free)."""
-    n, m = X.shape
-    row_defect = b - X.sum(axis=1)
-    total = row_defect.sum()
-    u = row_defect / m
-    v = (g - X.sum(axis=0) - total / m) / n
-    return X + u[:, None] + v[None, :]
-
-
 def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
                        max_iters: int = 1000, tol: float = 1e-6) -> Coupling:
     """Squared-Frobenius-regularized OT.
 
-    Minimizes ``<C, P> + epsilon * ||P||_F^2`` over the transport polytope.
-    Completing the square turns this into projecting ``-C / (2 epsilon)``
-    onto the polytope, done here with Dykstra's alternating projections
-    between the marginal-constraint affine subspace (closed form) and the
-    non-negative orthant (clipping).  Unlike the entropic route the optimal
-    plan can be exactly sparse.
+    Minimizes ``<C, P> + epsilon * ||P||_F^2`` over the transport polytope
+    through its smooth dual (Blondel, Seguy & Rolet 2018): minimize
+    ``-(f.b + h.g) + sum([f_i + h_j - C_ij]_+^2) / (4 epsilon)`` over the
+    potentials with L-BFGS.  The dual gradient is the marginal defect of the
+    plan ``P = [f + h - C]_+ / (2 epsilon)``, so L-BFGS stops exactly when
+    the residual reaches ``tol``.  When L-BFGS stalls just above a tight
+    ``tol`` and the dense (n+m) Hessian is affordable, damped semismooth
+    Newton steps on the plan's support finish the solve.
+    ``iterations_used`` counts L-BFGS iterations plus Newton steps and never
+    exceeds ``max_iters``.  Unlike the entropic route the optimal plan can be
+    exactly sparse.
     """
-    if not (float(epsilon) > 0):
+    epsilon = float(epsilon)
+    if not epsilon > 0:
         raise ValidationError("epsilon must be > 0")
-    if int(max_iters) < 1:
+    max_iters = int(max_iters)
+    if max_iters < 1:
         raise ValidationError("max_iters must be >= 1")
     C = _validate_problem(cost, marginals)
     rows = np.flatnonzero(marginals.source > 0)
@@ -317,22 +320,27 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     b = marginals.source[rows]
     g = marginals.target[cols]
     Cr = C[np.ix_(rows, cols)]
+    nr, mc = Cr.shape
 
-    X = -Cr / (2.0 * float(epsilon))
-    correction = np.zeros_like(X)
-    converged = False
-    iters = 0
-    P = np.maximum(X, 0.0)
-    for it in range(1, int(max_iters) + 1):
-        Y = _project_transport_affine(X, b, g)
-        shifted = Y + correction
-        P = np.maximum(shifted, 0.0)
-        correction = shifted - P
-        X = P
-        iters = it
-        if _residual(P, b, g) <= float(tol):
-            converged = True
-            break
+    def plan_of(f, h):
+        return np.maximum(f[:, None] + h[None, :] - Cr, 0.0) / (2.0 * epsilon)
+
+    def dual(x):
+        P = plan_of(x[:nr], x[nr:])
+        value = epsilon * float((P * P).sum()) - float(x[:nr] @ b + x[nr:] @ g)
+        return value, np.concatenate([P.sum(axis=1) - b, P.sum(axis=0) - g])
+
+    opt = minimize(dual, np.zeros(nr + mc), jac=True, method="L-BFGS-B",
+                   options={"gtol": float(tol), "ftol": 0.0, "maxiter": max_iters})
+    f, h = opt.x[:nr], opt.x[nr:]
+    P = plan_of(f, h)
+    res = _residual(P, b, g)
+    iters = int(opt.nit)
+    newton_ok = (nr + mc) <= NEWTON_MAX_POTENTIALS
+    while res > tol and newton_ok and iters < max_iters:
+        iters += 1
+        f, h, P, res, newton_ok = _newton_polish_step(
+            (P > 0) / (2.0 * epsilon), plan_of, f, h, P, b, g, res)
     if not np.all(np.isfinite(P)):
         raise ComputationError("frobenius solver produced non-finite plan entries")
     plan = _embed_plan(P, rows, cols, C.shape)
@@ -340,7 +348,7 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
         plan=_freeze(plan),
         transport_cost=float((C * plan).sum()),
         iterations_used=iters,
-        converged=converged,
+        converged=res <= tol,
     )
 
 

@@ -166,6 +166,19 @@ def test_pipeline_outputs_are_byte_stable(tmp_path, pool_dir):
     assert filecmp.cmp(r1, r2, shallow=False)
 
 
+def test_frobenius_cache_is_byte_stable_across_threads(tmp_path, pool_dir):
+    pool = pool_dir / "pool.json"
+    caches = []
+    for threads in ("1", "2"):
+        cache = tmp_path / f"cache_{threads}.csv"
+        assert cli.main(["pairwise", "--pool", str(pool), "--regularizer",
+                         "frobenius", "--threads", threads,
+                         "--out", str(cache)]) == 0
+        caches.append(cache)
+    assert filecmp.cmp(*caches, shallow=False)
+    assert all(read_cache(caches[0]).converged.values())
+
+
 def test_select_exhaustive_matches_greedy_here(tmp_path, pool_dir):
     pool = pool_dir / "pool.json"
     cache = tmp_path / "cache.csv"

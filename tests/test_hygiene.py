@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports, and every module-level
+private function it defines, is used in that module."""
 
 import ast
 from pathlib import Path
@@ -26,3 +27,19 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in _imported_names(tree) if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _names_outside(tree, skip):
+    return {node.id for top in tree.body if top is not skip
+            for node in ast.walk(top) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_functions(path):
+    # a leftover helper fails here; a call from its own body does not count
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = [f"{path.name}:{node.lineno}: {node.name}" for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and node.name not in _names_outside(tree, node)]
+    assert not unused, "unused private functions: " + ", ".join(unused)

@@ -332,7 +332,7 @@ def test_build_cache_cohesion_ignores_subsampling():
 
 def test_frobenius_regularizer_route_works_end_to_end():
     pool = _small_pool(seed=4)
-    cfg = TEConfig(regularizer="frobenius", max_iters=5000)
+    cfg = TEConfig(regularizer="frobenius")
     cache = build_pairwise_cache(pool, cfg)
     assert all(np.isfinite(v) for v in cache.wd.values())
     assert all(cache.converged.values())

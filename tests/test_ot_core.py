@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from osborn.data_io import TEConfig
 from osborn.errors import ComputationError, ValidationError
 from osborn.ot_core import (
     EXACT_MAX_CELLS,
@@ -18,6 +19,7 @@ from osborn.ot_core import (
     sinkhorn,
     sinkhorn_frobenius,
 )
+from osborn.synth import SynthSpec, build_pool
 
 from conftest import assignment_cost_loop
 
@@ -275,6 +277,26 @@ def test_frobenius_plans_are_feasible_and_beat_entropic_on_their_objective():
         assert _residual(frob, marg) <= 1e-8
         assert np.all(frob.plan >= 0.0)
         assert _quad_objective(frob.plan, C, eps) <= _quad_objective(ent.plan, C, eps)
+
+
+def test_frobenius_converges_at_pool_scale_at_the_default_config():
+    # a 200 x 200 pool solve at the default budget and tolerance, the size
+    # and settings a pairwise run uses
+    spec = SynthSpec(num_models=2, feature_dim=8, source_classes=4,
+                     target_classes=4, samples=200, domain_shift=(0.0, 1.5),
+                     prediction_noise=(0.0, 0.4), seed=7)
+    rec = build_pool(spec).manifest.models[1]
+    C = cost_matrix(rec.source_features, rec.target_features)
+    assert C.shape == (200, 200)
+    marg = MarginalWeights.uniform(200, 200)
+    cfg = TEConfig()
+    eps = cfg.epsilon * median_positive_cost(C)
+    frob = sinkhorn_frobenius(C, marg, eps, cfg.max_iters, cfg.convergence_tol)
+    assert frob.converged
+    assert _residual(frob, marg) <= cfg.convergence_tol
+    assert frob.iterations_used <= cfg.max_iters
+    ent = sinkhorn(C, marg, eps, cfg.max_iters, cfg.convergence_tol)
+    assert _quad_objective(frob.plan, C, eps) <= _quad_objective(ent.plan, C, eps)
 
 
 def test_frobenius_converged_means_residual_within_tol():
