@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 bad input or usage, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import data_io, evaluation, metrics, selection, synth
@@ -157,7 +158,6 @@ def cmd_eval(args) -> int:
 def cmd_synth(args) -> int:
     spec = synth.read_synth_spec(args.spec)
     if args.seed is not None:
-        import dataclasses
         spec = dataclasses.replace(spec, seed=args.seed)
     synth.generate(spec, args.out)
     return 0

@@ -44,6 +44,23 @@ def substream_seed(seed: int, *tags: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_class_vector(vec, noun):
+    """Coerce ``vec.values`` to a 1-d int64 array and ``vec.num_classes`` to
+    int, and check every entry lies in ``[0, num_classes)``."""
+    v = np.asarray(vec.values, dtype=np.int64)
+    object.__setattr__(vec, "values", v)
+    if v.ndim != 1 or v.size == 0:
+        raise ValidationError(f"{noun} vector must be a non-empty 1-d array")
+    if int(vec.num_classes) < 1:
+        raise ValidationError("num_classes must be >= 1")
+    object.__setattr__(vec, "num_classes", int(vec.num_classes))
+    if v.min() < 0 or v.max() >= vec.num_classes:
+        raise ValidationError(
+            f"{noun}s must lie in [0, {vec.num_classes}); "
+            f"saw range [{int(v.min())}, {int(v.max())}]"
+        )
+
+
 @dataclass(frozen=True)
 class LabelVector:
     """Integer class labels in ``[0, num_classes)``."""
@@ -52,18 +69,7 @@ class LabelVector:
     num_classes: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size == 0:
-            raise ValidationError("label vector must be a non-empty 1-d array")
-        if int(self.num_classes) < 1:
-            raise ValidationError("num_classes must be >= 1")
-        object.__setattr__(self, "num_classes", int(self.num_classes))
-        if v.min() < 0 or v.max() >= self.num_classes:
-            raise ValidationError(
-                f"labels must lie in [0, {self.num_classes}); "
-                f"saw range [{int(v.min())}, {int(v.max())}]"
-            )
+        _check_class_vector(self, "label")
 
     def __len__(self):
         return int(self.values.shape[0])
@@ -77,18 +83,7 @@ class PredictionVector:
     num_classes: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size == 0:
-            raise ValidationError("prediction vector must be a non-empty 1-d array")
-        if int(self.num_classes) < 1:
-            raise ValidationError("num_classes must be >= 1")
-        object.__setattr__(self, "num_classes", int(self.num_classes))
-        if v.min() < 0 or v.max() >= self.num_classes:
-            raise ValidationError(
-                f"predictions must lie in [0, {self.num_classes}); "
-                f"saw range [{int(v.min())}, {int(v.max())}]"
-            )
+        _check_class_vector(self, "prediction")
 
     def __len__(self):
         return int(self.values.shape[0])

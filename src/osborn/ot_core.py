@@ -65,11 +65,6 @@ class Coupling:
     converged: bool
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def cost_matrix(source, target) -> np.ndarray:
     """Pairwise squared Euclidean distances between source and target rows."""
     S = np.asarray(source, dtype=np.float64)
@@ -120,10 +115,36 @@ def _validate_problem(cost, marginals: MarginalWeights):
     return C
 
 
-def _embed_plan(reduced_plan, rows, cols, shape):
-    full = np.zeros(shape, dtype=np.float64)
-    full[np.ix_(rows, cols)] = reduced_plan
-    return full
+def _validate_settings(epsilon, max_iters):
+    epsilon = float(epsilon)
+    if not epsilon > 0:
+        raise ValidationError("epsilon must be > 0")
+    max_iters = int(max_iters)
+    if max_iters < 1:
+        raise ValidationError("max_iters must be >= 1")
+    return epsilon, max_iters
+
+
+def _reduce(C, marginals: MarginalWeights):
+    """Drop zero-mass rows and columns: the kept indices, their weights and
+    the reduced cost matrix."""
+    rows = np.flatnonzero(marginals.source > 0)
+    cols = np.flatnonzero(marginals.target > 0)
+    return (rows, cols, marginals.source[rows], marginals.target[cols],
+            C[np.ix_(rows, cols)])
+
+
+def _coupling(C, P, rows, cols, iterations_used, converged) -> Coupling:
+    """Re-insert the zero rows/columns around the reduced plan ``P``."""
+    plan = np.zeros(C.shape, dtype=np.float64)
+    plan[np.ix_(rows, cols)] = P
+    plan.setflags(write=False)
+    return Coupling(
+        plan=plan,
+        transport_cost=float((C * plan).sum()),
+        iterations_used=iterations_used,
+        converged=converged,
+    )
 
 
 def _lse_rows(A):
@@ -188,108 +209,41 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     overflow.  Convergence is declared when the worse of the two marginal
     residuals (infinity norm) drops to ``tol``.
 
-    Three standard accelerations, all leaving the fixed point untouched:
-    a warmup that anneals the regularization down to ``epsilon`` by halving
-    (warm-started potentials); overrelaxed updates whose relaxation factor
-    deterministically backs off toward plain updates whenever the residual
-    stops shrinking; and, once the residual is small on instances where the
-    dense (n+m) dual Hessian is affordable, damped Newton steps on the dual
-    potentials.  At small ``epsilon`` with near-degenerate costs plain
-    scaling contracts like 1 - O(1e-4) per sweep and cannot reach tight
-    tolerances in any reasonable budget; the polish phase converges
-    quadratically to the same potentials.
+    Plain scaling starts from zero potentials.  Once the residual is small
+    on instances where the dense (n+m) dual Hessian is affordable, damped
+    Newton steps on the dual potentials finish the solve: at small
+    ``epsilon`` with near-degenerate costs plain scaling contracts like
+    1 - O(1e-4) per sweep and cannot reach tight tolerances in any
+    reasonable budget, while the Newton phase converges quadratically to
+    the same potentials.
     """
-    epsilon = float(epsilon)
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be > 0")
-    max_iters = int(max_iters)
-    if max_iters < 1:
-        raise ValidationError("max_iters must be >= 1")
+    epsilon, max_iters = _validate_settings(epsilon, max_iters)
     C = _validate_problem(cost, marginals)
-    rows = np.flatnonzero(marginals.source > 0)
-    cols = np.flatnonzero(marginals.target > 0)
-    b = marginals.source[rows]
-    g = marginals.target[cols]
-    Cr = C[np.ix_(rows, cols)]
+    rows, cols, b, g, Cr = _reduce(C, marginals)
+    K = -Cr / epsilon
     log_b = np.log(b)
     log_g = np.log(g)
     f = np.zeros(rows.shape[0])
     h = np.zeros(cols.shape[0])
-    iters = 0
-
-    # annealing schedule: start near the median cost, halve down to epsilon
-    eps0 = median_positive_cost(Cr)
-    levels = []
-    e = eps0
-    while e > epsilon * 1.5:
-        levels.append(e)
-        e *= 0.5
-    per_level = 25
-    warmup_budget = min(len(levels) * per_level, max_iters // 3)
-    spent = 0
-    for e in levels:
-        if spent + per_level > warmup_budget:
-            break
-        K = -Cr / e
-        for _ in range(per_level):
-            f = log_b - _lse_rows(K + h[None, :])
-            h = log_g - _lse_cols(K + f[:, None])
-        spent += per_level
-    iters = spent
-
-    K = -Cr / epsilon
-    nr, mc = Cr.shape
-    omega = 1.8
-    check_every = 25
-    last_res = np.inf
-    converged = False
-    newton_ok = (nr + mc) <= NEWTON_MAX_POTENTIALS
+    newton_ok = sum(Cr.shape) <= NEWTON_MAX_POTENTIALS
     newton_gate = max(100.0 * float(tol), 1e-4)
-    P = np.exp(K + f[:, None] + h[None, :])
+    P = None
     res = np.inf
-    while iters < max_iters:
+    iters = 0
+    while iters < max_iters and res > tol:
         iters += 1
         if newton_ok and res <= newton_gate:
-            f, h, P, res, ok = _newton_polish_step(
+            f, h, P, res, newton_ok = _newton_polish_step(
                 P, lambda f, h: np.exp(K + f[:, None] + h[None, :]),
                 f, h, P, b, g, res)
-            if not ok:
-                newton_ok = False
         else:
-            f0, h0 = f, h
-            f_new = log_b - _lse_rows(K + h[None, :])
-            f = (1.0 - omega) * f + omega * f_new
-            h_new = log_g - _lse_cols(K + f[:, None])
-            h = (1.0 - omega) * h + omega * h_new
-            z = K + f[:, None] + h[None, :]
-            if omega > 1.0 and float(z.max()) > 500.0:
-                # extrapolation overshot the exp range; redo this sweep with
-                # plain updates, which keep all plan entries <= 1 by design
-                omega = 1.0
-                f = log_b - _lse_rows(K + h0[None, :])
-                h = log_g - _lse_cols(K + f[:, None])
-                z = K + f[:, None] + h[None, :]
-            P = np.exp(z)
+            f = log_b - _lse_rows(K + h[None, :])
+            h = log_g - _lse_cols(K + f[:, None])
+            P = np.exp(K + f[:, None] + h[None, :])
             res = _residual(P, b, g)
-        if res <= tol:
-            converged = True
-            break
-        if iters % check_every == 0:
-            if not res < last_res and omega > 1.0:
-                # overrelaxation overshot; ease toward the plain update
-                omega = 1.0 + (omega - 1.0) * 0.5
-                if omega < 1.05:
-                    omega = 1.0
-            last_res = res
     if not np.all(np.isfinite(P)):
         raise ComputationError("sinkhorn produced non-finite plan entries")
-    plan = _embed_plan(P, rows, cols, C.shape)
-    return Coupling(
-        plan=_freeze(plan),
-        transport_cost=float((C * plan).sum()),
-        iterations_used=iters,
-        converged=converged,
-    )
+    return _coupling(C, P, rows, cols, iters, res <= tol)
 
 
 def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
@@ -308,18 +262,9 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     exceeds ``max_iters``.  Unlike the entropic route the optimal plan can be
     exactly sparse.
     """
-    epsilon = float(epsilon)
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be > 0")
-    max_iters = int(max_iters)
-    if max_iters < 1:
-        raise ValidationError("max_iters must be >= 1")
+    epsilon, max_iters = _validate_settings(epsilon, max_iters)
     C = _validate_problem(cost, marginals)
-    rows = np.flatnonzero(marginals.source > 0)
-    cols = np.flatnonzero(marginals.target > 0)
-    b = marginals.source[rows]
-    g = marginals.target[cols]
-    Cr = C[np.ix_(rows, cols)]
+    rows, cols, b, g, Cr = _reduce(C, marginals)
     nr, mc = Cr.shape
 
     def plan_of(f, h):
@@ -343,13 +288,7 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
             (P > 0) / (2.0 * epsilon), plan_of, f, h, P, b, g, res)
     if not np.all(np.isfinite(P)):
         raise ComputationError("frobenius solver produced non-finite plan entries")
-    plan = _embed_plan(P, rows, cols, C.shape)
-    return Coupling(
-        plan=_freeze(plan),
-        transport_cost=float((C * plan).sum()),
-        iterations_used=iters,
-        converged=res <= tol,
-    )
+    return _coupling(C, P, rows, cols, iters, res <= tol)
 
 
 def exact_ot(cost, marginals: MarginalWeights) -> Coupling:
@@ -364,11 +303,7 @@ def exact_ot(cost, marginals: MarginalWeights) -> Coupling:
         raise ValidationError(
             f"exact solver limited to {EXACT_MAX_CELLS} plan entries, got {n * m}"
         )
-    rows = np.flatnonzero(marginals.source > 0)
-    cols = np.flatnonzero(marginals.target > 0)
-    b = marginals.source[rows]
-    g = marginals.target[cols]
-    Cr = C[np.ix_(rows, cols)]
+    rows, cols, b, g, Cr = _reduce(C, marginals)
     nr, mc = Cr.shape
     A_eq = np.zeros((nr + mc, nr * mc))
     for i in range(nr):
@@ -383,10 +318,4 @@ def exact_ot(cost, marginals: MarginalWeights) -> Coupling:
     res = _residual(P, b, g)
     if res > 1e-10:
         raise ComputationError(f"exact transport LP returned marginal residual {res:g}")
-    plan = _embed_plan(P, rows, cols, C.shape)
-    return Coupling(
-        plan=_freeze(plan),
-        transport_cost=float((C * plan).sum()),
-        iterations_used=int(getattr(res, "nit", 0)),
-        converged=True,
-    )
+    return _coupling(C, P, rows, cols, int(getattr(res, "nit", 0)), True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import RankingRecord, TEConfig
+from .data_io import RankingRecord, TEConfig, format_real
 from .errors import ValidationError
 from .metrics import PairwiseCache, effective_terms
 
@@ -200,7 +200,6 @@ def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):
 
 
 def write_selection(trace: SelectionTrace, path):
-    from .data_io import format_real
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,chosen_id,gain,f_cumulative\n")
         for i, step in enumerate(trace.steps, start=1):

@@ -253,7 +253,7 @@ def proxy_accuracy(member_ids, pool) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _parse_per_model(text, m, key, lo=None, hi=None):
+def _parse_per_model(text, m, key):
     parts = [p.strip() for p in text.split(";") if p.strip()]
     try:
         vals = [float(p) for p in parts]

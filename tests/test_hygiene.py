@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports, and every module-level
-private function it defines, is used in that module."""
+private function it defines, is used in that module; imports sit at module
+level; and every parameter of a module-level private function is read."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,36 @@ def test_no_unused_private_functions(path):
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in _names_outside(tree, node)]
     assert not unused, "unused private functions: " + ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    local = [f"{path.name}:{node.lineno}: in {fn.name}"
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not local, "function-local imports: " + ", ".join(local)
+
+
+def _parameters(fn):
+    a = fn.args
+    names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+    names += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_function_parameters_are_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = []
+    for fn in tree.body:
+        if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and fn.name.startswith("_") and not fn.name.startswith("__")):
+            continue
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{fn.lineno}: {fn.name}({name})"
+                   for name in _parameters(fn) if name not in read]
+    assert not unread, "unread parameters: " + ", ".join(unread)

@@ -279,6 +279,27 @@ def test_frobenius_plans_are_feasible_and_beat_entropic_on_their_objective():
         assert _quad_objective(frob.plan, C, eps) <= _quad_objective(ent.plan, C, eps)
 
 
+def test_sinkhorn_converges_at_pool_scale_at_the_default_config():
+    # a 200 x 200 pool solve at the default epsilon, budget and tolerance,
+    # the size and settings a pairwise run uses
+    spec = SynthSpec(num_models=2, feature_dim=8, source_classes=4,
+                     target_classes=4, samples=200, domain_shift=(0.0, 1.5),
+                     prediction_noise=(0.0, 0.4), seed=7)
+    rec = build_pool(spec).manifest.models[1]
+    C = cost_matrix(rec.source_features, rec.target_features)
+    assert C.shape == (200, 200)
+    marg = MarginalWeights.uniform(200, 200)
+    cfg = TEConfig()
+    eps = cfg.epsilon * median_positive_cost(C)
+    out = sinkhorn(C, marg, eps, cfg.max_iters, cfg.convergence_tol)
+    assert out.converged
+    assert _residual(out, marg) <= cfg.convergence_tol
+    assert out.iterations_used <= 30
+    tight = sinkhorn(C, marg, eps, cfg.max_iters, 1e-10)
+    assert tight.converged
+    assert out.transport_cost == pytest.approx(tight.transport_cost, rel=1e-4)
+
+
 def test_frobenius_converges_at_pool_scale_at_the_default_config():
     # a 200 x 200 pool solve at the default budget and tolerance, the size
     # and settings a pairwise run uses
