@@ -9,22 +9,28 @@ from .data_io import (
     LabelVector,
     ModelRecord,
     PoolManifest,
+    PoolPredictions,
     PredictionVector,
     RankingRecord,
     TEConfig,
     load_pool,
+    load_pool_predictions,
     read_config,
+    read_rankings,
     read_scores,
     stratified_subsample,
     write_config,
+    write_rankings,
     write_scores,
 )
 from .errors import ComputationError, OsbornError, ValidationError
 from .evaluation import (
     CorrelationReport,
+    correlate,
     ensemble_accuracy,
     evaluate,
     kendall_tau,
+    majority_vote_accuracy,
     pearson,
     weighted_kendall_tau,
 )
@@ -52,8 +58,10 @@ from .selection import (
     greedy_select,
     marginal_gain,
     score_all,
+    score_subsets,
 )
-from .synth import SynthSpec, build_pool, generate, proxy_accuracy, read_synth_spec
+from .synth import SynthSpec, build_pool, generate, proxy_accuracies, proxy_accuracy, \
+    read_synth_spec
 
 __version__ = "0.1.0"
 
@@ -69,6 +77,7 @@ __all__ = [
     "OsbornError",
     "PairwiseCache",
     "PoolManifest",
+    "PoolPredictions",
     "PredictionVector",
     "RankingRecord",
     "ScoreBreakdown",
@@ -79,6 +88,7 @@ __all__ = [
     "build_pairwise_cache",
     "build_pool",
     "cohesion_pair",
+    "correlate",
     "cost_matrix",
     "ensemble_accuracy",
     "evaluate",
@@ -89,15 +99,20 @@ __all__ = [
     "joint_from_coupling",
     "kendall_tau",
     "load_pool",
+    "load_pool_predictions",
+    "majority_vote_accuracy",
     "marginal_gain",
     "osborn_score",
     "pearson",
+    "proxy_accuracies",
     "proxy_accuracy",
     "read_cache",
     "read_config",
+    "read_rankings",
     "read_scores",
     "read_synth_spec",
     "score_all",
+    "score_subsets",
     "sinkhorn",
     "sinkhorn_frobenius",
     "standardize_terms",
@@ -108,5 +123,6 @@ __all__ = [
     "weighted_kendall_tau",
     "write_cache",
     "write_config",
+    "write_rankings",
     "write_scores",
 ]

@@ -120,7 +120,7 @@ def cmd_pairwise(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = _resolve_config(args)
-    pool = data_io.load_pool(args.pool)
+    pool = data_io.load_pool_predictions(args.pool)
     cache = metrics.read_cache(args.cache)
     select = {"greedy": selection.greedy_select,
               "exhaustive": selection.exhaustive_trace}[args.strategy]
@@ -131,26 +131,19 @@ def cmd_select(args) -> int:
 
 def cmd_score(args) -> int:
     cfg = _resolve_config(args)
-    pool = data_io.load_pool(args.pool)
+    pool = data_io.load_pool_predictions(args.pool)
     cache = metrics.read_cache(args.cache)
-    scored = selection.score_all(pool, args.k, cache, cfg)
-    records = selection.rankings_from_scores(scored)
-    if args.proxy_accuracy:
-        records = [
-            data_io.RankingRecord(
-                ensemble=rec.ensemble,
-                alpha=rec.alpha,
-                accuracy=synth.proxy_accuracy(rec.ensemble, pool),
-            )
-            for rec in records
-        ]
-    data_io.write_scores(records, args.out)
+    ids, combos, values = selection.score_subsets(pool, args.k, cache, cfg)
+    accuracy = synth.proxy_accuracies(ids, combos, pool) if args.proxy_accuracy \
+        else None
+    # alpha = -osborn value: higher alpha predicts better transfer
+    data_io.write_rankings(ids, combos, -values, accuracy, args.out)
     return 0
 
 
 def cmd_eval(args) -> int:
-    records = data_io.read_scores(args.rankings)
-    report = evaluation.evaluate(records)
+    _, alpha, accuracy = data_io.read_rankings(args.rankings)
+    report = evaluation.correlate(alpha, accuracy)
     evaluation.write_report(report, args.out)
     return 0
 

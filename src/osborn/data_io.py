@@ -8,7 +8,9 @@ value across a write/read cycle.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -128,6 +130,27 @@ class PoolManifest:
     def record(self, model_id: str) -> ModelRecord:
         try:
             return self._by_id[model_id]
+        except KeyError:
+            raise ValidationError(f"unknown model id '{model_id}'") from None
+
+    def target_predictions(self, model_id: str) -> PredictionVector:
+        return self.record(model_id).target_predictions
+
+
+@dataclass(frozen=True)
+class PoolPredictions:
+    """The part of a pool that selection and scoring read: each model's hard
+    target predictions, keyed by id in manifest order, and the target labels."""
+
+    predictions: dict
+    target_labels: LabelVector
+
+    def model_ids(self):
+        return tuple(self.predictions)
+
+    def target_predictions(self, model_id: str) -> PredictionVector:
+        try:
+            return self.predictions[model_id]
         except KeyError:
             raise ValidationError(f"unknown model id '{model_id}'") from None
 
@@ -419,12 +442,16 @@ def validate_record(rec: ModelRecord):
         raise ValidationError(f"model '{mid}': non-finite feature value")
 
 
-def load_pool(manifest_path) -> PoolManifest:
-    """Load a pool manifest (JSON) and every file it references.
+_ENTRY_KEYS = ("source_features", "source_labels", "target_features",
+               "target_predictions")
 
-    Relative paths in the manifest are resolved against the manifest's
-    directory.  All cross-file consistency rules are enforced here so that
-    downstream code can assume a well-formed pool.
+
+def _read_manifest(manifest_path):
+    """Parse a pool manifest and read its target labels.
+
+    Returns ``(target_labels, entries)``: one ``(model id, {key: path})``
+    pair per model, in manifest order, with every path resolved against the
+    manifest's directory and every id checked and unique.
     """
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -442,38 +469,56 @@ def load_pool(manifest_path) -> PoolManifest:
 
     try:
         target_labels_path = doc["target_labels"]
-        entries = doc["models"]
+        raw_entries = doc["models"]
     except KeyError as exc:
         raise ValidationError(f"manifest missing required key {exc}") from exc
-    if not isinstance(entries, list) or not entries:
+    if not isinstance(raw_entries, list) or not raw_entries:
         raise ValidationError("manifest must list at least one model")
-
     target_labels = read_labels(resolve(target_labels_path))
-    n_target = len(target_labels)
 
-    models = []
+    entries = []
     seen = set()
-    for entry in entries:
+    for entry in raw_entries:
         if not isinstance(entry, dict):
             raise ValidationError("each manifest model entry must be a JSON object")
         try:
             mid = entry["id"]
-            sf = entry["source_features"]
-            sl = entry["source_labels"]
-            tf = entry["target_features"]
-            tp = entry["target_predictions"]
+            paths = {key: resolve(entry[key]) for key in _ENTRY_KEYS}
         except KeyError as exc:
             raise ValidationError(f"model entry missing required key {exc}") from exc
         _check_model_id(mid)
         if mid in seen:
             raise ValidationError(f"duplicate model id '{mid}' in manifest")
         seen.add(mid)
+        entries.append((mid, paths))
+    return target_labels, entries
+
+
+def _check_prediction_count(mid, preds: PredictionVector, n_target):
+    if len(preds) != n_target:
+        raise ValidationError(
+            f"model '{mid}': {len(preds)} predictions "
+            f"but the pool has {n_target} target labels"
+        )
+
+
+def load_pool(manifest_path) -> PoolManifest:
+    """Load a pool manifest (JSON) and every file it references.
+
+    Relative paths in the manifest are resolved against the manifest's
+    directory.  All cross-file consistency rules are enforced here so that
+    downstream code can assume a well-formed pool.
+    """
+    target_labels, entries = _read_manifest(manifest_path)
+    n_target = len(target_labels)
+    models = []
+    for mid, paths in entries:
         rec = ModelRecord(
             model_id=mid,
-            source_features=read_features(resolve(sf)),
-            source_labels=read_labels(resolve(sl)),
-            target_features=read_features(resolve(tf)),
-            target_predictions=read_predictions(resolve(tp)),
+            source_features=read_features(paths["source_features"]),
+            source_labels=read_labels(paths["source_labels"]),
+            target_features=read_features(paths["target_features"]),
+            target_predictions=read_predictions(paths["target_predictions"]),
         )
         validate_record(rec)
         if rec.target_features.shape[0] != n_target:
@@ -481,13 +526,22 @@ def load_pool(manifest_path) -> PoolManifest:
                 f"model '{mid}': {rec.target_features.shape[0]} target feature rows "
                 f"but the pool has {n_target} target labels"
             )
-        if len(rec.target_predictions) != n_target:
-            raise ValidationError(
-                f"model '{mid}': {len(rec.target_predictions)} predictions "
-                f"but the pool has {n_target} target labels"
-            )
+        _check_prediction_count(mid, rec.target_predictions, n_target)
         models.append(rec)
     return PoolManifest(models=tuple(models), target_labels=target_labels)
+
+
+def load_pool_predictions(manifest_path) -> PoolPredictions:
+    """Load only the model ids, target predictions and target labels of a
+    pool, checked as ``load_pool`` checks them; no feature or source-label
+    file is read.  This is all that selection and scoring need."""
+    target_labels, entries = _read_manifest(manifest_path)
+    predictions = {}
+    for mid, paths in entries:
+        preds = read_predictions(paths["target_predictions"])
+        _check_prediction_count(mid, preds, len(target_labels))
+        predictions[mid] = preds
+    return PoolPredictions(predictions=predictions, target_labels=target_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -553,17 +607,42 @@ def stratified_subsample(features, labels: LabelVector, cap: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def write_scores(records, path):
-    """Write ranking rows as ``ensemble,alpha,accuracy`` CSV."""
+def _write_ranking_rows(rows, path):
+    """Write ``(ensemble text, alpha, accuracy or None)`` rows as CSV."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ensemble,alpha,accuracy\n")
-        for rec in records:
-            ids = ";".join(rec.ensemble)
-            acc = "" if rec.accuracy is None else format_real(rec.accuracy)
-            fh.write(f"{ids},{format_real(rec.alpha)},{acc}\n")
+        fh.writelines(
+            f"{ens},{format_real(alpha)},"
+            f"{'' if acc is None else format_real(acc)}\n"
+            for ens, alpha, acc in rows
+        )
 
 
-def read_scores(path):
+def write_scores(records, path):
+    """Write ranking rows as ``ensemble,alpha,accuracy`` CSV."""
+    _write_ranking_rows(
+        ((";".join(r.ensemble), r.alpha, r.accuracy) for r in records), path)
+
+
+def write_rankings(ids, combos, alpha, accuracy, path):
+    """Write the rankings file of ``write_scores`` from arrays.
+
+    Row r names the ensemble ``ids[combos[r]]`` (in the order the row lists
+    them), with ``alpha[r]`` and ``accuracy[r]``; ``accuracy`` None leaves
+    every accuracy field empty.
+    """
+    names = (";".join(ids[i] for i in row) for row in np.asarray(combos).tolist())
+    accs = itertools.repeat(None) if accuracy is None else np.asarray(accuracy).tolist()
+    _write_ranking_rows(zip(names, np.asarray(alpha).tolist(), accs), path)
+
+
+def read_rankings(path):
+    """Read a rankings file into ``(ensembles, alpha, accuracy)``.
+
+    ``ensembles`` is a list of id tuples; ``alpha`` and ``accuracy`` are
+    float64 arrays, with NaN for an empty accuracy field.  Every row is
+    checked as ``RankingRecord`` checks it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -572,8 +651,11 @@ def read_scores(path):
     lines = [ln for ln in lines if ln.strip()]
     if not lines or lines[0] != "ensemble,alpha,accuracy":
         raise ValidationError(f"{path}: expected header 'ensemble,alpha,accuracy'")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    ensembles = []
+    alpha = np.empty(len(lines) - 1)
+    accuracy = np.empty(len(lines) - 1)
+    for row, line in enumerate(lines[1:]):
+        lineno = row + 2
         parts = line.split(",")
         if len(parts) != 3:
             raise ValidationError(f"{path}:{lineno}: expected 3 fields")
@@ -581,9 +663,22 @@ def read_scores(path):
         if not ids:
             raise ValidationError(f"{path}:{lineno}: empty ensemble field")
         try:
-            alpha = float(parts[1])
-            accuracy = None if parts[2] == "" else float(parts[2])
+            alpha[row] = float(parts[1])
+            acc = np.nan if parts[2] == "" else float(parts[2])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: non-numeric field") from exc
-        records.append(RankingRecord(ensemble=ids, alpha=alpha, accuracy=accuracy))
-    return records
+        if parts[2] != "" and not (0.0 <= acc <= 1.0):
+            raise ValidationError(
+                f"{path}:{lineno}: accuracy must lie in [0, 1], got {acc}")
+        accuracy[row] = acc
+        ensembles.append(ids)
+    return ensembles, alpha, accuracy
+
+
+def read_scores(path):
+    """Read a rankings file as a list of ``RankingRecord``."""
+    ensembles, alpha, accuracy = read_rankings(path)
+    return [
+        RankingRecord(ensemble=ids, alpha=a, accuracy=None if math.isnan(acc) else acc)
+        for ids, a, acc in zip(ensembles, alpha.tolist(), accuracy.tolist())
+    ]

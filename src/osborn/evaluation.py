@@ -17,9 +17,10 @@ from scipy.stats import kendalltau, rankdata
 from .data_io import LabelVector, PredictionVector, format_real
 from .errors import ComputationError, ValidationError
 
-# rows of the pair table that weighted_kendall_tau sums at once; each of its
-# temporaries then holds at most _WKT_BLOCK * N floats instead of N * N
-_WKT_BLOCK = 128
+# entries of the (ensembles, samples, classes) vote table that
+# majority_vote_accuracy fills at once, so its temporaries stay bounded
+# whatever the number of ensembles
+_VOTE_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -30,30 +31,66 @@ class CorrelationReport:
     n_pairs: int
 
 
+def majority_vote_accuracy(members, truth: LabelVector, combos) -> np.ndarray:
+    """Majority-vote accuracy of every ensemble in ``combos``.
+
+    ``members`` is a sequence of PredictionVector; row r of the 2-d integer
+    array ``combos`` lists the indices into ``members`` of ensemble r.  Each
+    ensemble's votes are summed per sample and the most voted class wins,
+    ties going to the smallest class index.  The one-hot vote table of all
+    members is built once; ensembles are voted in chunks.
+    """
+    members = list(members)
+    if not members or not all(isinstance(m, PredictionVector) for m in members):
+        raise ValidationError("majority vote needs PredictionVector members")
+    n = len(truth)
+    for m in members:
+        if len(m) != n:
+            raise ValidationError(
+                f"member has {len(m)} predictions but truth has {n} labels"
+            )
+    combos = np.asarray(combos)
+    if combos.ndim != 2 or combos.shape[1] == 0 or combos.dtype.kind not in "iu":
+        raise ValidationError("combos must be a 2-d integer array with >= 1 column")
+    if combos.size and (combos.min() < 0 or combos.max() >= len(members)):
+        raise ValidationError("combos index a member that does not exist")
+    # classes above every member's range get no votes and so never win,
+    # which makes one shared width right for every ensemble
+    width = max(m.num_classes for m in members)
+    onehot = np.zeros((len(members), n, width),
+                      dtype=np.min_scalar_type(combos.shape[1]))
+    rows = np.arange(n)
+    for i, m in enumerate(members):
+        onehot[i, rows, m.values] = 1
+    out = np.empty(combos.shape[0])
+    step = max(1, _VOTE_CELLS // (n * width))
+    for s in range(0, combos.shape[0], step):
+        chunk = combos[s:s + step]
+        votes = onehot[chunk[:, 0]]
+        for col in chunk[:, 1:].T:
+            votes += onehot[col]
+        # argmax takes the first maximum: the smallest class wins ties
+        hits = np.count_nonzero(votes.argmax(axis=2) == truth.values, axis=1)
+        out[s:s + step] = hits / n
+    return out
+
+
 def ensemble_accuracy(members, truth: LabelVector) -> float:
     """Accuracy of an ensemble on the target set.
 
     Hard predictions are combined by majority vote with ties broken toward
-    the smallest class index; per-class score tables (one 2-d array per
-    member, same shape) are averaged and argmaxed.
+    the smallest class index (``majority_vote_accuracy`` with one row);
+    per-class score tables (one 2-d array per member, same shape) are
+    averaged and argmaxed.
     """
     members = list(members)
     if not members:
         raise ValidationError("ensemble_accuracy needs at least one member")
     n = len(truth)
     if all(isinstance(m, PredictionVector) for m in members):
-        for m in members:
-            if len(m) != n:
-                raise ValidationError(
-                    f"member has {len(m)} predictions but truth has {n} labels"
-                )
-        width = max(m.num_classes for m in members)
-        votes = np.zeros((n, width), dtype=np.int64)
-        rows = np.arange(n)
-        for m in members:
-            votes[rows, m.values] += 1
-        combined = votes.argmax(axis=1)
-    elif all(isinstance(m, np.ndarray) for m in members):
+        one = np.arange(len(members))[None, :]
+        return float(majority_vote_accuracy(members, truth, one)[0])
+    if all(isinstance(m, np.ndarray) for m in members):
         shape = members[0].shape
         if len(shape) != 2 or shape[0] != n:
             raise ValidationError(
@@ -65,12 +102,10 @@ def ensemble_accuracy(members, truth: LabelVector) -> float:
             if not np.all(np.isfinite(m)):
                 raise ValidationError("score table has non-finite entries")
         mean = np.mean(np.stack(members, axis=0), axis=0)
-        combined = mean.argmax(axis=1)
-    else:
-        raise ValidationError(
-            "members must be all PredictionVector or all score arrays"
-        )
-    return float(np.mean(combined == truth.values))
+        return float(np.mean(mean.argmax(axis=1) == truth.values))
+    raise ValidationError(
+        "members must be all PredictionVector or all score arrays"
+    )
 
 
 def _paired(xs, ys, caller):
@@ -114,6 +149,40 @@ def kendall_tau(xs, ys) -> float:
     return min(1.0, max(-1.0, stat))
 
 
+def _earlier_smaller(v) -> np.ndarray:
+    """For each position p of the non-negative integer array ``v``, the
+    number of positions q < p with v[q] < v[p].
+
+    Bottom-up merge counting: at block size b, every element of a right
+    half-block counts the smaller elements of its left half-block with one
+    ``searchsorted`` over all blocks at once (keys offset by block), so the
+    whole count takes log2(N) vector passes.
+    """
+    n = v.shape[0]
+    width = int(v.max()) + 1
+    out = np.zeros(n, dtype=np.int64)
+    pos = np.arange(n)
+    b = 1
+    while b < n:
+        right = (pos // b) % 2 == 1
+        base = (pos // (2 * b)) * width
+        keys = np.sort(base[~right] + v[~right])
+        q = base[right]
+        out[right] += np.searchsorted(keys, q + v[right]) - np.searchsorted(keys, q)
+        b *= 2
+    return out
+
+
+def _below_left(rx, ry) -> np.ndarray:
+    """For each i, the number of j with rx[j] < rx[i] and ry[j] < ry[i]."""
+    # ordered by rx with ties by descending ry, an earlier j with a smaller
+    # ry also has a strictly smaller rx
+    order = np.lexsort((-ry, rx))
+    out = np.empty_like(rx)
+    out[order] = _earlier_smaller(ry[order])
+    return out
+
+
 def weighted_kendall_tau(xs, ys) -> float:
     """Kendall-style correlation with hyperbolic top weighting.
 
@@ -121,42 +190,64 @@ def weighted_kendall_tau(xs, ys) -> float:
     based); a pair (i, j) gets weight 1/(rank_i + 1) + 1/(rank_j + 1), so
     disagreements near the top of the accuracy ordering cost more than
     disagreements at the bottom.  Tied pairs on either side contribute zero
-    to the numerator but keep their weight in the normalizer.  Pairs are
-    summed in blocks of rows, so memory grows linearly with the input length.
+    to the numerator but keep their weight in the normalizer.
+
+    The pair weight is additive, so the numerator is sum_i w_i c_i, where
+    c_i = sum_j sgn(x_i - x_j) sgn(y_i - y_j), and the normalizer is
+    (N - 1) sum_i w_i.  Each c_i comes from strict dominance counts in
+    O(N log N) time and O(N) memory (Knight 1966; Vigna 2015 for the
+    weighted, tied form).
     """
     x, y = _paired(xs, ys, "weighted_kendall_tau")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ComputationError(
             "weighted kendall tau undefined when one input is constant"
         )
-    ranks = rankdata(-y, method="average") - 1.0
-    w_item = 1.0 / (ranks + 1.0)
-    num = den = 0.0
-    for s in range(0, x.shape[0], _WKT_BLOCK):
-        rows = slice(s, s + _WKT_BLOCK)
-        # pairs (i, j) with i in this block and j > i: the block's rows
-        # against columns s.., above the block's own diagonal
-        w = np.triu(w_item[rows, None] + w_item[None, s:], k=1)
-        sxy = np.sign(x[rows, None] - x[None, s:]) * np.sign(y[rows, None] - y[None, s:])
-        num += float((w * sxy).sum())
-        den += float(w.sum())
-    return num / den
+    n = x.shape[0]
+    w = 1.0 / rankdata(-y, method="average")
+    rx = np.unique(x, return_inverse=True)[1].astype(np.int64)
+    ry = np.unique(y, return_inverse=True)[1].astype(np.int64)
+    concordant = _below_left(rx, ry) + _below_left(rx.max() - rx, ry.max() - ry)
+    # pairs untied on both sides, by inclusion-exclusion over the tie groups
+    # (each group count includes i itself)
+    tie_x = np.bincount(rx)[rx]
+    tie_y = np.bincount(ry)[ry]
+    _, cell, cell_count = np.unique(rx * (ry.max() + 1) + ry,
+                                    return_inverse=True, return_counts=True)
+    untied = n - tie_x - tie_y + cell_count[cell]
+    c = 2 * concordant - untied
+    # sum_i w_i (c_i / (N - 1)) and sum_i w_i add up in the same order, so
+    # c = +/-(N - 1) everywhere gives exactly +/-1
+    t = float(np.sum(w * (c / (n - 1)))) / float(np.sum(w))
+    return min(1.0, max(-1.0, t))
+
+
+def correlate(alpha, accuracy) -> CorrelationReport:
+    """Correlate proxy scores with accuracy over the rows whose accuracy is
+    not NaN (NaN marks a row without a measured accuracy)."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    accuracy = np.asarray(accuracy, dtype=np.float64)
+    if alpha.shape != accuracy.shape or alpha.ndim != 1:
+        raise ValidationError("correlate expects two equal-length vectors")
+    usable = ~np.isnan(accuracy)
+    n = int(np.count_nonzero(usable))
+    if n < 2:
+        raise ValidationError(f"need at least 2 records with accuracy, got {n}")
+    alpha = alpha[usable]
+    accuracy = accuracy[usable]
+    return CorrelationReport(
+        pcc=pearson(alpha, accuracy),
+        kt=kendall_tau(alpha, accuracy),
+        wkt=weighted_kendall_tau(alpha, accuracy),
+        n_pairs=n,
+    )
 
 
 def evaluate(records) -> CorrelationReport:
     """Correlate alpha against accuracy over records that carry both."""
-    usable = [r for r in records if r.accuracy is not None]
-    if len(usable) < 2:
-        raise ValidationError(
-            f"need at least 2 records with accuracy, got {len(usable)}"
-        )
-    alphas = [r.alpha for r in usable]
-    accs = [r.accuracy for r in usable]
-    return CorrelationReport(
-        pcc=pearson(alphas, accs),
-        kt=kendall_tau(alphas, accs),
-        wkt=weighted_kendall_tau(alphas, accs),
-        n_pairs=len(usable),
+    return correlate(
+        [r.alpha for r in records],
+        [np.nan if r.accuracy is None else r.accuracy for r in records],
     )
 
 

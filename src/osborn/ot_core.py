@@ -315,7 +315,7 @@ def exact_ot(cost, marginals: MarginalWeights) -> Coupling:
     if not res.success:
         raise ComputationError(f"exact transport LP failed: {res.message}")
     P = np.maximum(res.x.reshape(nr, mc), 0.0)
-    res = _residual(P, b, g)
-    if res > 1e-10:
-        raise ComputationError(f"exact transport LP returned marginal residual {res:g}")
-    return _coupling(C, P, rows, cols, int(getattr(res, "nit", 0)), True)
+    defect = _residual(P, b, g)
+    if defect > 1e-10:
+        raise ComputationError(f"exact transport LP returned marginal residual {defect:g}")
+    return _coupling(C, P, rows, cols, int(res.nit), True)

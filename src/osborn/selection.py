@@ -182,16 +182,27 @@ def exhaustive_trace(pool, k: int, cache: PairwiseCache,
     return _trace(ids, a, H, [pos[m] for m in cand.ids])
 
 
+def score_subsets(pool, k: int, cache: PairwiseCache, config: TEConfig):
+    """Score every size-k subset as arrays: ``(ids, combos, values)``.
+
+    ``ids`` are the sorted model ids; row r of ``combos`` holds the
+    increasing indices into ``ids`` of subset r, rows in lexicographic
+    order; ``values[r]`` is that subset's osborn value (-f).
+    """
+    ids, a, H = _terms(pool, cache, config)
+    combos = _combinations(len(ids), _check_k(k, len(ids)))
+    return ids, combos, -_subset_f(a, H, combos)
+
+
 def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):
     """Score every size-k subset; rows come back in lexicographic id order.
 
-    Returns a list of (EnsembleCandidate, osborn_value) pairs.
+    Returns a list of (EnsembleCandidate, osborn_value) pairs; see
+    ``score_subsets`` for the same scores as arrays.
     """
-    ids, a, H = _terms(pool, cache, config)
-    k = _check_k(k, len(ids))
-    values = (-_subset_f(a, H, _combinations(len(ids), k))).tolist()
-    return [(EnsembleCandidate(c), v)
-            for c, v in zip(itertools.combinations(ids, k), values)]
+    ids, combos, values = score_subsets(pool, k, cache, config)
+    return [(EnsembleCandidate(tuple(ids[i] for i in row)), v)
+            for row, v in zip(combos.tolist(), values.tolist())]
 
 
 # ---------------------------------------------------------------------------

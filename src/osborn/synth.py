@@ -43,7 +43,7 @@ from .data_io import (
     write_predictions,
 )
 from .errors import ValidationError
-from .evaluation import ensemble_accuracy
+from .evaluation import ensemble_accuracy, majority_vote_accuracy
 
 import json
 import os
@@ -242,10 +242,21 @@ def build_pool(spec: SynthSpec) -> SynthPool:
 
 
 def proxy_accuracy(member_ids, pool) -> float:
-    """Majority-vote accuracy of the named models on the pool's target set."""
+    """Majority-vote accuracy of the named models on the pool's target set.
+
+    ``pool`` is a SynthPool, a PoolManifest or a PoolPredictions.
+    """
     manifest = pool.manifest if isinstance(pool, SynthPool) else pool
-    preds = [manifest.record(str(mid)).target_predictions for mid in member_ids]
+    preds = [manifest.target_predictions(str(mid)) for mid in member_ids]
     return ensemble_accuracy(preds, manifest.target_labels)
+
+
+def proxy_accuracies(ids, combos, pool) -> np.ndarray:
+    """``proxy_accuracy`` of every ensemble ``ids[combos[r]]``, voted in
+    batches (see ``evaluation.majority_vote_accuracy``)."""
+    manifest = pool.manifest if isinstance(pool, SynthPool) else pool
+    preds = [manifest.target_predictions(str(mid)) for mid in ids]
+    return majority_vote_accuracy(preds, manifest.target_labels, combos)
 
 
 # ---------------------------------------------------------------------------

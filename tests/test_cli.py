@@ -7,10 +7,16 @@ import sys
 import pytest
 
 from osborn import cli
-from osborn.data_io import TEConfig, load_pool, read_scores
+from osborn.data_io import (
+    RankingRecord,
+    TEConfig,
+    load_pool,
+    read_scores,
+    write_scores,
+)
 from osborn.metrics import read_cache
-from osborn.selection import exhaustive_select
-from osborn.synth import read_synth_spec
+from osborn.selection import exhaustive_select, rankings_from_scores, score_all
+from osborn.synth import proxy_accuracy, read_synth_spec
 
 SPEC_TEXT = (
     "num_models = 4\n"
@@ -164,6 +170,42 @@ def test_pipeline_outputs_are_byte_stable(tmp_path, pool_dir):
     (c1, r1), (c2, r2) = outs
     assert filecmp.cmp(c1, c2, shallow=False)
     assert filecmp.cmp(r1, r2, shallow=False)
+
+
+def test_score_rankings_equal_the_row_by_row_file(tmp_path, pool_dir):
+    pool_path = pool_dir / "pool.json"
+    cache_path = tmp_path / "cache.csv"
+    assert cli.main(["pairwise", "--pool", str(pool_path),
+                     "--out", str(cache_path)]) == 0
+    pool = load_pool(pool_path)
+    cache = read_cache(cache_path)
+    for k in (1, 2, 3):
+        ranks = tmp_path / f"ranks{k}.csv"
+        assert cli.main(["score", "--pool", str(pool_path), "--cache",
+                         str(cache_path), "--k", str(k), "--proxy-accuracy",
+                         "--out", str(ranks)]) == 0
+        ref = tmp_path / f"ref{k}.csv"
+        write_scores([
+            RankingRecord(ensemble=rec.ensemble, alpha=rec.alpha,
+                          accuracy=proxy_accuracy(rec.ensemble, pool))
+            for rec in rankings_from_scores(score_all(pool, k, cache, TEConfig()))
+        ], ref)
+        assert ranks.read_bytes() == ref.read_bytes()
+
+
+def test_select_and_score_read_no_feature_files(tmp_path, pool_dir):
+    pool = pool_dir / "pool.json"
+    cache = tmp_path / "cache.csv"
+    assert cli.main(["pairwise", "--pool", str(pool), "--out", str(cache)]) == 0
+    for path in pool_dir.glob("*_features.csv"):
+        path.write_text("not a feature file\n")
+    assert cli.main(["pairwise", "--pool", str(pool),
+                     "--out", str(tmp_path / "again.csv")]) == 1
+    assert cli.main(["select", "--pool", str(pool), "--cache", str(cache),
+                     "--k", "2", "--out", str(tmp_path / "trace.csv")]) == 0
+    assert cli.main(["score", "--pool", str(pool), "--cache", str(cache),
+                     "--k", "2", "--proxy-accuracy",
+                     "--out", str(tmp_path / "ranks.csv")]) == 0
 
 
 def test_frobenius_cache_is_byte_stable_across_threads(tmp_path, pool_dir):

@@ -15,10 +15,12 @@ from osborn.data_io import (
     TEConfig,
     format_real,
     load_pool,
+    load_pool_predictions,
     read_config,
     read_features,
     read_labels,
     read_predictions,
+    read_rankings,
     read_scores,
     stratified_indices,
     stratified_subsample,
@@ -28,6 +30,7 @@ from osborn.data_io import (
     write_features,
     write_labels,
     write_predictions,
+    write_rankings,
     write_scores,
 )
 from osborn.errors import ValidationError
@@ -279,6 +282,48 @@ def test_load_pool_rejects_bad_json_and_missing_keys(tmp_path):
         load_pool(tmp_path / "nope.json")
 
 
+def test_load_pool_predictions_reads_only_predictions_and_labels(tmp_path):
+    path = _write_pool_dir(tmp_path)
+    full = load_pool(path)
+    for mid in ("m0", "m1"):
+        for name in ("sf", "sl", "tf"):
+            os.remove(tmp_path / f"{mid}_{name}.csv")
+    preds = load_pool_predictions(path)
+    assert preds.model_ids() == full.model_ids()
+    assert np.array_equal(preds.target_labels.values, full.target_labels.values)
+    for mid in full.model_ids():
+        got = preds.target_predictions(mid)
+        ref = full.target_predictions(mid)
+        assert np.array_equal(got.values, ref.values)
+        assert got.num_classes == ref.num_classes
+    with pytest.raises(ValidationError, match="unknown model id"):
+        preds.target_predictions("m9")
+
+
+def test_load_pool_predictions_checks_what_load_pool_checks(tmp_path):
+    path = _write_pool_dir(tmp_path)
+    doc = json.loads(path.read_text())
+    bad = dict(doc, models=doc["models"] + [dict(doc["models"][0])])
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ValidationError, match="duplicate model id"):
+        load_pool_predictions(path)
+    missing = dict(doc["models"][0])
+    del missing["source_features"]
+    path.write_text(json.dumps(dict(doc, models=[missing])))
+    with pytest.raises(ValidationError, match="missing required key"):
+        load_pool_predictions(path)
+    path.write_text(json.dumps(doc))
+    write_labels(LabelVector(np.array([0, 1, 0]), 2), tmp_path / "target_labels.csv")
+    with pytest.raises(ValidationError, match="predictions but the pool has 3"):
+        load_pool_predictions(path)
+    (tmp_path / "m0_tp.csv").write_text("C=2\n0\n5\n1\n")
+    with pytest.raises(ValidationError, match="must lie in"):
+        load_pool_predictions(path)
+    path.write_text("{not json")
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        load_pool_predictions(path)
+
+
 def test_validate_record_checks_shapes_and_ids():
     ok = ModelRecord(
         model_id="m",
@@ -387,6 +432,39 @@ def test_scores_round_trip_including_missing_accuracy(tmp_path):
     assert text[1].startswith("a;b,")
     back = read_scores(p)
     assert back == rows
+
+
+def test_rankings_arrays_write_the_bytes_of_records(tmp_path):
+    ids = ("a", "b", "c")
+    combos = np.array([[0, 1], [0, 2], [1, 2]])
+    alpha = np.array([-1.25, 0.1, 3.0])
+    accuracy = np.array([0.75, 0.5, 1.0])
+    for acc in (accuracy, None):
+        p_arr = tmp_path / "arrays.csv"
+        p_rec = tmp_path / "records.csv"
+        write_rankings(ids, combos, alpha, acc, p_arr)
+        write_scores([
+            RankingRecord(ensemble=tuple(ids[i] for i in row), alpha=a,
+                          accuracy=None if acc is None else acc[r])
+            for r, (row, a) in enumerate(zip(combos, alpha))
+        ], p_rec)
+        assert p_arr.read_bytes() == p_rec.read_bytes()
+    ensembles, back_alpha, back_acc = read_rankings(p_arr)
+    assert ensembles == [("a", "b"), ("a", "c"), ("b", "c")]
+    assert back_alpha.tolist() == alpha.tolist()
+    assert np.all(np.isnan(back_acc))
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("ensemble,alpha,accuracy\na,1.0,1.5\n", "2: accuracy must lie in"),
+    ("ensemble,alpha,accuracy\na,1.0,0.5\nb,1.0,nan\n", "3: accuracy must lie in"),
+])
+def test_rankings_reader_rejects_accuracy_out_of_range(tmp_path, text, msg):
+    p = tmp_path / "r.csv"
+    p.write_text(text)
+    for reader in (read_rankings, read_scores):
+        with pytest.raises(ValidationError, match=msg):
+            reader(p)
 
 
 @pytest.mark.parametrize("text,msg", [

@@ -1,17 +1,23 @@
 """Majority voting and rank-correlation statistics against naive loops."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osborn.data_io import LabelVector, PredictionVector, RankingRecord
 from osborn.errors import ComputationError, ValidationError
 from osborn.evaluation import (
     CorrelationReport,
+    correlate,
     ensemble_accuracy,
     evaluate,
     kendall_tau,
+    majority_vote_accuracy,
     pearson,
     weighted_kendall_tau,
     write_report,
@@ -99,6 +105,53 @@ def test_mixed_class_widths_vote_correctly():
     wide = PredictionVector(np.array([0, 1, 2]), 3)
     acc = ensemble_accuracy([narrow, wide, wide], truth)
     assert acc == 1.0
+
+
+def test_batched_vote_equals_ensemble_accuracy_for_every_ensemble():
+    # three classes over few samples makes vote ties common; members disagree
+    # on their label-space size
+    rng = np.random.default_rng(7)
+    for trial in range(12):
+        n = int(rng.integers(3, 30))
+        truth = LabelVector(rng.integers(0, 4, n), 4)
+        members = []
+        for _ in range(int(rng.integers(2, 7))):
+            c = int(rng.integers(2, 6))
+            members.append(PredictionVector(rng.integers(0, min(c, 3), n), c))
+        m = len(members)
+        for k in range(1, m + 1):
+            combos = np.array(list(itertools.combinations(range(m), k)))
+            got = majority_vote_accuracy(members, truth, combos)
+            ref = [ensemble_accuracy([members[i] for i in row], truth)
+                   for row in combos]
+            assert got.tolist() == ref
+            loop = [majority_vote_loop([members[i].values.tolist() for i in row],
+                                       truth.values.tolist()) for row in combos]
+            assert got == pytest.approx(loop, abs=1e-12)
+
+
+def test_batched_vote_chunks_agree_with_one_chunk(monkeypatch):
+    rng = np.random.default_rng(8)
+    truth = LabelVector(rng.integers(0, 3, 40), 3)
+    members = [PredictionVector(rng.integers(0, 3, 40), 3) for _ in range(9)]
+    combos = np.array(list(itertools.combinations(range(9), 4)))
+    whole = majority_vote_accuracy(members, truth, combos)
+    # a budget below one ensemble's table still votes one ensemble at a time
+    monkeypatch.setattr("osborn.evaluation._VOTE_CELLS", 1)
+    assert majority_vote_accuracy(members, truth, combos).tolist() == whole.tolist()
+
+
+def test_batched_vote_input_validation():
+    truth = LabelVector(np.array([0, 1]), 2)
+    p = PredictionVector(np.array([0, 1]), 2)
+    with pytest.raises(ValidationError, match="PredictionVector"):
+        majority_vote_accuracy([np.zeros((2, 2))], truth, [[0]])
+    with pytest.raises(ValidationError, match="labels"):
+        majority_vote_accuracy([PredictionVector(np.array([0]), 2)], truth, [[0]])
+    with pytest.raises(ValidationError, match="2-d integer"):
+        majority_vote_accuracy([p], truth, [0])
+    with pytest.raises(ValidationError, match="does not exist"):
+        majority_vote_accuracy([p], truth, [[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +245,39 @@ def test_weighted_kendall_matches_loop():
             weighted_kendall_loop(x.tolist(), y.tolist()), abs=1e-12)
 
 
+_TIED = st.integers(min_value=0, max_value=3).map(float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_TIED, _TIED), min_size=2, max_size=60))
+def test_weighted_kendall_matches_loop_under_heavy_ties(pairs):
+    x = [p[0] for p in pairs]
+    y = [p[1] for p in pairs]
+    if len(set(x)) == 1 or len(set(y)) == 1:
+        with pytest.raises(ComputationError, match="constant"):
+            weighted_kendall_tau(x, y)
+        return
+    assert weighted_kendall_tau(x, y) == pytest.approx(
+        weighted_kendall_loop(x, y), abs=1e-12)
+
+
+def test_weighted_kendall_memory_is_linear_at_scale():
+    # 50,000 rows: a pair table in row blocks of 128 would need 51 MB per
+    # temporary; the O(N) form needs a few arrays of N entries
+    rng = np.random.default_rng(9)
+    n = 50_000
+    x = rng.normal(size=n)
+    y = np.round(x + rng.normal(size=n), 2)
+    tracemalloc.start()
+    try:
+        value = weighted_kendall_tau(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert -1.0 <= value <= 1.0
+    assert peak < 24 * 2 ** 20
+
+
 def test_weighted_kendall_frozen_value():
     # four items, one swap among the top two: the disagreeing pair (0, 1) has
     # weight 1 + 1/2 of the 6.25 total, so num = 6.25 - 2 * 1.5 = 3.25 and
@@ -237,6 +323,22 @@ def test_evaluate_uses_only_rows_with_accuracy():
         pearson([1.0, 3.0, 4.0], [0.2, 0.8, 0.9]), abs=1e-15)
     assert rep.kt == pytest.approx(1.0, abs=1e-12)
     assert rep.wkt == pytest.approx(1.0, abs=1e-12)
+
+
+def test_correlate_skips_rows_without_accuracy_like_evaluate():
+    records = [
+        _rec(("a",), 1.0, 0.2),
+        _rec(("b",), 2.0, None),
+        _rec(("c",), 3.0, 0.8),
+        _rec(("d",), 4.0, 0.7),
+    ]
+    rep = correlate([1.0, 2.0, 3.0, 4.0], [0.2, np.nan, 0.8, 0.7])
+    assert rep == evaluate(records)
+    assert rep.n_pairs == 3
+    with pytest.raises(ValidationError, match="at least 2"):
+        correlate([1.0, 2.0], [0.5, np.nan])
+    with pytest.raises(ValidationError, match="equal-length"):
+        correlate([1.0, 2.0], [0.5, 0.6, 0.7])
 
 
 def test_evaluate_needs_two_usable_rows():

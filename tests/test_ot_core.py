@@ -136,6 +136,13 @@ def test_exact_known_two_by_two_plan():
     assert coup.transport_cost == pytest.approx(0.3, abs=1e-10)
 
 
+def test_exact_reports_the_lp_iteration_count():
+    rng = np.random.default_rng(11)
+    C = rng.uniform(0.0, 3.0, size=(6, 6))
+    marg = MarginalWeights(rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6)))
+    assert exact_ot(C, marg).iterations_used > 0
+
+
 def test_exact_refuses_large_instances():
     n = 9
     with pytest.raises(ValidationError, match=str(EXACT_MAX_CELLS)):

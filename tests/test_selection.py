@@ -21,6 +21,7 @@ from osborn.selection import (
     marginal_gain,
     rankings_from_scores,
     score_all,
+    score_subsets,
     write_selection,
 )
 from osborn.synth import SynthSpec, build_pool
@@ -260,6 +261,19 @@ def test_score_all_enumerates_lexicographically_and_matches_scores():
         for cand, value in scored:
             assert value == pytest.approx(
                 osborn_score(cand.ids, cache, cfg).osborn_value, abs=1e-12)
+
+
+def test_score_subsets_are_the_arrays_behind_score_all():
+    cfg = TEConfig()
+    for m, k in [(5, 2), (6, 6), (7, 3)]:
+        cache = _random_cache(np.random.default_rng(7), m)
+        ids, combos, values = score_subsets(None, k, cache, cfg)
+        assert ids == tuple(sorted(cache.wd))
+        assert combos.tolist() == [list(c) for c in itertools.combinations(range(m), k)]
+        scored = score_all(None, k, cache, cfg)
+        assert [c.ids for c, _ in scored] == \
+            [tuple(ids[i] for i in row) for row in combos]
+        assert [v for _, v in scored] == values.tolist()
 
 
 def test_rankings_negate_scores():

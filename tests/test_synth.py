@@ -1,13 +1,14 @@
 """Synthetic pool generator: geometry, determinism, and ground-truth knobs."""
 
 import hashlib
+import itertools
 import os
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from osborn.data_io import TEConfig, load_pool
+from osborn.data_io import TEConfig, load_pool, load_pool_predictions
 from osborn.errors import ValidationError
 from osborn.metrics import build_pairwise_cache, cohesion_pair, osborn_score
 from osborn.synth import (
@@ -15,6 +16,7 @@ from osborn.synth import (
     build_pool,
     default_groups,
     generate,
+    proxy_accuracies,
     proxy_accuracy,
     read_synth_spec,
     write_synth_spec,
@@ -236,6 +238,21 @@ def test_proxy_accuracy_redundant_triple_equals_single():
     pool = build_pool(spec)
     assert proxy_accuracy(("m00", "m01", "m02"), pool) == \
         proxy_accuracy(("m00",), pool)
+
+
+def test_proxy_accuracies_equal_proxy_accuracy_per_ensemble(tmp_path):
+    spec = _spec(num_models=5, samples=31, domain_shift=(0.0,) * 5,
+                 prediction_noise=(0.1, 0.3, 0.5, 0.5, 0.7),
+                 redundancy_groups=((0,), (1,), (2, 3), (4,)))
+    generate(spec, tmp_path)
+    pools = (build_pool(spec), load_pool_predictions(tmp_path / "pool.json"))
+    ids = ("m00", "m01", "m02", "m03", "m04")
+    for k in range(1, 6):
+        combos = np.array(list(itertools.combinations(range(5), k)))
+        for pool in pools:
+            got = proxy_accuracies(ids, combos, pool)
+            assert got.tolist() == [
+                proxy_accuracy([ids[i] for i in row], pool) for row in combos]
 
 
 def test_independent_noisy_voters_beat_a_single_voter_on_average():
