@@ -236,7 +236,8 @@ def _pair_value(cache, a, b):
 
 
 def _zscore(vals: np.ndarray) -> np.ndarray:
-    std = float(vals.std())
+    # an empty table (a one-model cache has no pairs) has no spread either
+    std = float(vals.std()) if vals.size else 0.0
     if std == 0.0:
         return np.zeros_like(vals)
     return (vals - float(vals.mean())) / std

@@ -2,7 +2,9 @@
 
 Three routes to a transport plan:
 
-* ``sinkhorn``         -- entropic regularization, log-domain scaling updates
+* ``sinkhorn``         -- entropic regularization, kernel-domain scaling on a
+  stabilized kernel whose large scalings are absorbed into log-domain
+  potentials (Cuturi 2013; Schmitzer 2019), finished by Newton steps
 * ``sinkhorn_frobenius`` -- squared-Frobenius regularization, solved by
   L-BFGS on its smooth dual in the potentials (Blondel, Seguy & Rolet 2018),
   finished by semismooth Newton steps when a tight tolerance needs them
@@ -22,8 +24,11 @@ from scipy.optimize import linprog, minimize
 from .errors import ComputationError, ValidationError
 
 EXACT_MAX_CELLS = 64
-# largest n + m for which the solvers take dense (n+m)^2 Newton steps
+# largest n + m for which the solvers take Newton steps (an m x m solve each)
 NEWTON_MAX_POTENTIALS = 1024
+# a kernel scaling outside [1 / SCALING_BOUND, SCALING_BOUND] is absorbed
+# into the log-domain potentials and the stabilized kernel is rebuilt
+SCALING_BOUND = 1e30
 
 
 @dataclass(frozen=True)
@@ -127,34 +132,44 @@ def _validate_settings(epsilon, max_iters):
 
 def _reduce(C, marginals: MarginalWeights):
     """Drop zero-mass rows and columns: the kept indices, their weights and
-    the reduced cost matrix."""
+    the reduced cost matrix (``C`` itself when nothing is dropped)."""
     rows = np.flatnonzero(marginals.source > 0)
     cols = np.flatnonzero(marginals.target > 0)
-    return (rows, cols, marginals.source[rows], marginals.target[cols],
-            C[np.ix_(rows, cols)])
+    Cr = C if (rows.size, cols.size) == C.shape else C[np.ix_(rows, cols)]
+    return rows, cols, marginals.source[rows], marginals.target[cols], Cr
 
 
 def _coupling(C, P, rows, cols, iterations_used, converged) -> Coupling:
     """Re-insert the zero rows/columns around the reduced plan ``P``."""
-    plan = np.zeros(C.shape, dtype=np.float64)
-    plan[np.ix_(rows, cols)] = P
+    if P.shape == C.shape:
+        plan = P
+    else:
+        plan = np.zeros(C.shape, dtype=np.float64)
+        plan[np.ix_(rows, cols)] = P
     plan.setflags(write=False)
     return Coupling(
         plan=plan,
-        transport_cost=float((C * plan).sum()),
+        transport_cost=float(np.vdot(C, plan)),
         iterations_used=iterations_used,
         converged=converged,
     )
 
 
-def _lse_rows(A):
-    mx = A.max(axis=1)
-    return mx + np.log(np.exp(A - mx[:, None]).sum(axis=1))
+def _log_sum_exp(A, axis):
+    """Log-sum-exp of ``A`` along ``axis``, computed in place: ``A`` is
+    overwritten."""
+    mx = A.max(axis=axis)
+    A -= np.expand_dims(mx, axis)
+    np.exp(A, out=A)
+    return mx + np.log(A.sum(axis=axis))
 
 
-def _lse_cols(A):
-    mx = A.max(axis=0)
-    return mx + np.log(np.exp(A - mx[None, :]).sum(axis=0))
+def _log_kernel(Cr, epsilon, f, h, out):
+    """``-C / epsilon + f_i + h_j`` written into ``out``."""
+    np.divide(Cr, -epsilon, out=out)
+    out += f[:, None]
+    out += h[None, :]
+    return out
 
 
 def _residual(P, b, g) -> float:
@@ -163,37 +178,47 @@ def _residual(P, b, g) -> float:
                float(np.abs(P.sum(axis=0) - g).max()))
 
 
+def _newton_direction(W, grad_rows, grad_cols):
+    """The Newton step ``(dx, dy)`` of a transport dual with Hessian
+    ``[[diag(W 1), W], [W^T, diag(W^T 1)]]`` and gradient
+    ``(grad_rows, grad_cols)``.
+
+    A tiny Tikhonov term ``lam`` on the diagonal handles the constant-shift
+    nullspace.  The row block is diagonal, so it is eliminated: ``dy`` solves
+    the column block's Schur complement ``diag(W^T 1 + lam) - W^T diag(W 1 +
+    lam)^-1 W`` (m x m) and ``dx`` follows row by row.  Raises
+    ``np.linalg.LinAlgError`` if the Schur complement is singular.
+    """
+    r = W.sum(axis=1)
+    c = W.sum(axis=0)
+    lam = 1e-12 * (1.0 + float(max(r.max(), c.max())))
+    r += lam
+    S = -(W.T @ (W / r[:, None]))
+    S[np.diag_indices_from(S)] += c + lam
+    dy = np.linalg.solve(S, W.T @ (grad_rows / r) - grad_cols)
+    return -(grad_rows + W @ dy) / r, dy
+
+
 def _newton_polish_step(W, plan_of, f, h, P, b, g, res):
     """One damped Newton step on a transport dual in the potentials (f, h).
 
     The dual gradient is the marginal defect of ``P = plan_of(f, h)`` and the
-    Hessian is ``[[diag(W 1), W], [W^T, diag(W^T 1)]]``: ``W`` is the plan
-    itself for the entropic dual (up to the shared epsilon factor, which
-    cancels in the step) and the 0/1 support of the plan over ``2 epsilon``
-    for the quadratic dual, where this is a semismooth Newton step on the
-    current support.  The constant-shift nullspace is handled by a tiny
-    Tikhonov term.  Backtracks on the residual; reports failure so the
-    caller can fall back or stop.
+    Hessian is ``[[diag(W 1), W], [W^T, diag(W^T 1)]]`` (see
+    ``_newton_direction``): ``W`` is the plan itself for the entropic dual
+    (up to the shared epsilon factor, which cancels in the step) and the 0/1
+    support of the plan over ``2 epsilon`` for the quadratic dual, where
+    this is a semismooth Newton step on the current support.  Backtracks on
+    the residual; reports failure so the caller can fall back or stop.
     """
-    nr = f.shape[0]
-    r = W.sum(axis=1)
-    c = W.sum(axis=0)
-    grad = np.concatenate([P.sum(axis=1) - b, P.sum(axis=0) - g])
-    H = np.zeros((nr + c.shape[0], nr + c.shape[0]))
-    H[:nr, :nr] = np.diag(r)
-    H[nr:, nr:] = np.diag(c)
-    H[:nr, nr:] = W
-    H[nr:, :nr] = W.T
-    lam = 1e-12 * (1.0 + float(max(r.max(), c.max())))
     try:
-        step = np.linalg.solve(H + lam * np.eye(H.shape[0]), -grad)
+        dx, dy = _newton_direction(W, P.sum(axis=1) - b, P.sum(axis=0) - g)
     except np.linalg.LinAlgError:
         return f, h, P, res, False
-    if not np.all(np.isfinite(step)):
+    if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
         return f, h, P, res, False
     for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        f_try = f + alpha * step[:nr]
-        h_try = h + alpha * step[nr:]
+        f_try = f + alpha * dx
+        h_try = h + alpha * dy
         P_try = plan_of(f_try, h_try)
         res_try = _residual(P_try, b, g)
         if res_try < res:
@@ -203,15 +228,24 @@ def _newton_polish_step(W, plan_of, f, h, P, b, g, res):
 
 def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
              max_iters: int = 1000, tol: float = 1e-6) -> Coupling:
-    """Entropic OT via log-domain scaling iterations.
+    """Entropic OT via kernel-domain scaling on a stabilized kernel.
 
-    Dual potentials are updated in log space, so small ``epsilon`` does not
-    overflow.  Convergence is declared when the worse of the two marginal
-    residuals (infinity norm) drops to ``tol``.
+    Iteration 1 is a log-domain sweep from zero potentials: ``f`` fits the
+    rows, then ``h`` the columns.  Its plan becomes the stabilized kernel
+    ``Kt = exp(-C / epsilon + f_i + h_j)``, and every later iteration is a
+    kernel-domain scaling (Cuturi 2013) with two matrix-vector products:
+    ``u = b / (Kt v)``, ``v = g / (Kt^T u)``.  The plan is ``u Kt v`` and its
+    columns fit exactly after each iteration, so the residual is the row
+    defect ``|u (Kt v) - b|``; ``Kt v`` is then the next denominator.  When
+    a scaling leaves ``[1 / SCALING_BOUND, SCALING_BOUND]`` it is absorbed
+    into the potentials, ``Kt`` is rebuilt and the scalings reset to one
+    (Schmitzer 2019), so small ``epsilon`` neither overflows nor underflows
+    whole rows of the kernel.  Convergence is declared when the worse of
+    the two marginal residuals (infinity norm) drops to ``tol``.
 
-    Plain scaling starts from zero potentials.  Once the residual is small
-    on instances where the dense (n+m) dual Hessian is affordable, damped
-    Newton steps on the dual potentials finish the solve: at small
+    Once the residual is small on instances with n + m at most
+    ``NEWTON_MAX_POTENTIALS``, damped Newton steps on the log-scalings
+    finish the solve, each through an m x m Schur complement: at small
     ``epsilon`` with near-degenerate costs plain scaling contracts like
     1 - O(1e-4) per sweep and cannot reach tight tolerances in any
     reasonable budget, while the Newton phase converges quadratically to
@@ -220,27 +254,53 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     epsilon, max_iters = _validate_settings(epsilon, max_iters)
     C = _validate_problem(cost, marginals)
     rows, cols, b, g, Cr = _reduce(C, marginals)
-    K = -Cr / epsilon
-    log_b = np.log(b)
-    log_g = np.log(g)
-    f = np.zeros(rows.shape[0])
-    h = np.zeros(cols.shape[0])
+    # iteration 1 in the log domain, in the one n x m work buffer that
+    # then holds the stabilized kernel and finally the plan
+    Kt = np.empty_like(Cr)
+    f = np.zeros_like(b)
+    h = np.zeros_like(g)
+    f = np.log(b) - _log_sum_exp(_log_kernel(Cr, epsilon, f, h, Kt), axis=1)
+    h = np.log(g) - _log_sum_exp(_log_kernel(Cr, epsilon, f, h, Kt), axis=0)
+    np.exp(_log_kernel(Cr, epsilon, f, h, Kt), out=Kt)
+    u = np.ones_like(b)
+    v = np.ones_like(g)
+    Kv = Kt @ v
+    res = float(np.abs(Kv - b).max())
+    iters = 1
+
+    def plan_of(x, y):
+        return np.exp(x)[:, None] * Kt * np.exp(y)[None, :]
+
     newton_ok = sum(Cr.shape) <= NEWTON_MAX_POTENTIALS
     newton_gate = max(100.0 * float(tol), 1e-4)
-    P = None
-    res = np.inf
-    iters = 0
+    P = None  # the plan, while Newton steps hold it
     while iters < max_iters and res > tol:
         iters += 1
         if newton_ok and res <= newton_gate:
-            f, h, P, res, newton_ok = _newton_polish_step(
-                P, lambda f, h: np.exp(K + f[:, None] + h[None, :]),
-                f, h, P, b, g, res)
+            x, y = np.log(u), np.log(v)
+            if P is None:
+                P = plan_of(x, y)
+            x, y, P, res, newton_ok = _newton_polish_step(
+                P, plan_of, x, y, P, b, g, res)
+            u, v = np.exp(x), np.exp(y)
+            Kv = Kt @ v
         else:
-            f = log_b - _lse_rows(K + h[None, :])
-            h = log_g - _lse_cols(K + f[:, None])
-            P = np.exp(K + f[:, None] + h[None, :])
-            res = _residual(P, b, g)
+            P = None
+            u = b / Kv
+            v = g / (Kt.T @ u)
+            if (min(u.min(), v.min()) < 1.0 / SCALING_BOUND
+                    or max(u.max(), v.max()) > SCALING_BOUND):
+                f += np.log(u)
+                h += np.log(v)
+                np.exp(_log_kernel(Cr, epsilon, f, h, Kt), out=Kt)
+                u = np.ones_like(b)
+                v = np.ones_like(g)
+            Kv = Kt @ v
+            res = float(np.abs(u * Kv - b).max())
+    if P is None:
+        Kt *= u[:, None]
+        Kt *= v[None, :]
+        P = Kt
     if not np.all(np.isfinite(P)):
         raise ComputationError("sinkhorn produced non-finite plan entries")
     return _coupling(C, P, rows, cols, iters, res <= tol)
@@ -256,7 +316,7 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     potentials with L-BFGS.  The dual gradient is the marginal defect of the
     plan ``P = [f + h - C]_+ / (2 epsilon)``, so L-BFGS stops exactly when
     the residual reaches ``tol``.  When L-BFGS stalls just above a tight
-    ``tol`` and the dense (n+m) Hessian is affordable, damped semismooth
+    ``tol`` and n + m is at most ``NEWTON_MAX_POTENTIALS``, damped semismooth
     Newton steps on the plan's support finish the solve.
     ``iterations_used`` counts L-BFGS iterations plus Newton steps and never
     exceeds ``max_iters``.  Unlike the entropic route the optimal plan can be

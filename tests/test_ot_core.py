@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from osborn import ot_core
 from osborn.data_io import TEConfig
 from osborn.errors import ComputationError, ValidationError
 from osborn.ot_core import (
     EXACT_MAX_CELLS,
+    NEWTON_MAX_POTENTIALS,
     Coupling,
     MarginalWeights,
     cost_matrix,
@@ -18,6 +20,7 @@ from osborn.ot_core import (
     median_positive_cost,
     sinkhorn,
     sinkhorn_frobenius,
+    _newton_direction,
 )
 from osborn.synth import SynthSpec, build_pool
 
@@ -261,6 +264,86 @@ def test_sinkhorn_reports_non_convergence_without_lying():
                     tol=1e-12)
     assert not coup.converged
     assert coup.iterations_used <= 3
+
+
+def _far_apart_instance():
+    rng = np.random.default_rng(8)
+    C = cost_matrix(rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 2.0)
+    return C, MarginalWeights.uniform(40, 40)
+
+
+@pytest.mark.parametrize("bound", [ot_core.SCALING_BOUND, 2.0])
+def test_sinkhorn_absorbs_scalings_at_tiny_epsilon(monkeypatch, bound):
+    # max C / epsilon is about 3,900: exp(-C / epsilon) underflows whole rows,
+    # so a kernel loop without the stabilized kernel fails here.  Absorbing
+    # at every iteration (bound 2) must not move the iterates either.
+    monkeypatch.setattr(ot_core, "SCALING_BOUND", bound)
+    C, marg = _far_apart_instance()
+    eps = 1e-3 * median_positive_cost(C)
+    assert C.max() / eps > 3800
+    coup = sinkhorn(C, marg, eps, max_iters=5000, tol=1e-8)
+    assert np.all(np.isfinite(coup.plan))
+    assert coup.converged
+    assert _residual(coup, marg) <= 1e-8
+    # the log-domain loop's cost on this instance
+    assert coup.transport_cost == pytest.approx(13.7124450359493, rel=1e-12)
+
+
+def test_sinkhorn_absorption_follows_the_log_domain_iterates():
+    # at 1e-4 x median the scalings of an unabsorbed kernel loop overflow
+    # within 400 iterations; the solve stops unconverged at the same iterate
+    # as the log-domain loop
+    C, marg = _far_apart_instance()
+    coup = sinkhorn(C, marg, 1e-4 * median_positive_cost(C), max_iters=1000,
+                    tol=1e-8)
+    assert np.all(np.isfinite(coup.plan))
+    assert not coup.converged and coup.iterations_used == 1000
+    assert coup.transport_cost == pytest.approx(10.008905817159754, rel=1e-12)
+
+
+@pytest.mark.parametrize("support", [False, True])
+def test_newton_direction_solves_the_dense_system(support):
+    # the Schur-complement step against a dense (n+m) solve of the same
+    # Tikhonov-regularized system, for an entropic plan and for a quadratic
+    # plan's 0/1 support
+    rng = np.random.default_rng(5)
+    n, m = 7, 5
+    P = rng.uniform(0.0, 1.0, size=(n, m))
+    P /= P.sum()
+    W = (P > 0.2 * P.max()) / 0.3 if support else P
+    assert np.all(W.sum(axis=1) > 0) and np.all(W.sum(axis=0) > 0)
+    grad_r = P.sum(axis=1) - 1.0 / n
+    grad_c = P.sum(axis=0) - 1.0 / m
+    dx, dy = _newton_direction(W, grad_r, grad_c)
+    r, c = W.sum(axis=1), W.sum(axis=0)
+    lam = 1e-12 * (1.0 + max(r.max(), c.max()))
+    H = np.block([[np.diag(r), W], [W.T, np.diag(c)]]) + lam * np.eye(n + m)
+    grad = np.concatenate([grad_r, grad_c])
+    dense = np.linalg.solve(H, -grad)
+    # the two solves may differ along the constant shift (+t on rows, -t on
+    # columns), which only lam pins down; the plan sees dx_i + dy_j
+    assert np.allclose(dx[:, None] + dy[None, :],
+                       dense[:n, None] + dense[None, n:], rtol=0, atol=1e-10)
+    assert np.allclose(H @ np.concatenate([dx, dy]), -grad, rtol=0, atol=1e-10)
+
+
+def test_sinkhorn_converges_at_pool_scale_without_a_newton_finish():
+    # 600 x 600 at the default config: n + m is past the Newton limit, so
+    # kernel scaling alone must reach the tolerance
+    spec = SynthSpec(num_models=2, feature_dim=8, source_classes=4,
+                     target_classes=4, samples=600, domain_shift=(0.0, 1.5),
+                     prediction_noise=(0.0, 0.4), seed=7)
+    rec = build_pool(spec).manifest.models[1]
+    C = cost_matrix(rec.source_features, rec.target_features)
+    assert sum(C.shape) > NEWTON_MAX_POTENTIALS
+    marg = MarginalWeights.uniform(*C.shape)
+    cfg = TEConfig()
+    out = sinkhorn(C, marg, cfg.epsilon * median_positive_cost(C),
+                   cfg.max_iters, cfg.convergence_tol)
+    assert out.converged
+    assert _residual(out, marg) <= cfg.convergence_tol
+    # the log-domain loop needs 17
+    assert out.iterations_used <= 17
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Greedy and exhaustive ensemble search over cached terms."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,18 @@ def test_score_subsets_are_the_arrays_behind_score_all():
         assert [c.ids for c, _ in scored] == \
             [tuple(ids[i] for i in row) for row in combos]
         assert [v for _, v in scored] == values.tolist()
+
+
+def test_score_subsets_on_a_one_model_cache_warns_of_nothing():
+    # standardizing the empty pair table must not ask numpy for the mean and
+    # std of an empty array
+    cache = _cache({"m0": 2.0}, {"m0": 0.5}, {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ids, combos, values = score_subsets(None, 1, cache, TEConfig())
+    assert list(ids) == ["m0"]
+    assert combos.tolist() == [[0]]
+    assert values.tolist() == [0.0]
 
 
 def test_rankings_negate_scores():
