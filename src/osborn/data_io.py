@@ -205,19 +205,21 @@ class TEConfig:
         self.validate()
 
     def validate(self):
-        if not (float(self.epsilon) > 0):
-            raise ValidationError("epsilon must be > 0")
+        eps, tol = float(self.epsilon), float(self.convergence_tol)
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValidationError("epsilon must be finite and > 0")
         if self.regularizer not in REGULARIZERS:
             raise ValidationError(
                 f"regularizer must be one of {REGULARIZERS}, got '{self.regularizer}'"
             )
         if int(self.max_iters) < 1:
             raise ValidationError("max_iters must be >= 1")
-        if not (float(self.convergence_tol) > 0):
-            raise ValidationError("convergence_tol must be > 0")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValidationError("convergence_tol must be finite and > 0")
         for name in ("lambda_d", "lambda_t", "lambda_c"):
-            if float(getattr(self, name)) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            value = float(getattr(self, name))
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and >= 0")
         if int(self.subsample_cap) < 1:
             raise ValidationError("subsample_cap must be >= 1")
         self.epsilon = float(self.epsilon)

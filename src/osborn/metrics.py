@@ -14,6 +14,7 @@ Lower scores mean a more transferable ensemble.  Entropies use natural log.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -69,39 +70,72 @@ class ScoreBreakdown:
     f_value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairwiseCache:
     """Per-model and per-ordered-pair terms for one pool under one config.
 
-    ``wd``/``wt``/``converged`` are keyed by model id; ``pair_h`` is keyed by
-    ordered (conditioned-model, conditioning-model) id pairs and holds
-    H(pred_i | pred_j).
+    Every array is indexed by position in ``ids``, the sorted unique model
+    ids: ``wd``, ``wt`` (float64) and ``converged`` (bool) have shape (M,),
+    and ``pair_h[i, j]`` holds H(pred_i | pred_j) on an (M, M) float64 array
+    with a zero diagonal.  The arrays are read-only copies of the inputs.
     """
 
-    wd: dict
-    wt: dict
-    converged: dict
-    pair_h: dict
-
-    def model_ids(self) -> tuple:
-        return tuple(sorted(self.wd))
+    ids: tuple
+    wd: np.ndarray
+    wt: np.ndarray
+    converged: np.ndarray
+    pair_h: np.ndarray
 
     def __post_init__(self):
-        ids = sorted(self.wd)
+        ids = tuple(self.ids)
         if not ids:
             raise ValidationError("cache must contain at least one model")
-        if sorted(self.wt) != ids or sorted(self.converged) != ids:
-            raise ValidationError("cache per-model tables disagree on model ids")
-        expected_pairs = {(a, b) for a in ids for b in ids if a != b}
-        if set(self.pair_h) != expected_pairs:
-            raise ValidationError("cache pair table must cover every ordered pair")
-        for table in (self.wd, self.wt):
-            for mid, v in table.items():
-                if not np.isfinite(v):
-                    raise ValidationError(f"non-finite cached value for model '{mid}'")
-        for key, v in self.pair_h.items():
-            if not np.isfinite(v):
-                raise ValidationError(f"non-finite cached value for pair {key}")
+        if len(set(ids)) != len(ids):
+            raise ValidationError("cache has duplicate model ids")
+        if list(ids) != sorted(ids):
+            raise ValidationError("cache model ids must be sorted")
+        m = len(ids)
+        arrays = {name: np.array(getattr(self, name), dtype=dtype)
+                  for name, dtype in (("wd", np.float64), ("wt", np.float64),
+                                      ("converged", bool), ("pair_h", np.float64))}
+        for name in ("wd", "wt", "converged"):
+            if arrays[name].shape != (m,):
+                raise ValidationError(
+                    "cache per-model tables disagree on model ids: "
+                    f"{name} has shape {arrays[name].shape}, expected ({m},)"
+                )
+        if arrays["pair_h"].shape != (m, m):
+            raise ValidationError(
+                "cache pair table must cover every ordered pair: "
+                f"pair_h has shape {arrays['pair_h'].shape}, expected ({m}, {m})"
+            )
+        for name, what in (("wd", "model"), ("wt", "model"), ("pair_h", "pair")):
+            bad = np.argwhere(~np.isfinite(arrays[name]))
+            if bad.size:
+                key = tuple(ids[i] for i in bad[0])
+                raise ValidationError(f"non-finite cached value for {what} "
+                                      f"{key if what == 'pair' else key[0]!r}")
+        if np.any(np.diagonal(arrays["pair_h"]) != 0.0):
+            raise ValidationError("cache pair table must have a zero diagonal")
+        object.__setattr__(self, "ids", ids)
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def positions(self, ensemble) -> np.ndarray:
+        """Indices into ``ids`` of an ensemble's members (ids or
+        ``ModelRecord``s), in the order given."""
+        names = [m.model_id if isinstance(m, ModelRecord) else str(m)
+                 for m in ensemble]
+        if not names:
+            raise ValidationError("ensemble must be non-empty")
+        if len(set(names)) != len(names):
+            raise ValidationError("ensemble contains duplicate model ids")
+        index = {mid: i for i, mid in enumerate(self.ids)}
+        for mid in names:
+            if mid not in index:
+                raise ValidationError(f"model '{mid}' is not in the cache")
+        return np.array([index[mid] for mid in names], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -201,33 +235,8 @@ def cohesion_pair(pred_i: PredictionVector, pred_j: PredictionVector) -> float:
 
 def w_cohesion(ensemble, cache: "PairwiseCache") -> float:
     """Sum of cached pair entropies over all ordered pairs of distinct members."""
-    ids = _member_ids(ensemble)
-    if len(ids) < 2:
-        return 0.0
-    total = 0.0
-    for a in ids:
-        for b in ids:
-            if a == b:
-                continue
-            total += _pair_value(cache, a, b)
-    return total
-
-
-def _member_ids(ensemble):
-    ids = []
-    for item in ensemble:
-        mid = item.model_id if isinstance(item, ModelRecord) else str(item)
-        ids.append(mid)
-    if len(set(ids)) != len(ids):
-        raise ValidationError("ensemble contains duplicate model ids")
-    return ids
-
-
-def _pair_value(cache, a, b):
-    try:
-        return cache.pair_h[(a, b)]
-    except KeyError:
-        raise ValidationError(f"cache has no entry for pair ('{a}', '{b}')") from None
+    p = cache.positions(ensemble)
+    return float(cache.pair_h[np.ix_(p, p)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -243,79 +252,74 @@ def _zscore(vals: np.ndarray) -> np.ndarray:
     return (vals - float(vals.mean())) / std
 
 
-def _zscore_table(table: dict) -> dict:
-    keys = sorted(table)
-    vals = _zscore(np.array([table[k] for k in keys], dtype=np.float64))
-    return dict(zip(keys, vals.tolist()))
-
-
 def standardize_terms(cache: PairwiseCache) -> PairwiseCache:
     """Z-score W_D and W_T across models and pair entropies across ordered
-    pairs (population std).  A zero-variance column maps to all zeros, so a
-    term with no spread simply stops influencing rankings.
+    pairs, the off-diagonal of ``pair_h`` (population std).  A zero-variance
+    column maps to all zeros, so a term with no spread simply stops
+    influencing rankings.
     """
-    return PairwiseCache(
-        wd=_zscore_table(cache.wd),
-        wt=_zscore_table(cache.wt),
-        converged=dict(cache.converged),
-        pair_h=_zscore_table(cache.pair_h),
-    )
-
-
-def _check_members(ids, cache):
-    if not ids:
-        raise ValidationError("ensemble must be non-empty")
-    known = set(cache.wd)
-    for mid in ids:
-        if mid not in known:
-            raise ValidationError(f"model '{mid}' is not in the cache")
+    off = ~np.eye(len(cache.ids), dtype=bool)
+    pair_h = np.zeros_like(cache.pair_h)
+    pair_h[off] = _zscore(cache.pair_h[off])
+    return PairwiseCache(ids=cache.ids, wd=_zscore(cache.wd), wt=_zscore(cache.wt),
+                         converged=cache.converged, pair_h=pair_h)
 
 
 def effective_terms(cache: PairwiseCache, config: TEConfig):
     """The cache as arrays over its sorted ids, weighted and (optionally)
     standardized: ``(ids, a, H)`` with ``a[i] = lambda_d * wd + lambda_t * wt``
     for model i and ``H[i, j] = lambda_c * H(pred_i | pred_j)`` off a zero
-    diagonal, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).  Every selector
-    reads these same numbers, which keeps incremental gains and from-scratch
-    scores consistent to rounding.
+    diagonal, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).  Every scorer
+    and selector reads these same numbers through ``subset_f``, which keeps
+    incremental gains and from-scratch scores consistent to rounding.
     """
-    ids = cache.model_ids()
-    wd = np.array([cache.wd[i] for i in ids], dtype=np.float64)
-    wt = np.array([cache.wt[i] for i in ids], dtype=np.float64)
-    pair = np.array([cache.pair_h[(i, j)] for i in ids for j in ids if i != j],
-                    dtype=np.float64)
-    if config.standardize:
-        wd, wt, pair = _zscore(wd), _zscore(wt), _zscore(pair)
-    H = np.zeros((len(ids), len(ids)))
-    H[~np.eye(len(ids), dtype=bool)] = config.lambda_c * pair
-    return ids, config.lambda_d * wd + config.lambda_t * wt, H
+    use = standardize_terms(cache) if config.standardize else cache
+    return (use.ids, config.lambda_d * use.wd + config.lambda_t * use.wt,
+            config.lambda_c * use.pair_h)
+
+
+def subset_f(a, H, combos) -> np.ndarray:
+    """f of every row of ``combos`` (indices into ``a``).  Terms are
+    subtracted one member and one ordered pair at a time, in the order the
+    rows list them, so each value rounds the same way as a scalar loop over
+    the subset would."""
+    f = np.zeros(combos.shape[0])
+    for col in combos.T:
+        f -= a[col]
+    for i, j in itertools.permutations(range(combos.shape[1]), 2):
+        f -= H[combos[:, i], combos[:, j]]
+    return f
 
 
 def osborn_score(ensemble, cache: PairwiseCache, config: TEConfig) -> ScoreBreakdown:
     """Score an ensemble from cached terms.  Lower is better; ``f_value`` is
     the negated score used as the maximization objective in selection."""
-    ids = _member_ids(ensemble)
-    _check_members(ids, cache)
-    ordered = sorted(ids)
+    p = np.sort(cache.positions(ensemble))
+    _, a, H = effective_terms(cache, config)
+    f = float(subset_f(a, H, p[None, :])[0])
     use = standardize_terms(cache) if config.standardize else cache
-    wd_sum = sum(use.wd[i] for i in ordered)
-    wt_sum = sum(use.wt[i] for i in ordered)
-    pairs = [(a, b) for a in ordered for b in ordered if a != b]
-    wc = sum(_pair_value(use, a, b) for a, b in pairs)
-    value = config.lambda_d * wd_sum + config.lambda_t * wt_sum + config.lambda_c * wc
+    members = tuple(cache.ids[i] for i in p)
+    pairs = list(itertools.permutations(p, 2))
+
+    def per_model(arr):
+        return dict(zip(members, arr[p].tolist()))
+
+    def per_pair(mat):
+        return {(cache.ids[i], cache.ids[j]): float(mat[i, j]) for i, j in pairs}
+
     return ScoreBreakdown(
-        member_ids=tuple(ordered),
-        wd_raw={i: cache.wd[i] for i in ordered},
-        wt_raw={i: cache.wt[i] for i in ordered},
-        pair_h_raw={p: cache.pair_h[p] for p in pairs},
-        wd_used={i: use.wd[i] for i in ordered},
-        wt_used={i: use.wt[i] for i in ordered},
-        pair_h_used={p: use.pair_h[p] for p in pairs},
+        member_ids=members,
+        wd_raw=per_model(cache.wd),
+        wt_raw=per_model(cache.wt),
+        pair_h_raw=per_pair(cache.pair_h),
+        wd_used=per_model(use.wd),
+        wt_used=per_model(use.wt),
+        pair_h_used=per_pair(use.pair_h),
         weights=(config.lambda_d, config.lambda_t, config.lambda_c),
         standardized=config.standardize,
-        converged={i: cache.converged[i] for i in ordered},
-        osborn_value=float(value),
-        f_value=float(-value),
+        converged=per_model(cache.converged),
+        osborn_value=-f,
+        f_value=f,
     )
 
 
@@ -376,15 +380,13 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool_exec:
             results = list(pool_exec.map(model_job, ids))
-    wd, wt, converged = {}, {}, {}
-    for mid, (d, t, c) in zip(ids, results):
-        wd[mid], wt[mid], converged[mid] = d, t, c
-    pair_h = {
-        (a, b): cohesion_pair(records[a].target_predictions,
-                              records[b].target_predictions)
-        for a in ids for b in ids if a != b
-    }
-    return PairwiseCache(wd=wd, wt=wt, converged=converged, pair_h=pair_h)
+    wd, wt, converged = zip(*results)
+    preds = [records[mid].target_predictions for mid in ids]
+    pair_h = np.zeros((len(ids), len(ids)))
+    for i, j in itertools.permutations(range(len(ids)), 2):
+        pair_h[i, j] = cohesion_pair(preds[i], preds[j])
+    return PairwiseCache(ids=tuple(ids), wd=wd, wt=wt, converged=converged,
+                         pair_h=pair_h)
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +397,13 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
 def write_cache(cache: PairwiseCache, path):
     """Serialize the cache with one ``model`` row per model and one ``pair``
     row per ordered pair, both in sorted id order."""
-    ids = cache.model_ids()
+    ids = cache.ids
     with open(path, "w", encoding="utf-8") as fh:
-        for mid in ids:
-            flag = 1 if cache.converged[mid] else 0
-            fh.write(
-                f"model,{mid},wd,{format_real(cache.wd[mid])},"
-                f"wt,{format_real(cache.wt[mid])},converged,{flag}\n"
-            )
-        for a in ids:
-            for b in ids:
-                if a != b:
-                    fh.write(f"pair,{a},{b},h,{format_real(cache.pair_h[(a, b)])}\n")
+        for mid, d, t, c in zip(ids, cache.wd, cache.wt, cache.converged):
+            fh.write(f"model,{mid},wd,{format_real(d)},"
+                     f"wt,{format_real(t)},converged,{1 if c else 0}\n")
+        for i, j in itertools.permutations(range(len(ids)), 2):
+            fh.write(f"pair,{ids[i]},{ids[j]},h,{format_real(cache.pair_h[i, j])}\n")
 
 
 def read_cache(path) -> PairwiseCache:
@@ -415,7 +412,7 @@ def read_cache(path) -> PairwiseCache:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise ValidationError(f"cannot read cache file '{path}': {exc}") from exc
-    wd, wt, converged, pair_h = {}, {}, {}, {}
+    models, pair_h = {}, {}
     for lineno, line in enumerate(lines, start=1):
         parts = line.split(",")
         try:
@@ -424,13 +421,11 @@ def read_cache(path) -> PairwiseCache:
                         or parts[6] != "converged":
                     raise ValueError
                 mid = parts[1]
-                if mid in wd:
+                if mid in models:
                     raise ValidationError(f"{path}:{lineno}: duplicate model '{mid}'")
-                wd[mid] = float(parts[3])
-                wt[mid] = float(parts[5])
                 if parts[7] not in ("0", "1"):
                     raise ValueError
-                converged[mid] = parts[7] == "1"
+                models[mid] = (float(parts[3]), float(parts[5]), parts[7] == "1")
             elif parts[0] == "pair":
                 if len(parts) != 5 or parts[3] != "h":
                     raise ValueError
@@ -442,7 +437,16 @@ def read_cache(path) -> PairwiseCache:
                 raise ValueError
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: malformed cache row") from exc
+    ids = sorted(models)
+    if set(pair_h) != set(itertools.permutations(ids, 2)):
+        raise ValidationError(f"{path}: cache pair table must cover every ordered pair")
+    pos = {mid: i for i, mid in enumerate(ids)}
+    pair = np.zeros((len(ids), len(ids)))
+    for (a, b), v in pair_h.items():
+        pair[pos[a], pos[b]] = v
+    rows = np.array([models[mid] for mid in ids], dtype=np.float64).reshape(-1, 3)
     try:
-        return PairwiseCache(wd=wd, wt=wt, converged=converged, pair_h=pair_h)
+        return PairwiseCache(ids=tuple(ids), wd=rows[:, 0], wt=rows[:, 1],
+                             converged=rows[:, 2], pair_h=pair)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

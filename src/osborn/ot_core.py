@@ -120,14 +120,17 @@ def _validate_problem(cost, marginals: MarginalWeights):
     return C
 
 
-def _validate_settings(epsilon, max_iters):
+def _validate_settings(epsilon, max_iters, tol):
     epsilon = float(epsilon)
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be > 0")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError("epsilon must be finite and > 0")
     max_iters = int(max_iters)
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1")
-    return epsilon, max_iters
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError("tol must be finite and > 0")
+    return epsilon, max_iters, tol
 
 
 def _reduce(C, marginals: MarginalWeights):
@@ -251,7 +254,7 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     reasonable budget, while the Newton phase converges quadratically to
     the same potentials.
     """
-    epsilon, max_iters = _validate_settings(epsilon, max_iters)
+    epsilon, max_iters, tol = _validate_settings(epsilon, max_iters, tol)
     C = _validate_problem(cost, marginals)
     rows, cols, b, g, Cr = _reduce(C, marginals)
     # iteration 1 in the log domain, in the one n x m work buffer that
@@ -322,7 +325,7 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     exceeds ``max_iters``.  Unlike the entropic route the optimal plan can be
     exactly sparse.
     """
-    epsilon, max_iters = _validate_settings(epsilon, max_iters)
+    epsilon, max_iters, tol = _validate_settings(epsilon, max_iters, tol)
     C = _validate_problem(cost, marginals)
     rows, cols, b, g, Cr = _reduce(C, marginals)
     nr, mc = Cr.shape

@@ -8,7 +8,8 @@ carries the usual (1 - 1/e) guarantee relative to the best cardinality-k
 subset whenever the raw (non-negative) terms are used.
 
 Every selector reads the terms as arrays, ``(ids, a, H)`` from
-``metrics.effective_terms``, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).
+``metrics.effective_terms``, so that f(S) = -(a[S].sum() + H[S][:, S].sum()),
+and sums subsets with ``metrics.subset_f``, the kernel ``osborn_score`` uses.
 All candidate enumeration and tie-breaking is lexicographic on model ids, so
 results are reproducible across runs.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from .data_io import RankingRecord, TEConfig, format_real
 from .errors import ValidationError
-from .metrics import PairwiseCache, effective_terms
+from .metrics import PairwiseCache, effective_terms, subset_f
 
 EXHAUSTIVE_BUDGET = 10 ** 6
 
@@ -94,18 +95,6 @@ def _combinations(m: int, k: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
 
 
-def _subset_f(a, H, combos) -> np.ndarray:
-    """f of every row of ``combos``.  Terms are subtracted one member and
-    one ordered pair at a time, in the order the rows list them, so each
-    value rounds the same way as a scalar loop over the subset would."""
-    f = np.zeros(combos.shape[0])
-    for col in combos.T:
-        f -= a[col]
-    for i, j in itertools.permutations(range(combos.shape[1]), 2):
-        f -= H[combos[:, i], combos[:, j]]
-    return f
-
-
 def _trace(ids, a, H, order) -> SelectionTrace:
     """The trace of adding ``order`` (indices into ``ids``) one at a time."""
     sym = H + H.T
@@ -129,13 +118,9 @@ def marginal_gain(current, v, cache: PairwiseCache, config: TEConfig) -> float:
     v = str(v)
     if v in members:
         raise ValidationError(f"model '{v}' is already in the ensemble")
-    known = set(cache.wd)
-    for mid in members + [v]:
-        if mid not in known:
-            raise ValidationError(f"model '{mid}' is not in the cache")
+    order = cache.positions(members + [v])
     ids, a, H = effective_terms(cache, config)
-    pos = {mid: i for i, mid in enumerate(ids)}
-    return _trace(ids, a, H, [pos[m] for m in members + [v]]).steps[-1].gain
+    return _trace(ids, a, H, order).steps[-1].gain
 
 
 def greedy_select(pool, k: int, cache: PairwiseCache,
@@ -167,7 +152,7 @@ def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig):
     """
     ids, a, H = _terms(pool, cache, config)
     combos = _combinations(len(ids), _check_k(k, len(ids)))
-    f = _subset_f(a, H, combos)
+    f = subset_f(a, H, combos)
     best = int(np.argmax(f))
     return EnsembleCandidate(tuple(ids[i] for i in combos[best])), float(f[best])
 
@@ -178,8 +163,7 @@ def exhaustive_trace(pool, k: int, cache: PairwiseCache,
     its gain over the members before it."""
     cand, _ = exhaustive_select(pool, k, cache, config)
     ids, a, H = effective_terms(cache, config)
-    pos = {mid: i for i, mid in enumerate(ids)}
-    return _trace(ids, a, H, [pos[m] for m in cand.ids])
+    return _trace(ids, a, H, cache.positions(cand.ids))
 
 
 def score_subsets(pool, k: int, cache: PairwiseCache, config: TEConfig):
@@ -191,7 +175,7 @@ def score_subsets(pool, k: int, cache: PairwiseCache, config: TEConfig):
     """
     ids, a, H = _terms(pool, cache, config)
     combos = _combinations(len(ids), _check_k(k, len(ids)))
-    return ids, combos, -_subset_f(a, H, combos)
+    return ids, combos, -subset_f(a, H, combos)
 
 
 def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):

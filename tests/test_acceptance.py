@@ -107,7 +107,7 @@ def test_criterion_2_raw_score_has_diminishing_returns():
         m = int(knobs.integers(4, 7))
         pool = _random_pool(knobs, m, samples=24, seed=8000 + i)
         cache = build_pairwise_cache(pool.manifest, cfg)
-        ids = sorted(cache.model_ids())
+        ids = list(cache.ids)
         gains = {}
 
         def gain(mask, v):
@@ -143,7 +143,7 @@ def test_criterion_3_cached_gain_equals_full_recompute():
         pool = _random_pool(knobs, 8, samples=30, seed=8500 + p)
         caches = [(cfg, build_pairwise_cache(pool.manifest, cfg))
                   for cfg in configs]
-        ids = sorted(caches[0][1].model_ids())
+        ids = list(caches[0][1].ids)
 
         def f(members, cache, cfg):
             if not members:
@@ -209,7 +209,7 @@ def test_criterion_5_dropping_cohesion_hurts_correlation():
         )
         pool = build_pool(spec)
         cache = build_pairwise_cache(pool.manifest, full_cfg)
-        ensembles = list(itertools.combinations(sorted(cache.model_ids()), 2))
+        ensembles = list(itertools.combinations(cache.ids, 2))
         accs = [proxy_accuracy(e, pool) for e in ensembles]
         for cfg, out in ((full_cfg, pcc_full), (ablated_cfg, pcc_ablated)):
             alphas = [-osborn_score(e, cache, cfg).osborn_value

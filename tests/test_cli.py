@@ -66,7 +66,7 @@ def test_full_pipeline(tmp_path, pool_dir, capsys):
                      "--out", str(report)]) == 0
 
     parsed = read_cache(cache)
-    assert set(parsed.wd) == {"m00", "m01", "m02", "m03"}
+    assert parsed.ids == ("m00", "m01", "m02", "m03")
     trace_lines = (trace / "trace.csv").read_text().splitlines()
     assert trace_lines[0] == "step,chosen_id,gain,f_cumulative"
     assert trace_lines[-1].startswith("ensemble,")
@@ -102,12 +102,14 @@ def test_malformed_weights_exit_one(tmp_path, pool_dir, capsys):
     cache = tmp_path / "cache.csv"
     assert cli.main(["pairwise", "--pool", str(pool),
                      "--out", str(cache)]) == 0
-    for bad in ("1,2", "a,b,c"):
+    for bad in ("1,2", "a,b,c", "nan,1,1"):
         code = cli.main(["select", "--pool", str(pool), "--cache", str(cache),
                          "--k", "2", "--weights", bad,
                          "--out", str(tmp_path / "trace.csv")])
         assert code == 1
-    assert "three comma-separated" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "three comma-separated" in err
+    assert "lambda_d must be finite" in err
 
 
 def test_config_flag_overrides_file(tmp_path, pool_dir):
@@ -122,7 +124,7 @@ def test_config_flag_overrides_file(tmp_path, pool_dir):
                      "--epsilon", "0.05", "--out", str(b)]) == 0
     ca, cb = read_cache(a), read_cache(b)
     # smaller blur brings the domain terms down
-    assert sum(cb.wd.values()) < sum(ca.wd.values())
+    assert sum(cb.wd.tolist()) < sum(ca.wd.tolist())
 
 
 def test_eval_exits_two_when_correlation_is_undefined(tmp_path, capsys):
@@ -218,7 +220,7 @@ def test_frobenius_cache_is_byte_stable_across_threads(tmp_path, pool_dir):
                          "--out", str(cache)]) == 0
         caches.append(cache)
     assert filecmp.cmp(*caches, shallow=False)
-    assert all(read_cache(caches[0]).converged.values())
+    assert all(read_cache(caches[0]).converged)
 
 
 def test_select_exhaustive_matches_greedy_here(tmp_path, pool_dir):

@@ -105,12 +105,22 @@ def test_config_defaults_pass_validation():
 @pytest.mark.parametrize("field,value", [
     ("epsilon", 0.0),
     ("epsilon", -1.0),
+    ("epsilon", float("nan")),
+    ("epsilon", float("inf")),
     ("regularizer", "ridge"),
     ("max_iters", 0),
     ("convergence_tol", 0.0),
+    ("convergence_tol", float("nan")),
+    ("convergence_tol", float("inf")),
     ("lambda_d", -0.1),
+    ("lambda_d", float("nan")),
+    ("lambda_d", float("inf")),
     ("lambda_t", -2.0),
+    ("lambda_t", float("nan")),
+    ("lambda_t", float("inf")),
     ("lambda_c", -1e-9),
+    ("lambda_c", float("nan")),
+    ("lambda_c", float("inf")),
     ("subsample_cap", 0),
 ])
 def test_config_rejects_bad_values(field, value):

@@ -77,3 +77,14 @@ def test_private_function_parameters_are_read(path):
         unread += [f"{path.name}:{fn.lineno}: {fn.name}({name})"
                    for name in _parameters(fn) if name not in read]
     assert not unread, "unread parameters: " + ", ".join(unread)
+
+
+def test_exports_match_imports():
+    # __init__.py re-exports: every imported name is in __all__ and every
+    # name in __all__ is imported, so a dead export fails here
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["__all__"])
+    assert exported == sorted(set(exported))
+    assert set(exported) == {name for name, _ in _imported_names(tree)}

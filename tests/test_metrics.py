@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from osborn.data_io import LabelVector, PredictionVector, TEConfig
+from osborn.data_io import LabelVector, PoolManifest, PredictionVector, TEConfig
 from osborn.errors import ValidationError
 from osborn.metrics import (
     JointLabelDistribution,
@@ -45,9 +45,15 @@ def _random_joint(rng, cs, ct, zeros=0.3):
 
 
 def _cache(wd, wt, pair_h, converged=None):
+    """A cache from terms keyed by model id and by ordered id pair."""
+    ids = sorted(wd)
     conv = converged or {k: True for k in wd}
-    return PairwiseCache(wd=dict(wd), wt=dict(wt), converged=conv,
-                         pair_h=dict(pair_h))
+    pair = np.zeros((len(ids), len(ids)))
+    for (a, b), v in pair_h.items():
+        pair[ids.index(a), ids.index(b)] = v
+    return PairwiseCache(ids=tuple(ids), wd=[wd[i] for i in ids],
+                         wt=[wt[i] for i in ids],
+                         converged=[conv[i] for i in ids], pair_h=pair)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +182,35 @@ def test_w_cohesion_sums_ordered_pairs():
 
 
 def test_cache_requires_complete_pair_table():
-    with pytest.raises(ValidationError, match="every ordered pair"):
-        _cache({"a": 1.0, "b": 2.0}, {"a": 0.0, "b": 0.0},
-               {("a", "b"): 0.1})
-    with pytest.raises(ValidationError, match="disagree"):
-        _cache({"a": 1.0}, {"b": 0.0}, {})
-    with pytest.raises(ValidationError, match="non-finite"):
-        _cache({"a": np.nan, "b": 0.0}, {"a": 0.0, "b": 0.0},
-               {("a", "b"): 0.0, ("b", "a"): 0.0})
+    wd = np.array([1.0, 2.0])
+    ok = dict(ids=("a", "b"), wd=wd, wt=[0.0, 0.0], converged=[True, True],
+              pair_h=[[0.0, 0.1], [0.2, 0.0]])
+    for change, msg in [
+        (dict(pair_h=[[0.0, 0.1]]), "every ordered pair"),
+        (dict(wt=[0.0]), "disagree"),
+        (dict(wd=[np.nan, 0.0]), "non-finite cached value for model 'a'"),
+        (dict(pair_h=[[0.0, 0.1], [np.inf, 0.0]]),
+         r"non-finite cached value for pair \('b', 'a'\)"),
+        # wrong array shapes
+        (dict(wd=[[1.0, 2.0]]), "disagree"),
+        (dict(converged=[True, True, True]), "disagree"),
+        (dict(pair_h=np.zeros((2, 2, 1))), "every ordered pair"),
+        # a nonzero diagonal
+        (dict(pair_h=[[0.5, 0.1], [0.2, 0.0]]), "zero diagonal"),
+        # unsorted, duplicate or no ids
+        (dict(ids=("b", "a")), "sorted"),
+        (dict(ids=("a", "a")), "duplicate"),
+        (dict(ids=()), "at least one model"),
+    ]:
+        with pytest.raises(ValidationError, match=msg):
+            PairwiseCache(**{**ok, **change})
+    cache = PairwiseCache(**ok)
+    assert cache.converged.dtype == bool and cache.pair_h.shape == (2, 2)
+    for name in ("wd", "wt", "converged", "pair_h"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cache, name)[0] = 1
+    wd[0] = 9.0  # the cache holds its own copy
+    assert cache.wd.tolist() == [1.0, 2.0]
 
 
 def test_standardize_centers_and_scales_population():
@@ -193,21 +220,21 @@ def test_standardize_centers_and_scales_population():
          ("c", "a"): 3.0, ("b", "c"): 4.0, ("c", "b"): 5.0},
     )
     z = standardize_terms(cache)
-    for table in (z.wd, z.wt, z.pair_h):
-        vals = np.array(list(table.values()))
+    for vals in (z.wd, z.wt, z.pair_h[~np.eye(3, dtype=bool)]):
         assert vals.mean() == pytest.approx(0.0, abs=1e-12)
         assert vals.std() == pytest.approx(1.0, abs=1e-12)
-    # order preserved
-    assert z.wd["a"] < z.wd["b"] < z.wd["c"]
+    assert np.diagonal(z.pair_h).tolist() == [0.0, 0.0, 0.0]
+    # order preserved (ids a, b, c)
+    assert z.wd[0] < z.wd[1] < z.wd[2]
 
 
 def test_standardize_zero_variance_column_drops_out():
     cache = _cache({"a": 3.0, "b": 3.0}, {"a": 1.0, "b": 2.0},
                    {("a", "b"): 0.5, ("b", "a"): 0.5})
     z = standardize_terms(cache)
-    assert z.wd == {"a": 0.0, "b": 0.0}
-    assert z.pair_h == {("a", "b"): 0.0, ("b", "a"): 0.0}
-    assert z.wt["a"] == -z.wt["b"]
+    assert z.wd.tolist() == [0.0, 0.0]
+    assert z.pair_h.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert z.wt[0] == -z.wt[1]
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +277,13 @@ def test_osborn_score_standardized_route():
     )
     cfg = TEConfig(standardize=True)
     z = standardize_terms(cache)
+    a, c = cache.positions(("a", "c"))
     sb = osborn_score(("a", "c"), cache, cfg)
-    expected = z.wd["a"] + z.wd["c"] + z.wt["a"] + z.wt["c"] \
-        + z.pair_h[("a", "c")] + z.pair_h[("c", "a")]
+    expected = z.wd[a] + z.wd[c] + z.wt[a] + z.wt[c] \
+        + z.pair_h[a, c] + z.pair_h[c, a]
     assert sb.osborn_value == pytest.approx(expected, abs=1e-12)
     assert sb.wd_raw == {"a": 1.0, "c": 5.0}
-    assert sb.wd_used == {"a": z.wd["a"], "c": z.wd["c"]}
+    assert sb.wd_used == {"a": z.wd[a], "c": z.wd[c]}
 
 
 def test_osborn_score_rejects_unknown_and_empty():
@@ -288,16 +316,17 @@ def test_build_cache_matches_direct_term_computation():
     cache = build_pairwise_cache(pool, cfg)
     # cap exceeds the pool size, so no subsampling: terms must equal direct
     # per-model computation on the full data
-    for rec in pool.models:
+    for i, rec in zip(cache.positions(pool.models), pool.models):
         wd, coup = w_domain(rec, rec.target_features, cfg)
         joint = joint_from_coupling(coup, rec.source_labels, pool.target_labels)
-        assert cache.wd[rec.model_id] == wd
-        assert cache.wt[rec.model_id] == w_task(joint)
-        assert cache.converged[rec.model_id] == coup.converged
+        assert cache.wd[i] == wd
+        assert cache.wt[i] == w_task(joint)
+        assert cache.converged[i] == coup.converged
     for a in pool.models:
         for b in pool.models:
             if a.model_id != b.model_id:
-                assert cache.pair_h[(a.model_id, b.model_id)] == cohesion_pair(
+                i, j = cache.positions((a, b))
+                assert cache.pair_h[i, j] == cohesion_pair(
                     a.target_predictions, b.target_predictions)
 
 
@@ -306,10 +335,11 @@ def test_build_cache_thread_count_does_not_change_values():
     cfg = TEConfig(seed=3)
     one = build_pairwise_cache(pool, cfg, threads=1)
     four = build_pairwise_cache(pool, cfg, threads=4)
-    assert one.wd == four.wd
-    assert one.wt == four.wt
-    assert one.pair_h == four.pair_h
-    assert one.converged == four.converged
+    assert one.ids == four.ids
+    assert np.array_equal(one.wd, four.wd)
+    assert np.array_equal(one.wt, four.wt)
+    assert np.array_equal(one.pair_h, four.pair_h)
+    assert np.array_equal(one.converged, four.converged)
 
 
 def test_build_cache_subsampling_is_deterministic():
@@ -317,9 +347,10 @@ def test_build_cache_subsampling_is_deterministic():
     cfg = TEConfig(seed=11, subsample_cap=12)
     a = build_pairwise_cache(pool, cfg)
     b = build_pairwise_cache(pool, cfg)
-    assert a.wd == b.wd and a.wt == b.wt and a.pair_h == b.pair_h
+    assert np.array_equal(a.wd, b.wd) and np.array_equal(a.wt, b.wt) \
+        and np.array_equal(a.pair_h, b.pair_h)
     c = build_pairwise_cache(pool, TEConfig(seed=12, subsample_cap=12))
-    assert a.wd != c.wd
+    assert not np.array_equal(a.wd, c.wd)
 
 
 def test_build_cache_cohesion_ignores_subsampling():
@@ -327,15 +358,23 @@ def test_build_cache_cohesion_ignores_subsampling():
     pool = _small_pool(seed=2)
     full = build_pairwise_cache(pool, TEConfig(seed=0))
     capped = build_pairwise_cache(pool, TEConfig(seed=0, subsample_cap=10))
-    assert full.pair_h == capped.pair_h
+    assert np.array_equal(full.pair_h, capped.pair_h)
+
+
+def test_build_cache_rejects_a_repeated_model_id():
+    pool = _small_pool()
+    twice = PoolManifest(models=pool.models + pool.models[:1],
+                         target_labels=pool.target_labels)
+    with pytest.raises(ValidationError, match="duplicate model ids"):
+        build_pairwise_cache(twice, TEConfig(seed=0))
 
 
 def test_frobenius_regularizer_route_works_end_to_end():
     pool = _small_pool(seed=4)
     cfg = TEConfig(regularizer="frobenius")
     cache = build_pairwise_cache(pool, cfg)
-    assert all(np.isfinite(v) for v in cache.wd.values())
-    assert all(cache.converged.values())
+    assert np.all(np.isfinite(cache.wd))
+    assert np.all(cache.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +388,11 @@ def test_cache_round_trip_bit_exact(tmp_path):
     p = tmp_path / "cache.csv"
     write_cache(cache, p)
     back = read_cache(p)
-    assert back.wd == cache.wd
-    assert back.wt == cache.wt
-    assert back.pair_h == cache.pair_h
-    assert back.converged == cache.converged
+    assert back.ids == cache.ids
+    assert np.array_equal(back.wd, cache.wd)
+    assert np.array_equal(back.wt, cache.wt)
+    assert np.array_equal(back.pair_h, cache.pair_h)
+    assert np.array_equal(back.converged, cache.converged)
     # a second write of the parsed cache is byte-identical
     p2 = tmp_path / "cache2.csv"
     write_cache(back, p2)

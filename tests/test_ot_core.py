@@ -246,6 +246,12 @@ def test_sinkhorn_validation():
     marg = MarginalWeights.uniform(2, 2)
     with pytest.raises(ValidationError, match="epsilon"):
         sinkhorn(C, marg, 0.0)
+    for eps in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="epsilon"):
+            sinkhorn(C, marg, eps)
+    for tol in (np.inf, np.nan, 0.0, -1e-6):
+        with pytest.raises(ValidationError, match="tol"):
+            sinkhorn(C, marg, 1.0, tol=tol)
     with pytest.raises(ValidationError, match="max_iters"):
         sinkhorn(C, marg, 1.0, max_iters=0)
     with pytest.raises(ValidationError, match="negative entries"):
@@ -465,3 +471,9 @@ def test_frobenius_zero_mass_and_validation():
     assert coup.plan[0].sum() == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ValidationError, match="epsilon"):
         sinkhorn_frobenius(C, MarginalWeights.uniform(2, 2), -1.0)
+    for eps in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="epsilon"):
+            sinkhorn_frobenius(C, MarginalWeights.uniform(2, 2), eps)
+    for tol in (np.inf, np.nan, 0.0, -1e-6):
+        with pytest.raises(ValidationError, match="tol"):
+            sinkhorn_frobenius(C, MarginalWeights.uniform(2, 2), 0.2, tol=tol)

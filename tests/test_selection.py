@@ -29,8 +29,14 @@ from osborn.synth import SynthSpec, build_pool
 
 
 def _cache(wd, wt, pair_h):
-    return PairwiseCache(wd=dict(wd), wt=dict(wt),
-                         converged={k: True for k in wd}, pair_h=dict(pair_h))
+    """A cache from terms keyed by model id and by ordered id pair."""
+    ids = sorted(wd)
+    pair = np.zeros((len(ids), len(ids)))
+    for (a, b), v in pair_h.items():
+        pair[ids.index(a), ids.index(b)] = v
+    return PairwiseCache(ids=tuple(ids), wd=[wd[i] for i in ids],
+                         wt=[wt[i] for i in ids], converged=[True] * len(ids),
+                         pair_h=pair)
 
 
 def _random_cache(rng, m):
@@ -75,7 +81,7 @@ def test_marginal_gain_equals_score_difference(standardize):
     cache = _random_cache(rng, 6)
     cfg = TEConfig(standardize=standardize, lambda_d=1.5, lambda_t=0.5,
                    lambda_c=2.0)
-    ids = sorted(cache.wd)
+    ids = list(cache.ids)
     for _ in range(200):
         size = int(rng.integers(0, 5))
         members = list(rng.choice(ids, size=size, replace=False))
@@ -101,7 +107,7 @@ def test_gains_diminish_on_nonnegative_terms():
     cfg = TEConfig(standardize=False)
     for trial in range(20):
         cache = _random_cache(np.random.default_rng(100 + trial), 5)
-        ids = sorted(cache.wd)
+        ids = list(cache.ids)
         for v in ids:
             others = [i for i in ids if i != v]
             for ry in range(len(others) + 1):
@@ -157,9 +163,12 @@ def test_greedy_cumulative_f_matches_rescoring():
 def _loop_greedy(cache, cfg, k):
     """Greedy selection written as scalar loops over dict-keyed terms."""
     use = standardize_terms(cache) if cfg.standardize else cache
-    modular = {m: cfg.lambda_d * use.wd[m] + cfg.lambda_t * use.wt[m]
-               for m in use.wd}
-    pair = {key: cfg.lambda_c * v for key, v in use.pair_h.items()}
+    wd = dict(zip(use.ids, use.wd.tolist()))
+    wt = dict(zip(use.ids, use.wt.tolist()))
+    pair_h = {(a, b): use.pair_h[i, j].item()
+              for i, a in enumerate(use.ids) for j, b in enumerate(use.ids) if a != b}
+    modular = {m: cfg.lambda_d * wd[m] + cfg.lambda_t * wt[m] for m in wd}
+    pair = {key: cfg.lambda_c * v for key, v in pair_h.items()}
 
     def gain(members, v):
         g = -modular[v]
@@ -188,8 +197,8 @@ def test_greedy_trace_equals_scalar_loop(standardize):
         cache = _random_cache(rng, 8)
         if trial % 2:
             # ties everywhere: every selector must take the smallest id
-            cache = _cache({m: 1.0 for m in cache.wd}, {m: 0.0 for m in cache.wt},
-                           {key: 0.5 for key in cache.pair_h})
+            cache = _cache({m: 1.0 for m in cache.ids}, {m: 0.0 for m in cache.ids},
+                           {key: 0.5 for key in itertools.permutations(cache.ids, 2)})
         trace = greedy_select(None, 6, cache, cfg)
         got = [(s.chosen_id, s.gain, s.f_cumulative) for s in trace.steps]
         assert got == _loop_greedy(cache, cfg, 6)
@@ -216,7 +225,7 @@ def test_exhaustive_agrees_with_direct_enumeration():
     cfg = TEConfig(standardize=False)
     for trial in range(10):
         cache = _random_cache(np.random.default_rng(300 + trial), 6)
-        ids = sorted(cache.wd)
+        ids = list(cache.ids)
         cand, best_f = exhaustive_select(None, 3, cache, cfg)
         ref = max(itertools.combinations(ids, 3),
                   key=lambda c: _f(c, cache, cfg))
@@ -252,16 +261,18 @@ def test_exhaustive_budget_guard():
 
 
 def test_score_all_enumerates_lexicographically_and_matches_scores():
-    cfg = TEConfig(standardize=False)
-    for m, k in [(5, 2), (1, 1), (4, 1), (4, 4), (7, 3), (6, 6)]:
+    # osborn_score and score_all sum through one kernel: equal to the bit
+    configs = [TEConfig(standardize=s, lambda_d=d, lambda_t=t, lambda_c=c)
+               for s in (False, True) for d, t, c in [(1, 1, 1), (1.5, 0.5, 2)]]
+    for cfg, (m, k) in itertools.product(
+            configs, [(5, 2), (1, 1), (4, 1), (4, 4), (7, 3), (6, 6)]):
         cache = _random_cache(np.random.default_rng(6), m)
         scored = score_all(None, k, cache, cfg)
-        ids = sorted(cache.wd)
+        ids = list(cache.ids)
         expected_combos = list(itertools.combinations(ids, k))
         assert [c.ids for c, _ in scored] == expected_combos
         for cand, value in scored:
-            assert value == pytest.approx(
-                osborn_score(cand.ids, cache, cfg).osborn_value, abs=1e-12)
+            assert value == osborn_score(cand.ids, cache, cfg).osborn_value
 
 
 def test_score_subsets_are_the_arrays_behind_score_all():
@@ -269,7 +280,7 @@ def test_score_subsets_are_the_arrays_behind_score_all():
     for m, k in [(5, 2), (6, 6), (7, 3)]:
         cache = _random_cache(np.random.default_rng(7), m)
         ids, combos, values = score_subsets(None, k, cache, cfg)
-        assert ids == tuple(sorted(cache.wd))
+        assert ids == cache.ids
         assert combos.tolist() == [list(c) for c in itertools.combinations(range(m), k)]
         scored = score_all(None, k, cache, cfg)
         assert [c.ids for c, _ in scored] == \

@@ -143,12 +143,14 @@ def test_clean_model_has_near_zero_terms():
     )
     pool = build_pool(spec)
     cache = build_pairwise_cache(pool.manifest, TEConfig(seed=0, epsilon=0.005))
-    assert cache.wd["m00"] < 0.2
-    assert cache.wt["m00"] <= 1e-9
-    assert cache.wt["m01"] <= 1e-9
+    wd = dict(zip(cache.ids, cache.wd.tolist()))
+    wt = dict(zip(cache.ids, cache.wt.tolist()))
+    assert wd["m00"] < 0.2
+    assert wt["m00"] <= 1e-9
+    assert wt["m01"] <= 1e-9
     # the shifted sibling pays roughly shift squared on top of the same bias
-    assert cache.wd["m01"] == pytest.approx(
-        1.0 + cache.wd["m00"], abs=0.3)
+    assert wd["m01"] == pytest.approx(
+        1.0 + wd["m00"], abs=0.3)
 
 
 def test_domain_term_tracks_shift_squared():
@@ -159,8 +161,9 @@ def test_domain_term_tracks_shift_squared():
     )
     pool = build_pool(spec)
     cache = build_pairwise_cache(pool.manifest, TEConfig(seed=0))
-    base = cache.wd["m00"]
-    deltas = [cache.wd[m] - base for m in ("m01", "m02", "m03")]
+    wd = dict(zip(cache.ids, cache.wd.tolist()))
+    base = wd["m00"]
+    deltas = [wd[m] - base for m in ("m01", "m02", "m03")]
     for delta, shift in zip(deltas, (0.5, 1.0, 2.0)):
         assert delta == pytest.approx(shift ** 2, rel=0.35)
 
@@ -180,9 +183,10 @@ def test_degradation_is_monotone_averaged_over_seeds():
             seed=4000 + s,
         )
         cache = build_pairwise_cache(build_pool(spec).manifest, cfg)
+        p = cache.positions(f"m0{i}" for i in range(5))
         for i in range(5):
-            wd_sum[i] += cache.wd[f"m0{i}"]
-            wt_sum[i] += cache.wt[f"m0{i}"]
+            wd_sum[i] += cache.wd[p[i]]
+            wt_sum[i] += cache.wt[p[i]]
     assert np.all(np.diff(wd_sum) > 0)
     assert np.all(np.diff(wt_sum) > 0)
     assert spearmanr(noises, wt_sum).statistic >= 0.9
@@ -203,17 +207,18 @@ def test_redundant_triple_scores_better_than_diverse_triple():
     pool = build_pool(spec)
     cfg = TEConfig(standardize=False, seed=0)
     cache = build_pairwise_cache(pool.manifest, cfg)
-    wds = set(cache.wd.values())
+    wds = set(cache.wd.tolist())
     assert len(wds) == 1
     same = osborn_score(("m00", "m01", "m02"), cache, cfg).osborn_value
     diverse = osborn_score(("m03", "m04", "m05"), cache, cfg).osborn_value
     assert same < diverse
-    wc_diverse = sum(cache.pair_h[(a, b)]
-                     for a in ("m03", "m04", "m05")
-                     for b in ("m03", "m04", "m05") if a != b)
+    grouped = cache.positions(("m00", "m01", "m02"))
+    diverse_p = cache.positions(("m03", "m04", "m05"))
+    wc_diverse = sum(cache.pair_h[a, b]
+                     for a in diverse_p for b in diverse_p if a != b)
     assert wc_diverse > 0.5
-    wt_gap = sum(cache.wt[m] for m in ("m00", "m01", "m02")) \
-        - sum(cache.wt[m] for m in ("m03", "m04", "m05"))
+    wt_gap = sum(cache.wt[m] for m in grouped) \
+        - sum(cache.wt[m] for m in diverse_p)
     assert diverse - same == pytest.approx(wc_diverse - wt_gap, abs=1e-9)
 
 
