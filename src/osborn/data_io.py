@@ -13,7 +13,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -177,6 +177,89 @@ class RankingRecord:
 
 
 # ---------------------------------------------------------------------------
+# text inputs
+# ---------------------------------------------------------------------------
+
+
+def read_lines(path, kind: str):
+    """Every non-blank line of a text input as a ``(line number, stripped
+    text)`` pair, numbered as the file is, so that an error can name the
+    file's own line.  A file that cannot be read or decoded raises
+    ``ValidationError`` naming its ``kind``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [(n, s) for n, s in enumerate(map(str.strip, fh), start=1) if s]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {kind} file '{path}': {exc}") from exc
+
+
+def _parse_bool(text: str) -> bool:
+    t = text.lower()
+    if t in ("true", "1", "yes"):
+        return True
+    if t in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+# field type: (parse, what a value must look like, format)
+_CODECS = {
+    "int": (int, "must be an integer", str),
+    "float": (float, "must be a number", format_real),
+    "str": (str, "", str),
+    "bool": (_parse_bool, "expects true/false", lambda b: "true" if b else "false"),
+}
+
+
+def _codecs(cls, overrides):
+    """One ``_CODECS`` entry per field of dataclass ``cls``, in field order;
+    ``overrides`` maps a field name to its own entry."""
+    return {f.name: overrides.get(f.name) or _CODECS[getattr(f.type, "__name__", f.type)]
+            for f in fields(cls)}
+
+
+def read_fields(cls, path, kind: str, overrides=None):
+    """Read a ``key = value`` file whose keys are fields of dataclass ``cls``.
+
+    ``#`` comments and blank lines are skipped; an unknown or repeated key is
+    rejected.  Each value is parsed by its field's type, or by its entry in
+    ``overrides`` (see ``_CODECS``).  Returns ``(values, line numbers)``, two
+    dicts keyed by field name in file order.
+    """
+    codecs = _codecs(cls, overrides or {})
+    values, linenos = {}, {}
+    for lineno, line in read_lines(path, kind):
+        if line.startswith("#"):
+            continue
+        key, eq, text = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+        if key not in codecs:
+            raise ValidationError(
+                f"{path}:{lineno}: unknown {kind} key '{key}' "
+                f"(unknown key; the {kind} keys are {', '.join(codecs)})")
+        if key in linenos:
+            raise ValidationError(f"{path}:{lineno}: repeated key '{key}', "
+                                  f"first set on line {linenos[key]}")
+        parse, expect, _ = codecs[key]
+        try:
+            values[key] = parse(text)
+        except ValueError as exc:
+            raise ValidationError(
+                f"{path}:{lineno}: bad {key}: bad value '{text}', {expect}") from exc
+        linenos[key] = lineno
+    return values, linenos
+
+
+def write_fields(obj, path, overrides=None):
+    """Write dataclass ``obj`` as one ``key = value`` line per field, in field
+    order, each value formatted as ``read_fields`` parses it back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, (_, _, fmt) in _codecs(type(obj), overrides or {}).items():
+            fh.write(f"{name} = {fmt(getattr(obj, name))}\n")
+
+
+# ---------------------------------------------------------------------------
 # run configuration
 # ---------------------------------------------------------------------------
 
@@ -233,77 +316,18 @@ class TEConfig:
         self.seed = int(self.seed)
 
 
-_CONFIG_KEYS = {
-    "epsilon": float,
-    "regularizer": str,
-    "max_iters": int,
-    "convergence_tol": float,
-    "lambda_d": float,
-    "lambda_t": float,
-    "lambda_c": float,
-    "standardize": None,  # bool, parsed specially
-    "subsample_cap": int,
-    "seed": int,
-}
-
-
-def _parse_bool(text: str, key: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes"):
-        return True
-    if t in ("false", "0", "no"):
-        return False
-    raise ValidationError(f"config key '{key}' expects true/false, got '{text}'")
-
-
 def read_config(path) -> TEConfig:
-    """Parse a ``key = value`` config file; unknown keys are rejected."""
-    cfg = TEConfig()
+    """Parse a ``key = value`` config file (see ``read_fields``); a key it
+    leaves out keeps its default."""
+    values, _ = read_fields(TEConfig, path, "config")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file '{path}': {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValidationError(f"{path}:{lineno}: unknown config key '{key}'")
-        if key == "standardize":
-            setattr(cfg, key, _parse_bool(value, key))
-            continue
-        caster = _CONFIG_KEYS[key]
-        try:
-            setattr(cfg, key, caster(value))
-        except ValueError as exc:
-            raise ValidationError(
-                f"{path}:{lineno}: bad value '{value}' for '{key}'"
-            ) from exc
-    cfg.validate()
-    return cfg
+        return TEConfig(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def write_config(cfg: TEConfig, path):
-    lines = [
-        f"epsilon = {format_real(cfg.epsilon)}",
-        f"regularizer = {cfg.regularizer}",
-        f"max_iters = {cfg.max_iters}",
-        f"convergence_tol = {format_real(cfg.convergence_tol)}",
-        f"lambda_d = {format_real(cfg.lambda_d)}",
-        f"lambda_t = {format_real(cfg.lambda_t)}",
-        f"lambda_c = {format_real(cfg.lambda_c)}",
-        f"standardize = {'true' if cfg.standardize else 'false'}",
-        f"subsample_cap = {cfg.subsample_cap}",
-        f"seed = {cfg.seed}",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_fields(cfg, path)
 
 
 # ---------------------------------------------------------------------------
@@ -311,35 +335,38 @@ def write_config(cfg: TEConfig, path):
 # ---------------------------------------------------------------------------
 
 
+def _read_headed(path, kind: str, key: str, noun: str):
+    """Read a file whose first line is ``<key>=<int>`` (at least 1) and at
+    least one row follows; returns the int and the ``(line number, text)``
+    rows after it."""
+    lines = read_lines(path, kind)
+    if not lines or not lines[0][1].startswith(f"{key}="):
+        raise ValidationError(f"{path}: first line must be '{key}=<int>'")
+    head = lines[0][1]
+    try:
+        value = int(head[len(key) + 1:])
+    except ValueError as exc:
+        raise ValidationError(f"{path}: bad {noun} header '{head}'") from exc
+    if value < 1:
+        raise ValidationError(f"{path}: {noun} must be >= 1")
+    if len(lines) == 1:
+        raise ValidationError(f"{path}: no {kind} rows")
+    return value, lines[1:]
+
+
 def read_features(path) -> np.ndarray:
     """Read a feature matrix: a ``d=<int>`` header then one CSV row per sample."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise ValidationError(f"cannot read features file '{path}': {exc}") from exc
-    if not lines or not lines[0].startswith("d="):
-        raise ValidationError(f"{path}: first line must be 'd=<int>'")
-    try:
-        d = int(lines[0][2:])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: bad dimension header '{lines[0]}'") from exc
-    if d < 1:
-        raise ValidationError(f"{path}: feature dimension must be >= 1")
-    rows = lines[1:]
-    if not rows:
-        raise ValidationError(f"{path}: no feature rows")
+    d, rows = _read_headed(path, "feature", "d", "dimension")
     out = np.empty((len(rows), d), dtype=np.float64)
-    for i, row in enumerate(rows):
+    for i, (lineno, row) in enumerate(rows):
         parts = row.split(",")
         if len(parts) != d:
             raise ValidationError(
-                f"{path}: row {i + 1} has {len(parts)} values, expected {d}"
-            )
+                f"{path}:{lineno}: row has {len(parts)} values, expected {d}")
         try:
             out[i] = [float(p) for p in parts]
         except ValueError as exc:
-            raise ValidationError(f"{path}: row {i + 1} has a non-numeric value") from exc
+            raise ValidationError(f"{path}:{lineno}: non-numeric value") from exc
     if not np.all(np.isfinite(out)):
         raise ValidationError(f"{path}: non-finite feature value")
     return out
@@ -356,22 +383,9 @@ def write_features(features: np.ndarray, path):
 
 
 def _read_class_file(path, kind: str):
+    num_classes, rows = _read_headed(path, kind, "C", "class-count")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise ValidationError(f"cannot read {kind} file '{path}': {exc}") from exc
-    if not lines or not lines[0].startswith("C="):
-        raise ValidationError(f"{path}: first line must be 'C=<int>'")
-    try:
-        num_classes = int(lines[0][2:])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: bad class-count header '{lines[0]}'") from exc
-    body = lines[1:]
-    if not body:
-        raise ValidationError(f"{path}: no {kind} rows")
-    try:
-        values = np.array([int(x) for x in body], dtype=np.int64)
+        values = np.array([int(x) for _, x in rows], dtype=np.int64)
     except ValueError as exc:
         raise ValidationError(f"{path}: non-integer {kind} value") from exc
     return values, num_classes
@@ -645,19 +659,13 @@ def read_rankings(path):
     float64 arrays, with NaN for an empty accuracy field.  Every row is
     checked as ``RankingRecord`` checks it.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
-        raise ValidationError(f"cannot read rankings file '{path}': {exc}") from exc
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines or lines[0] != "ensemble,alpha,accuracy":
+    lines = read_lines(path, "rankings")
+    if not lines or lines[0][1] != "ensemble,alpha,accuracy":
         raise ValidationError(f"{path}: expected header 'ensemble,alpha,accuracy'")
     ensembles = []
     alpha = np.empty(len(lines) - 1)
     accuracy = np.empty(len(lines) - 1)
-    for row, line in enumerate(lines[1:]):
-        lineno = row + 2
+    for row, (lineno, line) in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != 3:
             raise ValidationError(f"{path}:{lineno}: expected 3 fields")

@@ -27,6 +27,7 @@ from .data_io import (
     PredictionVector,
     TEConfig,
     format_real,
+    read_lines,
     stratified_indices,
     substream_seed,
 )
@@ -366,6 +367,9 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
         raise ValidationError("pool is empty")
     threads = max(1, int(threads))
     ids = sorted(pool.model_ids())
+    repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+    if repeated:
+        raise ValidationError(f"pool has duplicate model ids {repeated}")
     records = {m.model_id: m for m in pool.models}
     tgt_idx = stratified_indices(
         pool.target_labels, config.subsample_cap,
@@ -407,13 +411,8 @@ def write_cache(cache: PairwiseCache, path):
 
 
 def read_cache(path) -> PairwiseCache:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise ValidationError(f"cannot read cache file '{path}': {exc}") from exc
     models, pair_h = {}, {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in read_lines(path, "cache"):
         parts = line.split(",")
         try:
             if parts[0] == "model":

@@ -36,9 +36,11 @@ from .data_io import (
     PoolManifest,
     PredictionVector,
     format_real,
+    read_fields,
     substream_seed,
     validate_record,
     write_features,
+    write_fields,
     write_labels,
     write_predictions,
 )
@@ -264,124 +266,49 @@ def proxy_accuracies(ids, combos, pool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _parse_per_model(text, m, key):
-    parts = [p.strip() for p in text.split(";") if p.strip()]
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ValidationError(f"bad value in '{key}'") from exc
-    if len(vals) == 1:
-        vals = vals * m
-    if len(vals) != m:
-        raise ValidationError(
-            f"'{key}' must give 1 or num_models values, got {len(vals)}"
-        )
-    return tuple(vals)
-
-
-def _parse_groups(text):
-    groups = []
-    for part in text.split("|"):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            groups.append(tuple(int(x.strip()) for x in part.split(",")))
-        except ValueError as exc:
-            raise ValidationError("redundancy_groups expects integers") from exc
-    return tuple(groups)
+# per-model lists are semicolon separated (a single value broadcasts);
+# redundancy groups separate members with commas and groups with "|"
+_PER_MODEL = (lambda text: tuple(float(p) for p in text.split(";") if p.strip()),
+              "expects numbers separated by ';'",
+              lambda values: ";".join(format_real(x) for x in values))
+_SPEC_CODECS = {
+    "domain_shift": _PER_MODEL,
+    "prediction_noise": _PER_MODEL,
+    "redundancy_groups": (
+        lambda text: tuple(tuple(int(i) for i in g.split(","))
+                           for g in text.split("|") if g.strip()),
+        "expects integers, ',' within a group and '|' between groups",
+        lambda groups: "|".join(",".join(str(i) for i in g) for g in groups)),
+}
 
 
 def read_synth_spec(path) -> SynthSpec:
-    """Parse a ``key = value`` pool spec.
+    """Parse a ``key = value`` pool spec (see ``data_io.read_fields``).
 
-    Per-model lists are semicolon separated (a single value broadcasts);
-    redundancy groups separate members with commas and groups with ``|``.
+    ``domain_shift`` and ``prediction_noise`` default to 0 and
+    ``redundancy_groups`` to one group per model.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read spec file '{path}': {exc}") from exc
-    raw = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
-
-    required = ("num_models", "feature_dim", "source_classes", "target_classes",
-                "samples", "seed")
-    for key in required:
-        if key not in raw:
+    values, linenos = read_fields(SynthSpec, path, "spec", _SPEC_CODECS)
+    for key in ("num_models", "feature_dim", "source_classes", "target_classes",
+                "samples", "seed"):
+        if key not in values:
             raise ValidationError(f"{path}: missing required key '{key}'")
+    m = values["num_models"]
+    for key in ("domain_shift", "prediction_noise"):
+        vals = values.setdefault(key, (0.0,))
+        if len(vals) == 1:
+            values[key] = vals * m
+        elif len(vals) != m:
+            raise ValidationError(f"{path}:{linenos[key]}: '{key}' must give 1 or "
+                                  f"num_models values, got {len(vals)}")
     try:
-        m = int(raw["num_models"])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: num_models must be an integer") from exc
-
-    known = set(required) | {"domain_shift", "prediction_noise",
-                             "redundancy_groups", "class_separation",
-                             "source_jitter"}
-    for key in raw:
-        if key not in known:
-            raise ValidationError(f"{path}: unknown key '{key}'")
-
-    try:
-        kwargs = dict(
-            num_models=m,
-            feature_dim=int(raw["feature_dim"]),
-            source_classes=int(raw["source_classes"]),
-            target_classes=int(raw["target_classes"]),
-            samples=int(raw["samples"]),
-            seed=int(raw["seed"]),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-integer scalar field") from exc
-    kwargs["domain_shift"] = _parse_per_model(raw.get("domain_shift", "0"), m,
-                                              "domain_shift")
-    kwargs["prediction_noise"] = _parse_per_model(raw.get("prediction_noise", "0"),
-                                                  m, "prediction_noise")
-    if "redundancy_groups" in raw:
-        kwargs["redundancy_groups"] = _parse_groups(raw["redundancy_groups"])
-    else:
-        kwargs["redundancy_groups"] = default_groups(m)
-    if "class_separation" in raw:
-        try:
-            kwargs["class_separation"] = float(raw["class_separation"])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: bad class_separation") from exc
-    if "source_jitter" in raw:
-        try:
-            kwargs["source_jitter"] = float(raw["source_jitter"])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: bad source_jitter") from exc
-    try:
-        return SynthSpec(**kwargs)
+        return SynthSpec(**values)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
 def write_synth_spec(spec: SynthSpec, path):
-    groups = "|".join(",".join(str(i) for i in g) for g in spec.redundancy_groups)
-    lines = [
-        f"num_models = {spec.num_models}",
-        f"feature_dim = {spec.feature_dim}",
-        f"source_classes = {spec.source_classes}",
-        f"target_classes = {spec.target_classes}",
-        f"samples = {spec.samples}",
-        f"domain_shift = {';'.join(format_real(x) for x in spec.domain_shift)}",
-        f"prediction_noise = {';'.join(format_real(x) for x in spec.prediction_noise)}",
-        f"redundancy_groups = {groups}",
-        f"seed = {spec.seed}",
-        f"class_separation = {format_real(spec.class_separation)}",
-        f"source_jitter = {format_real(spec.source_jitter)}",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_fields(spec, path, _SPEC_CODECS)
 
 
 def generate(spec: SynthSpec, out_dir) -> SynthPool:

@@ -34,6 +34,7 @@ from osborn.data_io import (
     write_scores,
 )
 from osborn.errors import ValidationError
+from osborn.synth import read_synth_spec
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +153,9 @@ def test_config_parser_rejects_unknown_and_malformed(tmp_path):
     p.write_text("standardize = maybe\n")
     with pytest.raises(ValidationError, match="true/false"):
         read_config(p)
+    p.write_text("epsilon = -1\n")
+    with pytest.raises(ValidationError, match="bad.cfg: epsilon must be"):
+        read_config(p)
     with pytest.raises(ValidationError, match="cannot read"):
         read_config(tmp_path / "absent.cfg")
 
@@ -162,6 +166,28 @@ def test_config_parser_skips_comments_and_blanks(tmp_path):
     cfg = read_config(p)
     assert cfg.seed == 5
     assert cfg.standardize is False
+
+
+@pytest.mark.parametrize("reader,text", [
+    (read_config, "seed = 1\n\n# again\nepsilon = 0.2\nseed = 2\n"),
+    (read_synth_spec, "seed = 1\nnum_models = 2\nfeature_dim = 2\n"
+                      "source_classes = 2\nseed = 2\ntarget_classes = 2\n"
+                      "samples = 20\n"),
+], ids=["config", "spec"])
+def test_key_value_files_reject_a_repeated_key(tmp_path, reader, text):
+    # a repeated key is an error naming both lines, not a silent override
+    p = tmp_path / "knobs.txt"
+    p.write_text(text)
+    with pytest.raises(ValidationError,
+                       match=r"knobs.txt:5: repeated key 'seed', first set on line 1"):
+        reader(p)
+
+
+def test_undecodable_text_input_is_a_validation_error(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_bytes(b"d=1\n\xff\xfe\n")
+    with pytest.raises(ValidationError, match="cannot read feature file"):
+        read_features(p)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +508,8 @@ def test_rankings_reader_rejects_accuracy_out_of_range(tmp_path, text, msg):
     ("ensemble,alpha,accuracy\na;b,1.0\n", "expected 3 fields"),
     ("ensemble,alpha,accuracy\n,1.0,\n", "empty ensemble"),
     ("ensemble,alpha,accuracy\na,x,\n", "non-numeric"),
+    # blank lines count: the bad row is the file's fifth line
+    ("ensemble,alpha,accuracy\n\na,1.0,0.5\n\nb,x,\n", "r.csv:5: non-numeric"),
 ])
 def test_scores_reader_rejects_malformed(tmp_path, text, msg):
     p = tmp_path / "r.csv"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from osborn import metrics
 from osborn.data_io import LabelVector, PoolManifest, PredictionVector, TEConfig
 from osborn.errors import ValidationError
 from osborn.metrics import (
@@ -369,6 +370,18 @@ def test_build_cache_rejects_a_repeated_model_id():
         build_pairwise_cache(twice, TEConfig(seed=0))
 
 
+def test_build_cache_rejects_a_repeated_model_id_before_any_solve(monkeypatch):
+    pool = _small_pool()
+    twice = PoolManifest(models=pool.models + pool.models[:1],
+                         target_labels=pool.target_labels)
+    solves = []
+    monkeypatch.setattr(metrics, "_solve_transport",
+                        lambda *args: solves.append(args))
+    with pytest.raises(ValidationError, match=r"duplicate model ids \['m00'\]"):
+        build_pairwise_cache(twice, TEConfig(seed=0))
+    assert solves == []
+
+
 def test_frobenius_regularizer_route_works_end_to_end():
     pool = _small_pool(seed=4)
     cfg = TEConfig(regularizer="frobenius")
@@ -406,6 +419,9 @@ def test_cache_round_trip_bit_exact(tmp_path):
     ("row,a,b\n", "malformed"),
     ("model,a,wd,1.0,wt,2.0,converged,1\nmodel,a,wd,1.0,wt,2.0,converged,1\n",
      "duplicate model"),
+    # blank lines count: the bad row is the file's fifth line
+    ("model,a,wd,1.0,wt,2.0,converged,1\n\nmodel,b,wd,1.0,wt,2.0,converged,1\n"
+     "\npair,a,b,g,0.5\n", "c.csv:5: malformed"),
 ])
 def test_cache_reader_rejects_malformed(tmp_path, text, msg):
     p = tmp_path / "c.csv"

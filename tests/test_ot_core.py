@@ -429,6 +429,18 @@ def test_frobenius_converged_means_residual_within_tol():
     assert not short.converged and _residual(short, marg) > 1e-5
 
 
+def test_frobenius_newton_finish_reaches_a_tight_tolerance():
+    # the QP-oracle instances below, without the oracle: L-BFGS alone stops
+    # above 1e-10 on each, so the Newton finish must bring them in
+    for seed in range(6):
+        rng = np.random.default_rng(400 + seed)
+        C = rng.uniform(0.0, 4.0, size=(4, 5))
+        marg = MarginalWeights.uniform(4, 5)
+        coup = sinkhorn_frobenius(C, marg, 0.3, max_iters=50000, tol=1e-10)
+        assert coup.converged
+        assert _residual(coup, marg) <= 1e-10
+
+
 def test_frobenius_matches_quadratic_program_oracle():
     cvxpy = pytest.importorskip("cvxpy")
     for seed in range(6):
