@@ -29,6 +29,8 @@ NEWTON_MAX_POTENTIALS = 1024
 # a kernel scaling outside [1 / SCALING_BOUND, SCALING_BOUND] is absorbed
 # into the log-domain potentials and the stabilized kernel is rebuilt
 SCALING_BOUND = 1e30
+# rows of the norm-sum block cost_matrix adds at a time
+COST_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,17 @@ def cost_matrix(source, target) -> np.ndarray:
         raise ValidationError("feature arrays must be non-empty")
     if not (np.all(np.isfinite(S)) and np.all(np.isfinite(T))):
         raise ValidationError("non-finite feature value")
-    sq = (S * S).sum(axis=1)[:, None] + (T * T).sum(axis=1)[None, :] - 2.0 * (S @ T.T)
+    # |s|^2 + |t|^2 - 2 s.t in the Gram matrix's own array: negation and
+    # doubling are exact and addition commutes, so every entry rounds as
+    # (|s|^2 + |t|^2) - 2 s.t does; only a row block of the norm sums is
+    # held beside it
+    sq = S @ T.T
+    sq *= -2.0
+    s2 = (S * S).sum(axis=1)
+    t2 = (T * T).sum(axis=1)
+    for lo in range(0, sq.shape[0], COST_BLOCK_ROWS):
+        hi = lo + COST_BLOCK_ROWS
+        sq[lo:hi] += s2[lo:hi, None] + t2[None, :]
     # rounding can push true zeros slightly negative
     np.maximum(sq, 0.0, out=sq)
     return sq
@@ -107,9 +119,12 @@ def _validate_problem(cost, marginals: MarginalWeights):
     C = np.asarray(cost, dtype=np.float64)
     if C.ndim != 2 or C.size == 0:
         raise ValidationError("cost matrix must be 2-d and non-empty")
-    if not np.all(np.isfinite(C)):
+    # NaN and +-inf propagate into the extremes, so two reductions check
+    # every entry without an n x m mask
+    lo, hi = float(C.min()), float(C.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValidationError("cost matrix has non-finite entries")
-    if np.any(C < 0):
+    if lo < 0:
         raise ValidationError("cost matrix has negative entries")
     n, m = C.shape
     if marginals.source.shape[0] != n or marginals.target.shape[0] != m:
@@ -173,6 +188,32 @@ def _log_kernel(Cr, epsilon, f, h, out):
     out += f[:, None]
     out += h[None, :]
     return out
+
+
+def _clipped_excess(Cr, f, h, out):
+    """``[f_i + h_j - C_ij]_+`` written into ``out``."""
+    np.add(f[:, None], h[None, :], out=out)
+    out -= Cr
+    return np.maximum(out, 0.0, out=out)
+
+
+def _frobenius_dual(x, Cr, b, g, epsilon, buf):
+    """Value and gradient of the squared-Frobenius dual at the potentials
+    ``x = (f, h)``: ``-(f.b + h.g) + sum(Z * Z) / (4 epsilon)`` with
+    ``Z = [f_i + h_j - C_ij]_+``, and the marginal defect of the plan
+    ``Z / (2 epsilon)``.  ``Z`` is formed in the n x m buffer ``buf`` and
+    read three times (one dot product, two matrix-vector products); no
+    other n x m array is allocated, and ``buf`` is left holding ``Z``.
+    """
+    nr, mc = buf.shape
+    f, h = x[:nr], x[nr:]
+    Z = _clipped_excess(Cr, f, h, buf)
+    value = float(np.vdot(Z, Z)) / (4.0 * epsilon) - float(f @ b + h @ g)
+    grad = np.concatenate([Z @ np.ones(mc), np.ones(nr) @ Z])
+    grad /= 2.0 * epsilon
+    grad[:nr] -= b
+    grad[nr:] -= g
+    return value, grad
 
 
 def _residual(P, b, g) -> float:
@@ -318,30 +359,33 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     ``-(f.b + h.g) + sum([f_i + h_j - C_ij]_+^2) / (4 epsilon)`` over the
     potentials with L-BFGS.  The dual gradient is the marginal defect of the
     plan ``P = [f + h - C]_+ / (2 epsilon)``, so L-BFGS stops exactly when
-    the residual reaches ``tol``.  When L-BFGS stalls just above a tight
-    ``tol`` and n + m is at most ``NEWTON_MAX_POTENTIALS``, damped semismooth
-    Newton steps on the plan's support finish the solve.
-    ``iterations_used`` counts L-BFGS iterations plus Newton steps and never
-    exceeds ``max_iters``.  Unlike the entropic route the optimal plan can be
-    exactly sparse.
+    the residual reaches ``tol``.  Each call allocates one n x m work
+    buffer: every dual evaluation writes ``[f + h - C]_+`` into it and reads
+    it back for the value and both marginals (``_frobenius_dual``), and the
+    final plan is built in it, scaled by ``1 / (2 epsilon)`` in place, and
+    returned.  When L-BFGS stalls just above a tight ``tol`` and n + m is at
+    most ``NEWTON_MAX_POTENTIALS``, damped semismooth Newton steps on the
+    plan's support finish the solve; they form their trial plans in fresh
+    arrays.  ``iterations_used`` counts L-BFGS iterations plus Newton steps
+    and never exceeds ``max_iters``.  Unlike the entropic route the optimal
+    plan can be exactly sparse.
     """
     epsilon, max_iters, tol = _validate_settings(epsilon, max_iters, tol)
     C = _validate_problem(cost, marginals)
     rows, cols, b, g, Cr = _reduce(C, marginals)
     nr, mc = Cr.shape
+    buf = np.empty_like(Cr)
 
-    def plan_of(f, h):
-        return np.maximum(f[:, None] + h[None, :] - Cr, 0.0) / (2.0 * epsilon)
+    def plan_of(f, h, out=None):
+        P = _clipped_excess(Cr, f, h, np.empty_like(Cr) if out is None else out)
+        P /= 2.0 * epsilon
+        return P
 
-    def dual(x):
-        P = plan_of(x[:nr], x[nr:])
-        value = epsilon * float((P * P).sum()) - float(x[:nr] @ b + x[nr:] @ g)
-        return value, np.concatenate([P.sum(axis=1) - b, P.sum(axis=0) - g])
-
-    opt = minimize(dual, np.zeros(nr + mc), jac=True, method="L-BFGS-B",
+    opt = minimize(_frobenius_dual, np.zeros(nr + mc), args=(Cr, b, g, epsilon, buf),
+                   jac=True, method="L-BFGS-B",
                    options={"gtol": float(tol), "ftol": 0.0, "maxiter": max_iters})
     f, h = opt.x[:nr], opt.x[nr:]
-    P = plan_of(f, h)
+    P = plan_of(f, h, buf)
     res = _residual(P, b, g)
     iters = int(opt.nit)
     newton_ok = (nr + mc) <= NEWTON_MAX_POTENTIALS

@@ -7,6 +7,7 @@ the two is meaningful evidence rather than a tautology.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ def assignment_cost_loop(C):
         cost = sum(C[i, perm[i]] for i in range(n))
         best = min(best, cost)
     return best
+
+
+def peak_ratio(fn, nbytes):
+    """Run ``fn()`` under tracemalloc: its result and the peak rise of traced
+    memory during the call, as a multiple of ``nbytes``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / nbytes
 
 
 # ---------------------------------------------------------------------------

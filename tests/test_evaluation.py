@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from conftest import (
     kendall_tau_b_loop,
     majority_vote_loop,
     pearson_loop,
+    peak_ratio,
     weighted_kendall_loop,
 )
 
@@ -268,14 +268,9 @@ def test_weighted_kendall_memory_is_linear_at_scale():
     n = 50_000
     x = rng.normal(size=n)
     y = np.round(x + rng.normal(size=n), 2)
-    tracemalloc.start()
-    try:
-        value = weighted_kendall_tau(x, y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    value, ratio = peak_ratio(lambda: weighted_kendall_tau(x, y), 24 * 2 ** 20)
     assert -1.0 <= value <= 1.0
-    assert peak < 24 * 2 ** 20
+    assert ratio < 1.0
 
 
 def test_weighted_kendall_frozen_value():

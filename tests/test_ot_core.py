@@ -20,11 +20,12 @@ from osborn.ot_core import (
     median_positive_cost,
     sinkhorn,
     sinkhorn_frobenius,
+    _frobenius_dual,
     _newton_direction,
 )
 from osborn.synth import SynthSpec, build_pool
 
-from conftest import assignment_cost_loop
+from conftest import assignment_cost_loop, peak_ratio
 
 
 def _residual(coupling, marg):
@@ -70,6 +71,24 @@ def test_cost_matrix_validation():
         cost_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
     with pytest.raises(ValidationError, match="non-finite"):
         cost_matrix(np.full((2, 2), np.inf), np.zeros((2, 2)))
+
+
+def test_cost_matrix_is_bit_identical_to_the_dense_expression_in_one_array():
+    # the in-place form must round every entry exactly as the expression
+    # with two n x m temporaries does: shapes below, at and past one row
+    # block, with coincident rows (true zeros) and a ragged last block
+    rng = np.random.default_rng(11)
+    for n, m, d in ((3, 2, 2), (300, 257, 5), (600, 40, 16), (1000, 1000, 16)):
+        S = rng.normal(size=(n, d))
+        T = rng.normal(size=(m, d)) + 0.5
+        T[: min(n, m) // 2] = S[: min(n, m) // 2]
+        ref = (S * S).sum(axis=1)[:, None] + (T * T).sum(axis=1)[None, :] - 2.0 * (S @ T.T)
+        np.maximum(ref, 0.0, out=ref)
+        C, ratio = peak_ratio(lambda: cost_matrix(S, T), ref.nbytes)
+        assert C.tobytes() == ref.tobytes()
+    # at 1000 x 1000 the result plus one block of norm sums, not two
+    # temporaries beside it
+    assert ratio <= 1.5
 
 
 def test_median_positive_cost_fallbacks():
@@ -262,6 +281,26 @@ def test_sinkhorn_validation():
         sinkhorn(np.full((2, 2), np.nan), marg, 1.0)
 
 
+@pytest.mark.parametrize("solver", [
+    lambda C, marg: sinkhorn(C, marg, 1.0),
+    lambda C, marg: sinkhorn_frobenius(C, marg, 1.0),
+    exact_ot,
+], ids=["sinkhorn", "frobenius", "exact"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cost_validation_reports_non_finite_before_negative(solver, bad):
+    marg = MarginalWeights.uniform(2, 3)
+    C = np.ones((2, 3))
+    C[1, 2] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        solver(C, marg)
+    C[0, 0] = -1.0
+    with pytest.raises(ValidationError, match="non-finite"):
+        solver(C, marg)
+    C[1, 2] = 0.0
+    with pytest.raises(ValidationError, match="negative entries"):
+        solver(C, marg)
+
+
 def test_sinkhorn_reports_non_convergence_without_lying():
     rng = np.random.default_rng(8)
     C = cost_matrix(rng.normal(size=(8, 3)), rng.normal(size=(8, 3)) + 2.0)
@@ -414,6 +453,67 @@ def test_frobenius_converges_at_pool_scale_at_the_default_config():
     assert frob.iterations_used <= cfg.max_iters
     ent = sinkhorn(C, marg, eps, cfg.max_iters, cfg.convergence_tol)
     assert _quad_objective(frob.plan, C, eps) <= _quad_objective(ent.plan, C, eps)
+
+
+def test_frobenius_dual_matches_the_dense_formula():
+    # random potentials put cells on both sides of the clip at zero
+    rng = np.random.default_rng(21)
+    n, m, eps = 7, 9, 0.3
+    C = rng.uniform(0.0, 4.0, size=(n, m))
+    b = rng.dirichlet(np.ones(n))
+    g = rng.dirichlet(np.ones(m))
+    x = rng.uniform(0.0, 2.5, size=n + m)
+    f, h = x[:n], x[n:]
+    Z = np.maximum(f[:, None] + h[None, :] - C, 0.0)
+    assert 0 < np.count_nonzero(Z) < Z.size
+    ref_value = -(f @ b + h @ g) + (Z ** 2).sum() / (4.0 * eps)
+    P = Z / (2.0 * eps)
+    ref_grad = np.concatenate([P.sum(axis=1) - b, P.sum(axis=0) - g])
+    buf = np.full((n, m), np.nan)
+    value, grad = _frobenius_dual(x, C, b, g, eps, buf)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref_grad).max())
+    np.testing.assert_allclose(buf, Z, rtol=1e-12, atol=0.0)
+    # the value is C^1 (piecewise quadratic), so central differences of
+    # step 1e-6 match the gradient to far better than 1e-6
+    step = 1e-6
+    fd = np.empty_like(x)
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = step
+        fd[k] = (_frobenius_dual(x + e, C, b, g, eps, buf)[0]
+                 - _frobenius_dual(x - e, C, b, g, eps, buf)[0]) / (2.0 * step)
+    np.testing.assert_allclose(fd, grad, rtol=0.0, atol=1e-6)
+
+
+def test_frobenius_solve_holds_one_work_buffer_and_returns_its_own_plan():
+    # a 600 x 600 pool solve at the default config: the dual evaluations and
+    # the returned plan share one n x m buffer, so the solve's traced peak
+    # stays near one cost matrix
+    spec = SynthSpec(num_models=2, feature_dim=8, source_classes=4,
+                     target_classes=4, samples=600, domain_shift=(0.0, 1.5),
+                     prediction_noise=(0.0, 0.4), seed=7)
+    near, C = (cost_matrix(rec.source_features, rec.target_features)
+               for rec in build_pool(spec).manifest.models)
+    cfg = TEConfig()
+    assert C.shape == (600, 600)
+    marg = MarginalWeights.uniform(600, 600)
+
+    def solve(cost):
+        eps = cfg.epsilon * median_positive_cost(cost)
+        return sinkhorn_frobenius(cost, marg, eps, cfg.max_iters,
+                                  cfg.convergence_tol)
+
+    first, ratio = peak_ratio(lambda: solve(C), C.nbytes)
+    assert first.converged
+    assert _residual(first, marg) <= cfg.convergence_tol
+    assert ratio <= 1.5
+    # a second solve must not write into the first one's plan
+    kept = first.plan.copy()
+    second = solve(near)
+    assert not np.shares_memory(first.plan, second.plan)
+    assert np.array_equal(first.plan, kept)
 
 
 def test_frobenius_converged_means_residual_within_tol():
