@@ -18,7 +18,6 @@ from .data_io import (
     read_config,
     read_rankings,
     read_scores,
-    stratified_subsample,
     write_config,
     write_rankings,
     write_scores,
@@ -27,7 +26,6 @@ from .errors import ComputationError, OsbornError, ValidationError
 from .evaluation import (
     CorrelationReport,
     correlate,
-    ensemble_accuracy,
     evaluate,
     kendall_tau,
     majority_vote_accuracy,
@@ -35,7 +33,6 @@ from .evaluation import (
     weighted_kendall_tau,
 )
 from .metrics import (
-    JointLabelDistribution,
     PairwiseCache,
     ScoreBreakdown,
     build_pairwise_cache,
@@ -44,8 +41,6 @@ from .metrics import (
     osborn_score,
     read_cache,
     standardize_terms,
-    w_cohesion,
-    w_domain,
     w_task,
     write_cache,
 )
@@ -70,7 +65,6 @@ __all__ = [
     "CorrelationReport",
     "Coupling",
     "EnsembleCandidate",
-    "JointLabelDistribution",
     "LabelVector",
     "MarginalWeights",
     "ModelRecord",
@@ -90,7 +84,6 @@ __all__ = [
     "cohesion_pair",
     "correlate",
     "cost_matrix",
-    "ensemble_accuracy",
     "evaluate",
     "exact_ot",
     "exhaustive_select",
@@ -116,9 +109,6 @@ __all__ = [
     "sinkhorn",
     "sinkhorn_frobenius",
     "standardize_terms",
-    "stratified_subsample",
-    "w_cohesion",
-    "w_domain",
     "w_task",
     "weighted_kendall_tau",
     "write_cache",

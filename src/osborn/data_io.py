@@ -480,7 +480,10 @@ def _read_manifest(manifest_path):
         raise ValidationError(f"manifest '{manifest_path}' must be a JSON object")
     base = os.path.dirname(os.path.abspath(manifest_path))
 
-    def resolve(p):
+    def resolve(p, key, where="manifest"):
+        if not isinstance(p, str):
+            raise ValidationError(f"{where} key '{key}' must be a path string, "
+                                  f"got {json.dumps(p)}")
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     try:
@@ -490,7 +493,7 @@ def _read_manifest(manifest_path):
         raise ValidationError(f"manifest missing required key {exc}") from exc
     if not isinstance(raw_entries, list) or not raw_entries:
         raise ValidationError("manifest must list at least one model")
-    target_labels = read_labels(resolve(target_labels_path))
+    target_labels = read_labels(resolve(target_labels_path, "target_labels"))
 
     entries = []
     seen = set()
@@ -499,10 +502,11 @@ def _read_manifest(manifest_path):
             raise ValidationError("each manifest model entry must be a JSON object")
         try:
             mid = entry["id"]
-            paths = {key: resolve(entry[key]) for key in _ENTRY_KEYS}
+            _check_model_id(mid)
+            paths = {key: resolve(entry[key], key, f"model '{mid}'")
+                     for key in _ENTRY_KEYS}
         except KeyError as exc:
             raise ValidationError(f"model entry missing required key {exc}") from exc
-        _check_model_id(mid)
         if mid in seen:
             raise ValidationError(f"duplicate model id '{mid}' in manifest")
         seen.add(mid)
@@ -603,19 +607,6 @@ def stratified_indices(labels: LabelVector, cap: int, seed: int) -> np.ndarray:
         extra = rng.choice(n, size=budget, replace=False, p=weights)
         chosen.extend(int(i) for i in extra)
     return np.sort(np.asarray(chosen, dtype=np.int64))
-
-
-def stratified_subsample(features, labels: LabelVector, cap: int, seed: int):
-    """Subsample (features, labels) jointly; identity when n <= cap."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.shape[0] != len(labels):
-        raise ValidationError(
-            f"features have {X.shape[0]} rows but labels have {len(labels)}"
-        )
-    idx = stratified_indices(labels, cap, seed)
-    if idx.shape[0] == X.shape[0]:
-        return X, labels
-    return X[idx], LabelVector(labels.values[idx], labels.num_classes)
 
 
 # ---------------------------------------------------------------------------

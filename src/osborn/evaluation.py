@@ -75,39 +75,6 @@ def majority_vote_accuracy(members, truth: LabelVector, combos) -> np.ndarray:
     return out
 
 
-def ensemble_accuracy(members, truth: LabelVector) -> float:
-    """Accuracy of an ensemble on the target set.
-
-    Hard predictions are combined by majority vote with ties broken toward
-    the smallest class index (``majority_vote_accuracy`` with one row);
-    per-class score tables (one 2-d array per member, same shape) are
-    averaged and argmaxed.
-    """
-    members = list(members)
-    if not members:
-        raise ValidationError("ensemble_accuracy needs at least one member")
-    n = len(truth)
-    if all(isinstance(m, PredictionVector) for m in members):
-        one = np.arange(len(members))[None, :]
-        return float(majority_vote_accuracy(members, truth, one)[0])
-    if all(isinstance(m, np.ndarray) for m in members):
-        shape = members[0].shape
-        if len(shape) != 2 or shape[0] != n:
-            raise ValidationError(
-                f"score tables must be ({n}, num_classes) arrays"
-            )
-        for m in members:
-            if m.shape != shape:
-                raise ValidationError("score tables must share one shape")
-            if not np.all(np.isfinite(m)):
-                raise ValidationError("score table has non-finite entries")
-        mean = np.mean(np.stack(members, axis=0), axis=0)
-        return float(np.mean(mean.argmax(axis=1) == truth.values))
-    raise ValidationError(
-        "members must be all PredictionVector or all score arrays"
-    )
-
-
 def _paired(xs, ys, caller):
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)

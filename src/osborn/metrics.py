@@ -13,7 +13,6 @@ Lower scores mean a more transferable ensemble.  Entropies use natural log.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,18 +33,6 @@ from .data_io import (
 from .errors import ValidationError
 from .ot_core import Coupling, MarginalWeights, cost_matrix, median_positive_cost, \
     sinkhorn, sinkhorn_frobenius
-
-
-@dataclass(frozen=True)
-class JointLabelDistribution:
-    """Joint mass over (source label, target label) induced by a coupling."""
-
-    table: np.ndarray
-    num_source_classes: int
-    num_target_classes: int
-
-    def target_marginal(self) -> np.ndarray:
-        return self.table.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -151,24 +138,12 @@ def _solve_transport(C, config: TEConfig) -> Coupling:
     return solver(C, marg, eps, config.max_iters, config.convergence_tol)
 
 
-def w_domain(record: ModelRecord, target_features, config: TEConfig):
-    """Domain difference: optimal transport cost between the model's source
-    embeddings and the target embeddings, under squared Euclidean ground cost
-    with uniform marginals.  Returns (cost, coupling); the coupling is reused
-    for the task-difference term.
-    """
-    T = np.asarray(target_features, dtype=np.float64)
-    C = cost_matrix(record.source_features, T)
-    coup = _solve_transport(C, config)
-    return coup.transport_cost, coup
-
-
 def joint_from_coupling(coupling: Coupling, source_labels: LabelVector,
-                        target_labels: LabelVector) -> JointLabelDistribution:
-    """Push the coupling mass onto label pairs.
-
-    Entry (a, b) collects the plan mass between source rows labeled ``a`` and
-    target rows labeled ``b``; the table inherits the plan's total mass.
+                        target_labels: LabelVector) -> np.ndarray:
+    """Push the coupling mass onto label pairs: a (source classes, target
+    classes) table whose entry (a, b) collects the plan mass between source
+    rows labeled ``a`` and target rows labeled ``b``.  The table inherits
+    the plan's total mass.
     """
     plan = coupling.plan
     n, m = plan.shape
@@ -188,25 +163,25 @@ def joint_from_coupling(coupling: Coupling, source_labels: LabelVector,
     T[np.arange(m), target_labels.values] = 1.0
     table = S.T @ plan @ T
     np.maximum(table, 0.0, out=table)
-    return JointLabelDistribution(table=table, num_source_classes=cs,
-                                  num_target_classes=ct)
+    return table
 
 
-def w_task(joint: JointLabelDistribution) -> float:
-    """Task difference: conditional entropy H(source label | target label)
-    of the coupled label distribution, in nats.
-
-    Computed as sum over positive cells of p(a,b) * log(p(b) / p(a,b)); each
-    term is non-negative because the marginal dominates the cell.
-    """
-    P = joint.table
-    col = joint.target_marginal()
+def _conditional_entropy(P: np.ndarray) -> float:
+    """H(row | column) of a non-negative joint table, in nats: the sum over
+    positive cells of p(a,b) * log(p(b) / p(a,b)).  Each term is
+    non-negative because the column marginal dominates the cell; a table
+    without mass has entropy 0."""
+    col = P.sum(axis=0)
     mask = P > 0
-    if not mask.any():
-        return 0.0
     cells = P[mask]
     marg = np.broadcast_to(col[None, :], P.shape)[mask]
     return float(np.sum(cells * np.log(marg / cells)))
+
+
+def w_task(table: np.ndarray) -> float:
+    """Task difference: H(source label | target label) of the joint table
+    from ``joint_from_coupling``, in nats."""
+    return _conditional_entropy(table)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +202,7 @@ def cohesion_pair(pred_i: PredictionVector, pred_j: PredictionVector) -> float:
     ci, cj = pred_i.num_classes, pred_j.num_classes
     codes = pred_i.values * cj + pred_j.values
     P = np.bincount(codes, minlength=ci * cj).reshape(ci, cj) / len(pred_i)
-    col = P.sum(axis=0)
-    mask = P > 0
-    cells = P[mask]
-    marg = np.broadcast_to(col[None, :], P.shape)[mask]
-    return float(np.sum(cells * np.log(marg / cells)))
-
-
-def w_cohesion(ensemble, cache: "PairwiseCache") -> float:
-    """Sum of cached pair entropies over all ordered pairs of distinct members."""
-    p = cache.positions(ensemble)
-    return float(cache.pair_h[np.ix_(p, p)].sum())
+    return _conditional_entropy(P)
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +296,21 @@ def osborn_score(ensemble, cache: PairwiseCache, config: TEConfig) -> ScoreBreak
 
 def _model_terms(record: ModelRecord, target_labels: LabelVector,
                  tgt_idx: np.ndarray, config: TEConfig):
+    """(W_D, W_T, converged) of one model on its subsampled rows: W_D is the
+    transport cost between source and target embeddings under squared
+    Euclidean cost with uniform marginals, and W_T is the conditional
+    entropy of the label table that same plan induces.  ``target_labels``
+    are already restricted to ``tgt_idx``."""
     src_idx = stratified_indices(
         record.source_labels, config.subsample_cap,
         substream_seed(config.seed, "subsample-source", record.model_id),
     )
-    sub = dataclasses.replace(
-        record,
-        source_features=record.source_features[src_idx],
-        source_labels=LabelVector(record.source_labels.values[src_idx],
-                                  record.source_labels.num_classes),
-        target_features=record.target_features[tgt_idx],
-    )
-    wd, coup = w_domain(sub, sub.target_features, config)
-    sub_target = LabelVector(target_labels.values[tgt_idx], target_labels.num_classes)
-    joint = joint_from_coupling(coup, sub.source_labels, sub_target)
-    wt = w_task(joint)
-    return wd, wt, coup.converged
+    coup = _solve_transport(cost_matrix(record.source_features[src_idx],
+                                        record.target_features[tgt_idx]), config)
+    source_labels = LabelVector(record.source_labels.values[src_idx],
+                                record.source_labels.num_classes)
+    wt = w_task(joint_from_coupling(coup, source_labels, target_labels))
+    return coup.transport_cost, wt, coup.converged
 
 
 def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
@@ -365,7 +329,9 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
     """
     if pool.size < 1:
         raise ValidationError("pool is empty")
-    threads = max(1, int(threads))
+    threads = int(threads)
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     ids = sorted(pool.model_ids())
     repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
     if repeated:
@@ -375,9 +341,11 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
         pool.target_labels, config.subsample_cap,
         substream_seed(config.seed, "subsample-target"),
     )
+    target_labels = LabelVector(pool.target_labels.values[tgt_idx],
+                                pool.target_labels.num_classes)
 
     def model_job(mid):
-        return _model_terms(records[mid], pool.target_labels, tgt_idx, config)
+        return _model_terms(records[mid], target_labels, tgt_idx, config)
 
     if threads == 1:
         results = [model_job(mid) for mid in ids]

@@ -1,11 +1,14 @@
 """Ensemble selection over cached pairwise terms.
 
-The objective f(S) = -( sum of member W_D + W_T terms + sum of ordered-pair
-cohesion entropies within S ) is monotone in neither direction but its gains
-are diminishing: adding v to a superset only picks up extra non-negative pair
-terms, which can only lower the gain.  Greedy forward selection therefore
-carries the usual (1 - 1/e) guarantee relative to the best cardinality-k
-subset whenever the raw (non-negative) terms are used.
+The objective is f(S) = -( sum of member W_D + W_T terms + sum of
+ordered-pair cohesion entropies within S ).  With the raw terms, which are
+non-negative, f is submodular (adding v to a superset only picks up extra
+pair terms, which can only lower the gain) and non-increasing (every member
+lowers f).  The (1 - 1/e) bound of Nemhauser, Wolsey & Fisher needs a
+non-decreasing f, so it does not apply: greedy forward selection is a
+heuristic.  With standardized terms, pair entries can be negative and f is
+not submodular either.  Exhaustive search returns the optimum whenever the
+number of size-k subsets is within ``EXHAUSTIVE_BUDGET``.
 
 Every selector reads the terms as arrays, ``(ids, a, H)`` from
 ``metrics.effective_terms``, so that f(S) = -(a[S].sum() + H[S][:, S].sum()),
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import RankingRecord, TEConfig, format_real
+from .data_io import TEConfig, format_real
 from .errors import ValidationError
 from .metrics import PairwiseCache, effective_terms, subset_f
 
@@ -42,13 +45,6 @@ class EnsembleCandidate:
         if len(set(ids)) != len(ids):
             raise ValidationError("ensemble candidate has duplicate ids")
         object.__setattr__(self, "ids", ids)
-
-    @property
-    def k(self) -> int:
-        return len(self.ids)
-
-    def sorted_ids(self) -> tuple:
-        return tuple(sorted(self.ids))
 
 
 @dataclass(frozen=True)
@@ -203,10 +199,3 @@ def write_selection(trace: SelectionTrace, path):
                 f"{format_real(step.f_cumulative)}\n"
             )
         fh.write("ensemble," + ";".join(trace.final.ids) + "\n")
-
-
-def rankings_from_scores(scored) -> list:
-    """Convert (candidate, osborn_value) pairs into ranking records with
-    alpha = -osborn_value (higher alpha predicts better transfer)."""
-    return [RankingRecord(ensemble=cand.sorted_ids(), alpha=-value)
-            for cand, value in scored]

@@ -45,7 +45,7 @@ from .data_io import (
     write_predictions,
 )
 from .errors import ValidationError
-from .evaluation import ensemble_accuracy, majority_vote_accuracy
+from .evaluation import majority_vote_accuracy
 
 import json
 import os
@@ -248,9 +248,9 @@ def proxy_accuracy(member_ids, pool) -> float:
 
     ``pool`` is a SynthPool, a PoolManifest or a PoolPredictions.
     """
-    manifest = pool.manifest if isinstance(pool, SynthPool) else pool
-    preds = [manifest.target_predictions(str(mid)) for mid in member_ids]
-    return ensemble_accuracy(preds, manifest.target_labels)
+    member_ids = list(member_ids)
+    one = np.arange(len(member_ids))[None, :]
+    return float(proxy_accuracies(member_ids, one, pool)[0])
 
 
 def proxy_accuracies(ids, combos, pool) -> np.ndarray:

@@ -18,7 +18,6 @@ from osborn import cli
 from osborn.data_io import TEConfig
 from osborn.evaluation import kendall_tau, pearson, weighted_kendall_tau
 from osborn.metrics import (
-    JointLabelDistribution,
     PredictionVector,
     build_pairwise_cache,
     cohesion_pair,
@@ -230,8 +229,7 @@ def test_criterion_6_entropy_terms_match_joint_table_oracles():
         if table.sum() == 0.0:
             table[0, 0] = 1.0
         table /= table.sum()
-        joint = JointLabelDistribution(table, a, b)
-        assert w_task(joint) == pytest.approx(
+        assert w_task(table) == pytest.approx(
             cond_entropy_rows_given_cols(table), abs=1e-12)
     for _ in range(250):
         n = int(rng.integers(4, 40))
@@ -243,11 +241,11 @@ def test_criterion_6_entropy_terms_match_joint_table_oracles():
         assert cohesion_pair(pi, pj) == pytest.approx(
             cond_entropy_rows_given_cols(counts), abs=1e-12)
     # analytic anchors
-    assert w_task(JointLabelDistribution(np.eye(3) / 3, 3, 3)) \
+    assert w_task(np.eye(3) / 3) \
         == pytest.approx(0.0, abs=1e-12)
-    assert w_task(JointLabelDistribution(np.full((2, 2), 0.25), 2, 2)) \
+    assert w_task(np.full((2, 2), 0.25)) \
         == pytest.approx(math.log(2.0), abs=1e-12)
-    assert w_task(JointLabelDistribution(np.full((5, 5), 0.04), 5, 5)) \
+    assert w_task(np.full((5, 5), 0.04)) \
         == pytest.approx(math.log(5.0), abs=1e-12)
     same = PredictionVector(np.array([0, 1, 2, 0]), 3)
     assert cohesion_pair(same, same) == 0.0

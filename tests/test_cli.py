@@ -1,6 +1,7 @@
 """Command line driver: exit codes, file handoff, and reproducibility."""
 
 import filecmp
+import json
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from osborn.data_io import (
     write_scores,
 )
 from osborn.metrics import read_cache
-from osborn.selection import exhaustive_select, rankings_from_scores, score_all
+from osborn.selection import exhaustive_select, score_all
 from osborn.synth import proxy_accuracy, read_synth_spec
 
 SPEC_TEXT = (
@@ -95,6 +96,40 @@ def test_unknown_config_key_exits_one(tmp_path, pool_dir, capsys):
                      "--out", str(tmp_path / "cache.csv")])
     assert code == 1
     assert "warp_factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, where", [
+    ("target_labels", 5, "manifest key 'target_labels'"),
+    ("target_predictions", None, "model 'm01' key 'target_predictions'"),
+    ("source_features", ["a.csv"], "model 'm01' key 'source_features'"),
+])
+def test_non_string_manifest_path_exits_one(tmp_path, pool_dir, capsys,
+                                            key, value, where):
+    manifest = pool_dir / "pool.json"
+    doc = json.loads(manifest.read_text())
+    if key == "target_labels":
+        doc[key] = value
+    else:
+        doc["models"][1][key] = value
+    manifest.write_text(json.dumps(doc))
+    for command in ("pairwise", "score"):
+        extra = [] if command == "pairwise" else ["--cache", "c.csv", "--k", "1"]
+        code = cli.main([command, "--pool", str(manifest), *extra,
+                         "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert where in err and "must be a path string" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_pairwise_threads_below_one_exit_one(tmp_path, pool_dir, capsys, threads):
+    out = tmp_path / "cache.csv"
+    code = cli.main(["pairwise", "--pool", str(pool_dir / "pool.json"),
+                     "--threads", threads, "--out", str(out)])
+    assert code == 1
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_weights_exit_one(tmp_path, pool_dir, capsys):
@@ -188,9 +223,9 @@ def test_score_rankings_equal_the_row_by_row_file(tmp_path, pool_dir):
                          "--out", str(ranks)]) == 0
         ref = tmp_path / f"ref{k}.csv"
         write_scores([
-            RankingRecord(ensemble=rec.ensemble, alpha=rec.alpha,
-                          accuracy=proxy_accuracy(rec.ensemble, pool))
-            for rec in rankings_from_scores(score_all(pool, k, cache, TEConfig()))
+            RankingRecord(ensemble=cand.ids, alpha=-value,
+                          accuracy=proxy_accuracy(cand.ids, pool))
+            for cand, value in score_all(pool, k, cache, TEConfig())
         ], ref)
         assert ranks.read_bytes() == ref.read_bytes()
 

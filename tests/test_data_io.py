@@ -23,7 +23,6 @@ from osborn.data_io import (
     read_rankings,
     read_scores,
     stratified_indices,
-    stratified_subsample,
     substream_seed,
     validate_record,
     write_config,
@@ -435,20 +434,6 @@ def test_stratified_rejects_impossible_caps():
         stratified_indices(labels, 2, seed=0)
     with pytest.raises(ValidationError, match=">= 1"):
         stratified_indices(labels, 0, seed=0)
-
-
-def test_stratified_subsample_pairs_rows_with_labels():
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(50, 3))
-    labels = LabelVector(rng.integers(0, 2, 50), 2)
-    Xs, ls = stratified_subsample(X, labels, 10, seed=1)
-    assert Xs.shape == (10, 3)
-    assert len(ls) == 10
-    idx = stratified_indices(labels, 10, seed=1)
-    assert np.array_equal(Xs, X[idx])
-    assert np.array_equal(ls.values, labels.values[idx])
-    with pytest.raises(ValidationError, match="rows but labels"):
-        stratified_subsample(X[:-1], labels, 10, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Source hygiene: every name a module imports, and every module-level
 private function it defines, is used in that module; imports sit at module
-level; and every parameter of a module-level private function is read."""
+level; every parameter of a module-level private function is read; and
+every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "osborn"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "osborn"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -88,3 +91,15 @@ def test_exports_match_imports():
                     and [t.id for t in node.targets] == ["__all__"])
     assert exported == sorted(set(exported))
     assert set(exported) == {name for name, _ in _imported_names(tree)}
+
+
+def test_every_traced_name_exists():
+    # bench/run.py --trace 1 replaces each (module, attribute) of WRAPPED
+    # with a timing wrapper, so a renamed or deleted attribute breaks the
+    # traced benchmark; the tracer itself is not installed here
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module.__name__}.{attr}" for module, attr, *_ in tracing.WRAPPED
+               if not callable(getattr(module, attr, None))]
+    assert tracing.WRAPPED and not missing, "traced names missing: " + ", ".join(missing)

@@ -9,7 +9,6 @@ from osborn import metrics
 from osborn.data_io import LabelVector, PoolManifest, PredictionVector, TEConfig
 from osborn.errors import ValidationError
 from osborn.metrics import (
-    JointLabelDistribution,
     PairwiseCache,
     build_pairwise_cache,
     cohesion_pair,
@@ -17,8 +16,6 @@ from osborn.metrics import (
     osborn_score,
     read_cache,
     standardize_terms,
-    w_cohesion,
-    w_domain,
     w_task,
     write_cache,
 )
@@ -41,8 +38,7 @@ def _random_joint(rng, cs, ct, zeros=0.3):
     if table.sum() == 0:
         table[0, 0] = 1.0
     table /= table.sum()
-    return JointLabelDistribution(table=table, num_source_classes=cs,
-                                  num_target_classes=ct)
+    return table
 
 
 def _cache(wd, wt, pair_h, converged=None):
@@ -58,7 +54,7 @@ def _cache(wd, wt, pair_h, converged=None):
 
 
 # ---------------------------------------------------------------------------
-# joint label distribution
+# joint label table
 # ---------------------------------------------------------------------------
 
 
@@ -70,9 +66,9 @@ def test_joint_from_coupling_matches_scalar_accumulation():
     tgt = LabelVector(rng.integers(0, 4, 5), 4)
     joint = joint_from_coupling(_coupling_from_plan(plan), src, tgt)
     ref = joint_table_loop(plan, src.values, tgt.values, 3, 4)
-    assert np.allclose(joint.table, ref, atol=1e-15)
-    assert joint.table.sum() == pytest.approx(plan.sum(), abs=1e-12)
-    assert np.allclose(joint.target_marginal(), joint.table.sum(axis=0))
+    assert joint.shape == (3, 4)
+    assert np.allclose(joint, ref, atol=1e-15)
+    assert joint.sum() == pytest.approx(plan.sum(), abs=1e-12)
 
 
 def test_joint_from_coupling_checks_lengths():
@@ -97,19 +93,19 @@ def test_w_task_matches_conditional_entropy_oracle():
         ct = int(rng.integers(1, 6))
         joint = _random_joint(rng, cs, ct)
         assert w_task(joint) == pytest.approx(
-            cond_entropy_rows_given_cols(joint.table), abs=1e-12)
+            cond_entropy_rows_given_cols(joint), abs=1e-12)
 
 
 def test_w_task_analytic_values():
     # deterministic diagonal: knowing the column pins the row
-    diag = JointLabelDistribution(np.diag([0.25, 0.35, 0.40]), 3, 3)
+    diag = np.diag([0.25, 0.35, 0.40])
     assert w_task(diag) == 0.0
     # independent uniform binary: one bit of leftover uncertainty
-    flat2 = JointLabelDistribution(np.full((2, 2), 0.25), 2, 2)
+    flat2 = np.full((2, 2), 0.25)
     assert w_task(flat2) == pytest.approx(math.log(2.0), abs=1e-12)
     # independent uniform over C source classes
     for c in (3, 4, 5):
-        flat = JointLabelDistribution(np.full((c, c), 1.0 / c ** 2), c, c)
+        flat = np.full((c, c), 1.0 / c ** 2)
         assert w_task(flat) == pytest.approx(math.log(c), abs=1e-12)
 
 
@@ -121,7 +117,7 @@ def test_w_task_nonnegative_on_random_tables():
 
 
 def test_w_task_empty_table_is_zero():
-    assert w_task(JointLabelDistribution(np.zeros((2, 3)), 2, 3)) == 0.0
+    assert w_task(np.zeros((2, 3))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +162,22 @@ def test_cohesion_pair_length_mismatch():
 
 
 def test_w_cohesion_sums_ordered_pairs():
+    # with lambda_d = lambda_t = 0 the score is W_C alone
     pair_h = {("a", "b"): 0.5, ("b", "a"): 0.25,
               ("a", "c"): 1.0, ("c", "a"): 2.0,
               ("b", "c"): 0.125, ("c", "b"): 4.0}
-    cache = _cache({"a": 0, "b": 0, "c": 0}, {"a": 0, "b": 0, "c": 0}, pair_h)
-    assert w_cohesion(("a", "b"), cache) == 0.75
-    assert w_cohesion(("a", "b", "c"), cache) == pytest.approx(7.875, abs=1e-12)
-    assert w_cohesion(("a",), cache) == 0.0
+    cache = _cache({"a": 9.0, "b": 9.0, "c": 9.0}, {"a": 9.0, "b": 9.0, "c": 9.0},
+                   pair_h)
+    cfg = TEConfig(lambda_d=0.0, lambda_t=0.0, standardize=False)
+
+    def w_c(ensemble):
+        return osborn_score(ensemble, cache, cfg).osborn_value
+
+    assert w_c(("a", "b")) == 0.75
+    assert w_c(("a", "b", "c")) == pytest.approx(7.875, abs=1e-12)
+    assert w_c(("a",)) == 0.0
     with pytest.raises(ValidationError, match="duplicate"):
-        w_cohesion(("a", "a"), cache)
+        w_c(("a", "a"))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +321,12 @@ def test_build_cache_matches_direct_term_computation():
     # cap exceeds the pool size, so no subsampling: terms must equal direct
     # per-model computation on the full data
     for i, rec in zip(cache.positions(pool.models), pool.models):
-        wd, coup = w_domain(rec, rec.target_features, cfg)
+        C = cost_matrix(rec.source_features, rec.target_features)
+        marg = MarginalWeights.uniform(*C.shape)
+        coup = sinkhorn(C, marg, cfg.epsilon * median_positive_cost(C),
+                        cfg.max_iters, cfg.convergence_tol)
         joint = joint_from_coupling(coup, rec.source_labels, pool.target_labels)
-        assert cache.wd[i] == wd
+        assert cache.wd[i] == coup.transport_cost
         assert cache.wt[i] == w_task(joint)
         assert cache.converged[i] == coup.converged
     for a in pool.models:

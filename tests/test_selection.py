@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from osborn.data_io import RankingRecord, TEConfig
+from osborn.data_io import TEConfig
 from osborn.errors import ValidationError
 from osborn.metrics import (
     PairwiseCache,
@@ -20,7 +20,6 @@ from osborn.selection import (
     exhaustive_select,
     greedy_select,
     marginal_gain,
-    rankings_from_scores,
     score_all,
     score_subsets,
     write_selection,
@@ -61,9 +60,7 @@ def _f(subset, cache, cfg):
 
 def test_candidate_validation_and_ordering():
     c = EnsembleCandidate(("b", "a", "c"))
-    assert c.k == 3
     assert c.ids == ("b", "a", "c")
-    assert c.sorted_ids() == ("a", "b", "c")
     with pytest.raises(ValidationError, match="duplicate"):
         EnsembleCandidate(("a", "a"))
     with pytest.raises(ValidationError, match="non-empty"):
@@ -298,14 +295,6 @@ def test_score_subsets_on_a_one_model_cache_warns_of_nothing():
     assert list(ids) == ["m0"]
     assert combos.tolist() == [[0]]
     assert values.tolist() == [0.0]
-
-
-def test_rankings_negate_scores():
-    scored = [(EnsembleCandidate(("b", "a")), 2.5),
-              (EnsembleCandidate(("c",)), -1.0)]
-    recs = rankings_from_scores(scored)
-    assert recs[0] == RankingRecord(ensemble=("a", "b"), alpha=-2.5)
-    assert recs[1] == RankingRecord(ensemble=("c",), alpha=1.0)
 
 
 # ---------------------------------------------------------------------------
