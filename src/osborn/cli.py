@@ -110,11 +110,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_unconverged(cache) -> None:
+    """One stderr line for each model whose cached terms come from a
+    transport solve that did not converge."""
+    for mid, converged in zip(cache.ids, cache.converged):
+        if not converged:
+            print(f"warning: model '{mid}': transport solve did not converge; "
+                  "its W_D and W_T are not converged values", file=sys.stderr)
+
+
 def cmd_pairwise(args) -> int:
     cfg = _resolve_config(args)
     pool = data_io.load_pool(args.pool)
     cache = metrics.build_pairwise_cache(pool, cfg, threads=args.threads)
     metrics.write_cache(cache, args.out)
+    _warn_unconverged(cache)
     return 0
 
 
@@ -122,6 +132,7 @@ def cmd_select(args) -> int:
     cfg = _resolve_config(args)
     pool = data_io.load_pool_predictions(args.pool)
     cache = metrics.read_cache(args.cache)
+    _warn_unconverged(cache)
     select = {"greedy": selection.greedy_select,
               "exhaustive": selection.exhaustive_trace}[args.strategy]
     trace = select(pool, args.k, cache, cfg)
@@ -133,6 +144,7 @@ def cmd_score(args) -> int:
     cfg = _resolve_config(args)
     pool = data_io.load_pool_predictions(args.pool)
     cache = metrics.read_cache(args.cache)
+    _warn_unconverged(cache)
     ids, combos, values = selection.score_subsets(pool, args.k, cache, cfg)
     accuracy = synth.proxy_accuracies(ids, combos, pool) if args.proxy_accuracy \
         else None

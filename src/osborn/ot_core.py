@@ -4,7 +4,9 @@ Three routes to a transport plan:
 
 * ``sinkhorn``         -- entropic regularization, kernel-domain scaling on a
   stabilized kernel whose large scalings are absorbed into log-domain
-  potentials (Cuturi 2013; Schmitzer 2019), finished by Newton steps
+  potentials (Cuturi 2013; Schmitzer 2019), finished at every size by
+  matrix-free inexact Newton steps, conjugate gradients on the kernel
+  (Brauer, Clason, Lorenz & Wirth 2017)
 * ``sinkhorn_frobenius`` -- squared-Frobenius regularization, solved by
   L-BFGS on its smooth dual in the potentials (Blondel, Seguy & Rolet 2018),
   finished by semismooth Newton steps when a tight tolerance needs them
@@ -24,8 +26,19 @@ from scipy.optimize import linprog, minimize
 from .errors import ComputationError, ValidationError
 
 EXACT_MAX_CELLS = 64
-# largest n + m for which the solvers take Newton steps (an m x m solve each)
+# largest n + m for which the Frobenius solver takes semismooth Newton steps
+# (a dense m x m solve each); the entropic solver's Newton steps are
+# matrix-free and run at every size
 NEWTON_MAX_POTENTIALS = 1024
+# the entropic Newton finish starts once scaling, at the rate its last
+# iteration shrank the residual, would need more than this many further
+# iterations to reach tol: at pool scale one Newton step (its diagonal,
+# inner solve and backtracking) costs about as many matrix-vector products
+NEWTON_SWITCH_ITERS = 8
+# conjugate-gradient iterations allowed in one entropic Newton step
+NEWTON_CG_MAX_ITERS = 100
+# step lengths a damped Newton step tries, longest first
+BACKTRACK_STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625)
 # a kernel scaling outside [1 / SCALING_BOUND, SCALING_BOUND] is absorbed
 # into the log-domain potentials and the stabilized kernel is rebuilt
 SCALING_BOUND = 1e30
@@ -102,16 +115,28 @@ def cost_matrix(source, target) -> np.ndarray:
     return sq
 
 
+def _median_in_place(flat) -> float:
+    """``np.median`` of the 1-d array ``flat``, bit for bit, from one
+    partition of ``flat`` in place (``np.median`` partitions at several
+    positions): the middle entry, or the mean of the two middle entries."""
+    k = flat.size // 2
+    flat.partition(k)
+    if flat.size % 2:
+        return float(flat[k])
+    return float((flat[:k].max() + flat[k]) / 2.0)
+
+
 def median_positive_cost(cost: np.ndarray) -> float:
     """Median cost entry, falling back to the positive entries if the plain
-    median is zero (degenerate but possible with many coincident points)."""
+    median is zero (degenerate but possible with many coincident points).
+    Each median partitions a copy of the entries."""
     C = np.asarray(cost, dtype=np.float64)
-    med = float(np.median(C))
+    med = _median_in_place(C.flatten())
     if med > 0:
         return med
     pos = C[C > 0]
     if pos.size:
-        return float(np.median(pos))
+        return _median_in_place(pos)
     return 1.0
 
 
@@ -222,6 +247,13 @@ def _residual(P, b, g) -> float:
                float(np.abs(P.sum(axis=0) - g).max()))
 
 
+def _tikhonov(r, c) -> float:
+    """The diagonal shift a Newton solve adds to a transport dual's Hessian
+    with row sums ``r`` and column sums ``c``: it pins the constant-shift
+    nullspace."""
+    return 1e-12 * (1.0 + float(max(r.max(), c.max())))
+
+
 def _newton_direction(W, grad_rows, grad_cols):
     """The Newton step ``(dx, dy)`` of a transport dual with Hessian
     ``[[diag(W 1), W], [W^T, diag(W^T 1)]]`` and gradient
@@ -235,7 +267,7 @@ def _newton_direction(W, grad_rows, grad_cols):
     """
     r = W.sum(axis=1)
     c = W.sum(axis=0)
-    lam = 1e-12 * (1.0 + float(max(r.max(), c.max())))
+    lam = _tikhonov(r, c)
     r += lam
     S = -(W.T @ (W / r[:, None]))
     S[np.diag_indices_from(S)] += c + lam
@@ -243,31 +275,92 @@ def _newton_direction(W, grad_rows, grad_cols):
     return -(grad_rows + W @ dy) / r, dy
 
 
-def _newton_polish_step(W, plan_of, f, h, P, b, g, res):
-    """One damped Newton step on a transport dual in the potentials (f, h).
+def _pcg(matvec, rhs, diag, eta):
+    """Conjugate gradients for ``matvec(y) = rhs`` from ``y = 0`` with the
+    Jacobi preconditioner ``diag``: stops once the residual norm is at most
+    ``eta |rhs|`` or after ``NEWTON_CG_MAX_ITERS`` iterations."""
+    y = np.zeros_like(rhs)
+    resid = rhs.copy()
+    z = resid / diag
+    p = z
+    rz = float(resid @ z)
+    stop = eta * eta * float(rhs @ rhs)
+    for _ in range(NEWTON_CG_MAX_ITERS):
+        Sp = matvec(p)
+        pSp = float(p @ Sp)
+        if not pSp > 0:  # rounding broke positive definiteness
+            break
+        alpha = rz / pSp
+        y += alpha * p
+        resid -= alpha * Sp
+        if float(resid @ resid) <= stop:
+            break
+        z = resid / diag
+        rz, rz_old = float(resid @ z), rz
+        p = z + (rz / rz_old) * p
+    return y
 
-    The dual gradient is the marginal defect of ``P = plan_of(f, h)`` and the
-    Hessian is ``[[diag(W 1), W], [W^T, diag(W^T 1)]]`` (see
-    ``_newton_direction``): ``W`` is the plan itself for the entropic dual
-    (up to the shared epsilon factor, which cancels in the step) and the 0/1
-    support of the plan over ``2 epsilon`` for the quadratic dual, where
-    this is a semismooth Newton step on the current support.  Backtracks on
-    the residual; reports failure so the caller can fall back or stop.
+
+def _newton_cg_direction(Kt, u, v, Kv, b, g, eta):
+    """The Newton step ``(dx, dy)`` on the log-scalings of the entropic plan
+    ``P = diag(u) Kt diag(v)``, with ``Kv = Kt v``, computed without forming
+    ``P``.
+
+    The entropic dual's gradient in the log-scalings is the marginal defect
+    ``(r - b, c - g)`` of ``P``, with ``r = u (Kt v)`` and ``c = v (Kt^T u)``,
+    and its Hessian is ``[[diag(r), P], [P^T, diag(c)]]`` (the epsilon factor
+    cancels in the step), so this is ``_newton_direction(P, r - b, c - g)``
+    solved inexactly.  ``dy`` solves the Schur complement ``S = diag(c +
+    lam) - P^T diag(r + lam)^-1 P`` by conjugate gradients to the relative
+    residual ``eta`` (Brauer, Clason, Lorenz & Wirth 2017).  ``S`` is never
+    formed: ``P y = u (Kt (v y))`` and ``P^T z = v (Kt^T (u z))``, so a
+    product with ``S`` is two matrix-vector products with ``Kt``.  The
+    preconditioner is the diagonal of ``S``, from one pass over ``Kt``; it
+    is what keeps the near-permutation plans of a small epsilon solvable.
     """
-    try:
-        dx, dy = _newton_direction(W, P.sum(axis=1) - b, P.sum(axis=0) - g)
-    except np.linalg.LinAlgError:
-        return f, h, P, res, False
+    r = u * Kv
+    c = v * (Kt.T @ u)
+    grad_r = r - b
+    grad_c = c - g
+    lam = _tikhonov(r, c)
+    r += lam
+    c += lam
+    w = u * u / r  # P y / (r + lam) = w (Kt (v y))
+
+    def schur(y):
+        return c * y - v * (Kt.T @ (w * (Kt @ (v * y))))
+
+    # diag(S)_j = c_j + lam - sum_i P_ij^2 / (r_i + lam), kept positive
+    diag = np.maximum(c - v * v * np.einsum("ij,ij,i->j", Kt, Kt, w), lam)
+    dy = _pcg(schur, v * (Kt.T @ (u * grad_r / r)) - grad_c, diag, eta)
+    return -(grad_r + u * (Kt @ (v * dy))) / r, dy
+
+
+def _newton_cg_step(Kt, u, v, Kv, b, g, res, tol):
+    """One damped inexact Newton step on the log-scalings of the entropic
+    plan ``diag(u) Kt diag(v)`` (``_newton_cg_direction``).
+
+    The inner solve's relative residual is ``min(0.1, res / max(b), tol /
+    res)``: the middle term is the quadratic forcing of Dembo, Eisenstat &
+    Steihaug (1982); the last keeps what the inexact solve leaves of the
+    defect below ``tol``, so the step that converges lands where an exact
+    Newton step would.  Backtracks on the residual, each trial's from two
+    matrix-vector products.  Returns ``(u, v, Kt v, res, ok)``; ``ok`` is
+    false when no trial lowered the residual.
+    """
+    eta = min(0.1, res / float(b.max()), tol / res)
+    dx, dy = _newton_cg_direction(Kt, u, v, Kv, b, g, eta)
     if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
-        return f, h, P, res, False
-    for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        f_try = f + alpha * dx
-        h_try = h + alpha * dy
-        P_try = plan_of(f_try, h_try)
-        res_try = _residual(P_try, b, g)
+        return u, v, Kv, res, False
+    for alpha in BACKTRACK_STEPS:
+        u_try = u * np.exp(alpha * dx)
+        v_try = v * np.exp(alpha * dy)
+        Kv_try = Kt @ v_try
+        res_try = max(float(np.abs(u_try * Kv_try - b).max()),
+                      float(np.abs(v_try * (Kt.T @ u_try) - g).max()))
         if res_try < res:
-            return f_try, h_try, P_try, res_try, True
-    return f, h, P, res, False
+            return u_try, v_try, Kv_try, res_try, True
+    return u, v, Kv, res, False
 
 
 def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
@@ -287,13 +380,21 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     whole rows of the kernel.  Convergence is declared when the worse of
     the two marginal residuals (infinity norm) drops to ``tol``.
 
-    Once the residual is small on instances with n + m at most
-    ``NEWTON_MAX_POTENTIALS``, damped Newton steps on the log-scalings
-    finish the solve, each through an m x m Schur complement: at small
-    ``epsilon`` with near-degenerate costs plain scaling contracts like
-    1 - O(1e-4) per sweep and cannot reach tight tolerances in any
-    reasonable budget, while the Newton phase converges quadratically to
-    the same potentials.
+    Once the residual is at most ``max(100 tol, 1e-4)`` and scaling, at the
+    rate of its last iteration, would need more than
+    ``NEWTON_SWITCH_ITERS`` further iterations to reach ``tol``, damped
+    inexact Newton steps on the log-scalings finish the solve, at every
+    problem size (``_newton_cg_step``): at small ``epsilon`` with
+    near-degenerate costs plain scaling contracts like 1 - O(1e-4) per sweep
+    and cannot reach tight tolerances in any reasonable budget, while the
+    Newton phase converges quadratically to the same potentials.  Each
+    step solves its m x m Schur complement by preconditioned conjugate
+    gradients through matrix-vector products with ``Kt``, so it forms
+    neither that matrix nor the plan, and its trial residuals come from
+    matrix-vector products too.  A step counts as one iteration; one that
+    cannot lower the residual hands the rest of the solve back to scaling.
+    The call holds one n x m array, ``Kt``, which finally becomes the plan
+    in place.
     """
     epsilon, max_iters, tol = _validate_settings(epsilon, max_iters, tol)
     C = _validate_problem(cost, marginals)
@@ -311,25 +412,16 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     Kv = Kt @ v
     res = float(np.abs(Kv - b).max())
     iters = 1
-
-    def plan_of(x, y):
-        return np.exp(x)[:, None] * Kt * np.exp(y)[None, :]
-
-    newton_ok = sum(Cr.shape) <= NEWTON_MAX_POTENTIALS
+    newton_ok = True
     newton_gate = max(100.0 * float(tol), 1e-4)
-    P = None  # the plan, while Newton steps hold it
+    contraction = 0.0  # res / its value before the last scaling iteration
     while iters < max_iters and res > tol:
         iters += 1
-        if newton_ok and res <= newton_gate:
-            x, y = np.log(u), np.log(v)
-            if P is None:
-                P = plan_of(x, y)
-            x, y, P, res, newton_ok = _newton_polish_step(
-                P, plan_of, x, y, P, b, g, res)
-            u, v = np.exp(x), np.exp(y)
-            Kv = Kt @ v
+        if (newton_ok and res <= newton_gate
+                and res * contraction ** NEWTON_SWITCH_ITERS > tol):
+            u, v, Kv, res, newton_ok = _newton_cg_step(Kt, u, v, Kv, b, g, res, tol)
         else:
-            P = None
+            res_before = res
             u = b / Kv
             v = g / (Kt.T @ u)
             if (min(u.min(), v.min()) < 1.0 / SCALING_BOUND
@@ -341,13 +433,47 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
                 v = np.ones_like(g)
             Kv = Kt @ v
             res = float(np.abs(u * Kv - b).max())
-    if P is None:
-        Kt *= u[:, None]
-        Kt *= v[None, :]
-        P = Kt
-    if not np.all(np.isfinite(P)):
+            contraction = res / res_before
+    Kt *= u[:, None]
+    Kt *= v[None, :]
+    if not np.all(np.isfinite(Kt)):
         raise ComputationError("sinkhorn produced non-finite plan entries")
-    return _coupling(C, P, rows, cols, iters, res <= tol)
+    return _coupling(C, Kt, rows, cols, iters, res <= tol)
+
+
+def _frobenius_plan(Cr, f, h, epsilon, out):
+    """The squared-Frobenius plan ``[f_i + h_j - C_ij]_+ / (2 epsilon)``,
+    written into ``out``."""
+    P = _clipped_excess(Cr, f, h, out)
+    P /= 2.0 * epsilon
+    return P
+
+
+def _frobenius_newton_step(Cr, epsilon, f, h, P, b, g, res):
+    """One damped semismooth Newton step on the squared-Frobenius dual in
+    the potentials ``(f, h)``.
+
+    The dual gradient is the marginal defect of the plan ``P`` and, on its
+    current support, the Hessian is ``[[diag(W 1), W], [W^T, diag(W^T 1)]]``
+    with ``W`` the 0/1 support over ``2 epsilon`` (``_newton_direction``).
+    Backtracks on the residual, forming each trial plan in a fresh array;
+    reports failure so the caller can stop.
+    """
+    try:
+        dx, dy = _newton_direction((P > 0) / (2.0 * epsilon),
+                                   P.sum(axis=1) - b, P.sum(axis=0) - g)
+    except np.linalg.LinAlgError:
+        return f, h, P, res, False
+    if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
+        return f, h, P, res, False
+    for alpha in BACKTRACK_STEPS:
+        f_try = f + alpha * dx
+        h_try = h + alpha * dy
+        P_try = _frobenius_plan(Cr, f_try, h_try, epsilon, np.empty_like(Cr))
+        res_try = _residual(P_try, b, g)
+        if res_try < res:
+            return f_try, h_try, P_try, res_try, True
+    return f, h, P, res, False
 
 
 def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
@@ -375,24 +501,18 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     rows, cols, b, g, Cr = _reduce(C, marginals)
     nr, mc = Cr.shape
     buf = np.empty_like(Cr)
-
-    def plan_of(f, h, out=None):
-        P = _clipped_excess(Cr, f, h, np.empty_like(Cr) if out is None else out)
-        P /= 2.0 * epsilon
-        return P
-
     opt = minimize(_frobenius_dual, np.zeros(nr + mc), args=(Cr, b, g, epsilon, buf),
                    jac=True, method="L-BFGS-B",
                    options={"gtol": float(tol), "ftol": 0.0, "maxiter": max_iters})
     f, h = opt.x[:nr], opt.x[nr:]
-    P = plan_of(f, h, buf)
+    P = _frobenius_plan(Cr, f, h, epsilon, buf)
     res = _residual(P, b, g)
     iters = int(opt.nit)
     newton_ok = (nr + mc) <= NEWTON_MAX_POTENTIALS
     while res > tol and newton_ok and iters < max_iters:
         iters += 1
-        f, h, P, res, newton_ok = _newton_polish_step(
-            (P > 0) / (2.0 * epsilon), plan_of, f, h, P, b, g, res)
+        f, h, P, res, newton_ok = _frobenius_newton_step(
+            Cr, epsilon, f, h, P, b, g, res)
     if not np.all(np.isfinite(P)):
         raise ComputationError("frobenius solver produced non-finite plan entries")
     return _coupling(C, P, rows, cols, iters, res <= tol)

@@ -132,6 +132,33 @@ def test_pairwise_threads_below_one_exit_one(tmp_path, pool_dir, capsys, threads
     assert not out.exists()
 
 
+def test_unconverged_models_are_named_on_stderr(tmp_path, pool_dir, capsys):
+    # max_iters = 1 stops every solve after its first sweep: pairwise,
+    # select and score each name all four models once and still exit 0
+    pool = str(pool_dir / "pool.json")
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("max_iters = 1\n")
+    cache = tmp_path / "cache.csv"
+    runs = [
+        ["pairwise", "--pool", pool, "--config", str(cfg), "--out", str(cache)],
+        ["select", "--pool", pool, "--cache", str(cache), "--k", "2",
+         "--out", str(tmp_path / "trace.csv")],
+        ["score", "--pool", pool, "--cache", str(cache), "--k", "2",
+         "--out", str(tmp_path / "ranks.csv")],
+    ]
+    expected = [f"warning: model '{mid}': transport solve did not converge; "
+                "its W_D and W_T are not converged values"
+                for mid in ("m00", "m01", "m02", "m03")]
+    for argv in runs:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == expected, argv[0]
+    assert not any(read_cache(cache).converged)
+    # a converged cache warns about nothing
+    assert cli.main(["pairwise", "--pool", pool, "--out", str(cache)]) == 0
+    assert cli.main(runs[2]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_malformed_weights_exit_one(tmp_path, pool_dir, capsys):
     pool = pool_dir / "pool.json"
     cache = tmp_path / "cache.csv"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from osborn import ot_core
@@ -21,6 +23,7 @@ from osborn.ot_core import (
     sinkhorn,
     sinkhorn_frobenius,
     _frobenius_dual,
+    _newton_cg_direction,
     _newton_direction,
 )
 from osborn.synth import SynthSpec, build_pool
@@ -89,6 +92,29 @@ def test_cost_matrix_is_bit_identical_to_the_dense_expression_in_one_array():
     # at 1000 x 1000 the result plus one block of norm sums, not two
     # temporaries beside it
     assert ratio <= 1.5
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (4, 5), (37, 41), (40, 42)])
+def test_median_positive_cost_is_bit_identical_to_np_median(shape):
+    # one partition of a copy against np.median, on odd and even sizes
+    rng = np.random.default_rng(sum(shape))
+    cases = {
+        "random": rng.exponential(size=shape),
+        "heavy ties": rng.integers(1, 4, size=shape).astype(float) / 3.0,
+        "all equal": np.full(shape, 0.7),
+    }
+    mostly_zero = np.zeros(shape)
+    mostly_zero.flat[::3] = rng.uniform(0.5, 2.0, size=mostly_zero.flat[::3].size)
+    cases["mostly zero"] = mostly_zero
+    for name, C in cases.items():
+        before = C.copy()
+        med = np.median(C)
+        if not med > 0:
+            med = np.median(C[C > 0])
+        got = median_positive_cost(C)
+        assert type(got) is float
+        assert got == float(med), name
+        assert np.array_equal(C, before), name  # the input is not reordered
 
 
 def test_median_positive_cost_fallbacks():
@@ -373,8 +399,10 @@ def test_newton_direction_solves_the_dense_system(support):
 
 
 def test_sinkhorn_converges_at_pool_scale_without_a_newton_finish():
-    # 600 x 600 at the default config: n + m is past the Newton limit, so
-    # kernel scaling alone must reach the tolerance
+    # 600 x 600 at the default config, n + m past NEWTON_MAX_POTENTIALS,
+    # which now limits only the Frobenius solver's dense Newton finish.
+    # Kernel scaling does most of the work; the matrix-free Newton finish,
+    # which runs at every size, takes the last step once scaling stalls
     spec = SynthSpec(num_models=2, feature_dim=8, source_classes=4,
                      target_classes=4, samples=600, domain_shift=(0.0, 1.5),
                      prediction_noise=(0.0, 0.4), seed=7)
@@ -389,6 +417,98 @@ def test_sinkhorn_converges_at_pool_scale_without_a_newton_finish():
     assert _residual(out, marg) <= cfg.convergence_tol
     # the log-domain loop needs 17
     assert out.iterations_used <= 17
+
+
+def _pool_scale_cost():
+    """The 1500 x 1500 cost matrix of the shift-1.5 model of a 4-model pool
+    (seed 7, d = 16)."""
+    spec = SynthSpec(num_models=4, feature_dim=16, source_classes=4,
+                     target_classes=4, samples=1500,
+                     domain_shift=(0.0, 0.5, 1.0, 1.5),
+                     prediction_noise=(0.0, 0.4 / 3, 0.8 / 3, 0.4), seed=7)
+    rec = build_pool(spec).manifest.models[3]
+    return cost_matrix(rec.source_features, rec.target_features)
+
+
+def test_sinkhorn_converges_at_small_epsilon_at_pool_scale():
+    # 1500 x 1500 at 0.01 x median: plain scaling shrinks the residual by
+    # only about 10 % per iteration here and stops unconverged at the
+    # default budget, while the matrix-free Newton finish converges in a
+    # few steps without any n x m array beside the kernel buffer that
+    # becomes the plan
+    C = _pool_scale_cost()
+    marg = MarginalWeights.uniform(*C.shape)
+    eps = 0.01 * median_positive_cost(C)
+    cfg = TEConfig()
+    out, ratio = peak_ratio(
+        lambda: sinkhorn(C, marg, eps, cfg.max_iters, cfg.convergence_tol),
+        C.nbytes)
+    assert out.converged
+    assert _residual(out, marg) <= cfg.convergence_tol
+    assert out.iterations_used <= 30
+    assert ratio <= 1.5
+
+
+def test_sinkhorn_keeps_scaling_while_it_would_reach_tol_sooner(monkeypatch):
+    # the same instance at the default epsilon: below the Newton gate the
+    # residual still shrinks fast enough to reach tol within
+    # NEWTON_SWITCH_ITERS scaling iterations, which cost less than one
+    # Newton step at this size, so none is taken
+    calls = []
+    newton_step = ot_core._newton_cg_step
+    monkeypatch.setattr(ot_core, "_newton_cg_step",
+                        lambda *args: calls.append(args) or newton_step(*args))
+    C = _pool_scale_cost()
+    marg = MarginalWeights.uniform(*C.shape)
+    cfg = TEConfig()
+    out = sinkhorn(C, marg, cfg.epsilon * median_positive_cost(C),
+                   cfg.max_iters, cfg.convergence_tol)
+    assert out.converged
+    assert calls == []
+
+
+def test_newton_cg_direction_matches_the_dense_step():
+    # the matrix-free Schur-complement step on diag(u) Kt diag(v) against
+    # _newton_direction on that plan, formed here
+    rng = np.random.default_rng(6)
+    n, m = 9, 7
+    Kt = rng.uniform(0.05, 1.0, size=(n, m))
+    u = rng.uniform(0.5, 2.0, size=n)
+    v = rng.uniform(0.5, 2.0, size=m)
+    b = np.full(n, 1.0 / n)
+    g = np.full(m, 1.0 / m)
+    P = u[:, None] * Kt * v[None, :]
+    dx, dy = _newton_cg_direction(Kt, u, v, Kt @ v, b, g, 1e-13)
+    ref_dx, ref_dy = _newton_direction(P, P.sum(axis=1) - b, P.sum(axis=0) - g)
+    # as in the dense test, the plan sees only dx_i + dy_j
+    assert np.allclose(dx[:, None] + dy[None, :],
+                       ref_dx[:, None] + ref_dy[None, :], rtol=0, atol=1e-9)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), m=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1),
+       eps_mult=_log_uniform(1e-2, 1.0), tol=_log_uniform(1e-8, 1e-6),
+       max_iters=st.integers(1, 1000))
+def test_sinkhorn_properties_on_random_instances(n, m, seed, eps_mult, tol,
+                                                 max_iters):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 5))
+    C = cost_matrix(rng.normal(size=(n, d)),
+                    rng.normal(size=(m, d)) + rng.uniform(0.0, 2.0))
+    b = rng.uniform(0.1, 1.0, size=n)
+    g = rng.uniform(0.1, 1.0, size=m)
+    marg = MarginalWeights(b / b.sum(), g / g.sum())
+    coup = sinkhorn(C, marg, eps_mult * median_positive_cost(C), max_iters, tol)
+    assert np.all(np.isfinite(coup.plan))
+    assert np.all(coup.plan >= 0.0)
+    assert 1 <= coup.iterations_used <= max_iters
+    if coup.converged:
+        assert _residual(coup, marg) <= tol
 
 
 # ---------------------------------------------------------------------------
