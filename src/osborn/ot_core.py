@@ -7,9 +7,10 @@ Three routes to a transport plan:
   potentials (Cuturi 2013; Schmitzer 2019), finished at every size by
   matrix-free inexact Newton steps, conjugate gradients on the kernel
   (Brauer, Clason, Lorenz & Wirth 2017)
-* ``sinkhorn_frobenius`` -- squared-Frobenius regularization, solved by
-  L-BFGS on its smooth dual in the potentials (Blondel, Seguy & Rolet 2018),
-  finished by semismooth Newton steps when a tight tolerance needs them
+* ``sinkhorn_frobenius`` -- squared-Frobenius regularization, solved at
+  every size by globalized semismooth Newton steps on its smooth dual in
+  the potentials (Blondel, Seguy & Rolet 2018; Lorenz, Manns & Meyer 2021),
+  each on the plan's sparse support
 * ``exact_ot``         -- the unregularized LP, for small reference instances
 
 All solvers accept explicit marginal weights and tolerate zero-mass rows or
@@ -21,24 +22,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from .errors import ComputationError, ValidationError
 
 EXACT_MAX_CELLS = 64
-# largest n + m for which the Frobenius solver takes semismooth Newton steps
-# (a dense m x m solve each); the entropic solver's Newton steps are
-# matrix-free and run at every size
-NEWTON_MAX_POTENTIALS = 1024
 # the entropic Newton finish starts once scaling, at the rate its last
 # iteration shrank the residual, would need more than this many further
 # iterations to reach tol: at pool scale one Newton step (its diagonal,
 # inner solve and backtracking) costs about as many matrix-vector products
 NEWTON_SWITCH_ITERS = 8
-# conjugate-gradient iterations allowed in one entropic Newton step
+# conjugate-gradient iterations allowed in one Newton step
 NEWTON_CG_MAX_ITERS = 100
-# step lengths a damped Newton step tries, longest first
+# step lengths a damped entropic Newton step tries, longest first
 BACKTRACK_STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625)
+# a Frobenius Newton step's diagonal shift starts at this factor times the
+# residual; the factor halves after a full step, doubles after a shorter one
+FROBENIUS_SHIFT = 10.0
+# step lengths one Frobenius Armijo search tries before the solve stops
+ARMIJO_TRIALS = 30
 # a kernel scaling outside [1 / SCALING_BOUND, SCALING_BOUND] is absorbed
 # into the log-domain potentials and the stabilized kernel is rebuilt
 SCALING_BOUND = 1e30
@@ -254,27 +256,6 @@ def _tikhonov(r, c) -> float:
     return 1e-12 * (1.0 + float(max(r.max(), c.max())))
 
 
-def _newton_direction(W, grad_rows, grad_cols):
-    """The Newton step ``(dx, dy)`` of a transport dual with Hessian
-    ``[[diag(W 1), W], [W^T, diag(W^T 1)]]`` and gradient
-    ``(grad_rows, grad_cols)``.
-
-    A tiny Tikhonov term ``lam`` on the diagonal handles the constant-shift
-    nullspace.  The row block is diagonal, so it is eliminated: ``dy`` solves
-    the column block's Schur complement ``diag(W^T 1 + lam) - W^T diag(W 1 +
-    lam)^-1 W`` (m x m) and ``dx`` follows row by row.  Raises
-    ``np.linalg.LinAlgError`` if the Schur complement is singular.
-    """
-    r = W.sum(axis=1)
-    c = W.sum(axis=0)
-    lam = _tikhonov(r, c)
-    r += lam
-    S = -(W.T @ (W / r[:, None]))
-    S[np.diag_indices_from(S)] += c + lam
-    dy = np.linalg.solve(S, W.T @ (grad_rows / r) - grad_cols)
-    return -(grad_rows + W @ dy) / r, dy
-
-
 def _pcg(matvec, rhs, diag, eta):
     """Conjugate gradients for ``matvec(y) = rhs`` from ``y = 0`` with the
     Jacobi preconditioner ``diag``: stops once the residual norm is at most
@@ -309,10 +290,11 @@ def _newton_cg_direction(Kt, u, v, Kv, b, g, eta):
     The entropic dual's gradient in the log-scalings is the marginal defect
     ``(r - b, c - g)`` of ``P``, with ``r = u (Kt v)`` and ``c = v (Kt^T u)``,
     and its Hessian is ``[[diag(r), P], [P^T, diag(c)]]`` (the epsilon factor
-    cancels in the step), so this is ``_newton_direction(P, r - b, c - g)``
-    solved inexactly.  ``dy`` solves the Schur complement ``S = diag(c +
-    lam) - P^T diag(r + lam)^-1 P`` by conjugate gradients to the relative
-    residual ``eta`` (Brauer, Clason, Lorenz & Wirth 2017).  ``S`` is never
+    cancels in the step), so this is the Newton step of that system, its
+    diagonal shifted by ``lam = _tikhonov(r, c)``, solved inexactly.  ``dy``
+    solves the Schur complement ``S = diag(c + lam) - P^T diag(r + lam)^-1
+    P`` by conjugate gradients to the relative residual ``eta`` (Brauer,
+    Clason, Lorenz & Wirth 2017).  ``S`` is never
     formed: ``P y = u (Kt (v y))`` and ``P^T z = v (Kt^T (u z))``, so a
     product with ``S`` is two matrix-vector products with ``Kt``.  The
     preconditioner is the diagonal of ``S``, from one pass over ``Kt``; it
@@ -441,39 +423,28 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     return _coupling(C, Kt, rows, cols, iters, res <= tol)
 
 
-def _frobenius_plan(Cr, f, h, epsilon, out):
-    """The squared-Frobenius plan ``[f_i + h_j - C_ij]_+ / (2 epsilon)``,
-    written into ``out``."""
-    P = _clipped_excess(Cr, f, h, out)
-    P /= 2.0 * epsilon
-    return P
+def _support_newton_direction(I, J, r, c, lam, grad_rows, grad_cols, eta):
+    """The Newton step ``(dx, dy)`` for the Hessian ``[[diag(r), W], [W^T,
+    diag(c)]] + lam I`` and gradient ``(grad_rows, grad_cols)``; ``W`` is 0/1
+    with ones at the cells ``(I, J)``, ``r`` and ``c`` are its row and column
+    counts.  ``dy`` solves the Schur complement ``diag(c + lam) - W^T diag(r
+    + lam)^-1 W`` by Jacobi-preconditioned conjugate gradients to the
+    relative residual ``eta``, and ``dx`` follows row by row.  Products with
+    ``W`` and ``W^T`` are O(nnz) ``np.bincount`` gathers: no n x m or m x m
+    matrix is formed."""
+    r = r + lam
+    c = c + lam
 
+    def rows_of(y):  # W y
+        return np.bincount(I, weights=y[J], minlength=r.size)
 
-def _frobenius_newton_step(Cr, epsilon, f, h, P, b, g, res):
-    """One damped semismooth Newton step on the squared-Frobenius dual in
-    the potentials ``(f, h)``.
+    def cols_of(z):  # W^T z
+        return np.bincount(J, weights=z[I], minlength=c.size)
 
-    The dual gradient is the marginal defect of the plan ``P`` and, on its
-    current support, the Hessian is ``[[diag(W 1), W], [W^T, diag(W^T 1)]]``
-    with ``W`` the 0/1 support over ``2 epsilon`` (``_newton_direction``).
-    Backtracks on the residual, forming each trial plan in a fresh array;
-    reports failure so the caller can stop.
-    """
-    try:
-        dx, dy = _newton_direction((P > 0) / (2.0 * epsilon),
-                                   P.sum(axis=1) - b, P.sum(axis=0) - g)
-    except np.linalg.LinAlgError:
-        return f, h, P, res, False
-    if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
-        return f, h, P, res, False
-    for alpha in BACKTRACK_STEPS:
-        f_try = f + alpha * dx
-        h_try = h + alpha * dy
-        P_try = _frobenius_plan(Cr, f_try, h_try, epsilon, np.empty_like(Cr))
-        res_try = _residual(P_try, b, g)
-        if res_try < res:
-            return f_try, h_try, P_try, res_try, True
-    return f, h, P, res, False
+    diag = np.maximum(c - cols_of(1.0 / r), lam)
+    dy = _pcg(lambda y: c * y - cols_of(rows_of(y) / r),
+              cols_of(grad_rows / r) - grad_cols, diag, eta)
+    return -(grad_rows + rows_of(dy)) / r, dy
 
 
 def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
@@ -481,41 +452,69 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     """Squared-Frobenius-regularized OT.
 
     Minimizes ``<C, P> + epsilon * ||P||_F^2`` over the transport polytope
-    through its smooth dual (Blondel, Seguy & Rolet 2018): minimize
-    ``-(f.b + h.g) + sum([f_i + h_j - C_ij]_+^2) / (4 epsilon)`` over the
-    potentials with L-BFGS.  The dual gradient is the marginal defect of the
-    plan ``P = [f + h - C]_+ / (2 epsilon)``, so L-BFGS stops exactly when
-    the residual reaches ``tol``.  Each call allocates one n x m work
-    buffer: every dual evaluation writes ``[f + h - C]_+`` into it and reads
-    it back for the value and both marginals (``_frobenius_dual``), and the
-    final plan is built in it, scaled by ``1 / (2 epsilon)`` in place, and
-    returned.  When L-BFGS stalls just above a tight ``tol`` and n + m is at
-    most ``NEWTON_MAX_POTENTIALS``, damped semismooth Newton steps on the
-    plan's support finish the solve; they form their trial plans in fresh
-    arrays.  ``iterations_used`` counts L-BFGS iterations plus Newton steps
-    and never exceeds ``max_iters``.  Unlike the entropic route the optimal
-    plan can be exactly sparse.
+    through its smooth dual (Blondel, Seguy & Rolet 2018), ``-(f.b + h.g) +
+    sum([f_i + h_j - C_ij]_+^2) / (4 epsilon)``, by globalized semismooth
+    Newton steps in the potentials (Lorenz, Manns & Meyer 2021).  The
+    gradient is the marginal defect of the plan ``P = [f + h - C]_+ / (2
+    epsilon)``, and the Hessian that of ``_support_newton_direction`` on the
+    plan's support, over ``2 epsilon``.  The start ``f_i = min_j C_ij + 2
+    epsilon b_i``, ``h_j = min_i (C_ij - f_i)`` puts every row and column on
+    the support's edge.  Each step reads the support in one pass and shifts
+    the diagonal by ``_tikhonov`` plus ``FROBENIUS_SHIFT`` (adapted step by
+    step) times the residual, a Levenberg-Marquardt term that keeps the step
+    of a column with little or no support finite.  An Armijo search on the
+    dual value, shortening by quadratic interpolation, sets the step length;
+    it also takes a trial whose residual is within ``tol``, whose value
+    change rounding can hide.  A search that finds neither in
+    ``ARMIJO_TRIALS`` trials ends the solve at the last accepted potentials.
+    ``iterations_used`` counts the start plus the Newton steps, at most
+    ``max_iters``; ``converged`` means the returned plan's residual is at
+    most ``tol``.  Every dual evaluation writes ``[f + h - C]_+`` into one
+    n x m work buffer (``_frobenius_dual``), and the plan is built in it and
+    returned.  Unlike the entropic route the plan can be exactly sparse.
     """
     epsilon, max_iters, tol = _validate_settings(epsilon, max_iters, tol)
     C = _validate_problem(cost, marginals)
     rows, cols, b, g, Cr = _reduce(C, marginals)
     nr, mc = Cr.shape
     buf = np.empty_like(Cr)
-    opt = minimize(_frobenius_dual, np.zeros(nr + mc), args=(Cr, b, g, epsilon, buf),
-                   jac=True, method="L-BFGS-B",
-                   options={"gtol": float(tol), "ftol": 0.0, "maxiter": max_iters})
-    f, h = opt.x[:nr], opt.x[nr:]
-    P = _frobenius_plan(Cr, f, h, epsilon, buf)
-    res = _residual(P, b, g)
-    iters = int(opt.nit)
-    newton_ok = (nr + mc) <= NEWTON_MAX_POTENTIALS
-    while res > tol and newton_ok and iters < max_iters:
+    f = Cr.min(axis=1) + 2.0 * epsilon * b
+    x = np.concatenate([f, np.subtract(Cr, f[:, None], out=buf).min(axis=0)])
+    value, grad = _frobenius_dual(x, Cr, b, g, epsilon, buf)
+    res = float(np.abs(grad).max())
+    iters = 1
+    shift = FROBENIUS_SHIFT
+    while res > tol and iters < max_iters:
         iters += 1
-        f, h, P, res, newton_ok = _frobenius_newton_step(
-            Cr, epsilon, f, h, P, b, g, res)
+        I, J = np.divmod(np.flatnonzero(buf.ravel() > 0), mc)
+        r, c = np.bincount(I, minlength=nr), np.bincount(J, minlength=mc)
+        scaled = 2.0 * epsilon * grad  # the Hessian above is over 2 epsilon
+        d = np.concatenate(_support_newton_direction(
+            I, J, r, c, _tikhonov(r, c) + shift * res, scaled[:nr], scaled[nr:],
+            min(0.1, res / float(b.max()), tol / res)))
+        slope = float(grad @ d)
+        if not slope < 0:  # rounding left no descent direction
+            break
+        alpha = 1.0
+        for _ in range(ARMIJO_TRIALS):
+            trial = _frobenius_dual(x + alpha * d, Cr, b, g, epsilon, buf)
+            if (trial[0] <= value + 1e-4 * alpha * slope
+                    or np.abs(trial[1]).max() <= tol):
+                break
+            # the minimizer of the quadratic through value, slope and trial
+            q = -0.5 * slope * alpha / (trial[0] - value - slope * alpha)
+            alpha *= min(max(q, 0.1), 0.5)
+        else:
+            break
+        x = x + alpha * d
+        value, grad = trial
+        res = float(np.abs(grad).max())
+        shift = shift / 2.0 if alpha == 1.0 else shift * 2.0
+    P = _clipped_excess(Cr, x[:nr], x[nr:], buf)
+    P /= 2.0 * epsilon
     if not np.all(np.isfinite(P)):
         raise ComputationError("frobenius solver produced non-finite plan entries")
-    return _coupling(C, P, rows, cols, iters, res <= tol)
+    return _coupling(C, P, rows, cols, iters, _residual(P, b, g) <= tol)
 
 
 def exact_ot(cost, marginals: MarginalWeights) -> Coupling:

@@ -135,6 +135,23 @@ def assignment_cost_loop(C):
     return best
 
 
+def newton_direction_dense(W, grad_rows, grad_cols):
+    """The Newton step ``(dx, dy)`` of a transport dual with Hessian
+    ``[[diag(W 1), W], [W^T, diag(W^T 1)]]`` and gradient ``(grad_rows,
+    grad_cols)``, its diagonal shifted by ``lam = 1e-12 (1 + max(W 1, W^T
+    1))`` against the constant-shift nullspace: the row block is eliminated
+    and the dense m x m Schur complement ``diag(W^T 1 + lam) - W^T diag(W 1
+    + lam)^-1 W`` is solved by ``np.linalg.solve``."""
+    r = W.sum(axis=1)
+    c = W.sum(axis=0)
+    lam = 1e-12 * (1.0 + float(max(r.max(), c.max())))
+    r += lam
+    S = -(W.T @ (W / r[:, None]))
+    S[np.diag_indices_from(S)] += c + lam
+    dy = np.linalg.solve(S, W.T @ (grad_rows / r) - grad_cols)
+    return -(grad_rows + W @ dy) / r, dy
+
+
 def peak_ratio(fn, nbytes):
     """Run ``fn()`` under tracemalloc: its result and the peak rise of traced
     memory during the call, as a multiple of ``nbytes``."""

@@ -1,7 +1,8 @@
-"""Source hygiene: every name a module imports, and every module-level
-private function it defines, is used in that module; imports sit at module
-level; every parameter of a module-level private function is read; and
-every name the benchmark's tracer wraps exists."""
+"""Source hygiene: every name a module imports, every module-level private
+function and every module-level UPPER_CASE constant it defines, is used in
+that module; imports sit at module level; every parameter of a module-level
+private function is read; and every name the benchmark's tracer wraps
+exists."""
 
 import ast
 import importlib.util
@@ -80,6 +81,21 @@ def test_private_function_parameters_are_read(path):
         unread += [f"{path.name}:{fn.lineno}: {fn.name}({name})"
                    for name in _parameters(fn) if name not in read]
     assert not unread, "unread parameters: " + ", ".join(unread)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_constants(path):
+    # every module-level UPPER_CASE name is read in its own module, so a
+    # constant left behind by a removed code path fails here
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    targets = [t for node in tree.body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for t in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = [f"{path.name}:{t.lineno}: {t.id}" for t in targets
+              if isinstance(t, ast.Name) and t.id.isupper() and t.id not in read]
+    assert not unused, "unused module constants: " + ", ".join(unused)
 
 
 def test_exports_match_imports():

@@ -14,7 +14,6 @@ from osborn.data_io import TEConfig
 from osborn.errors import ComputationError, ValidationError
 from osborn.ot_core import (
     EXACT_MAX_CELLS,
-    NEWTON_MAX_POTENTIALS,
     Coupling,
     MarginalWeights,
     cost_matrix,
@@ -24,11 +23,11 @@ from osborn.ot_core import (
     sinkhorn_frobenius,
     _frobenius_dual,
     _newton_cg_direction,
-    _newton_direction,
+    _support_newton_direction,
 )
 from osborn.synth import SynthSpec, build_pool
 
-from conftest import assignment_cost_loop, peak_ratio
+from conftest import assignment_cost_loop, newton_direction_dense, peak_ratio
 
 
 def _residual(coupling, marg):
@@ -385,7 +384,7 @@ def test_newton_direction_solves_the_dense_system(support):
     assert np.all(W.sum(axis=1) > 0) and np.all(W.sum(axis=0) > 0)
     grad_r = P.sum(axis=1) - 1.0 / n
     grad_c = P.sum(axis=0) - 1.0 / m
-    dx, dy = _newton_direction(W, grad_r, grad_c)
+    dx, dy = newton_direction_dense(W, grad_r, grad_c)
     r, c = W.sum(axis=1), W.sum(axis=0)
     lam = 1e-12 * (1.0 + max(r.max(), c.max()))
     H = np.block([[np.diag(r), W], [W.T, np.diag(c)]]) + lam * np.eye(n + m)
@@ -398,17 +397,42 @@ def test_newton_direction_solves_the_dense_system(support):
     assert np.allclose(H @ np.concatenate([dx, dy]), -grad, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("lam", [1e-3, 0.5])
+def test_support_newton_direction_matches_a_dense_solve(lam):
+    # the O(nnz) Schur-complement step against a dense (n+m) solve of the
+    # same shifted Hessian, on a support where column 2 is empty and row 0
+    # holds three cells
+    n, m = 6, 5
+    I, J = np.array([(0, 0), (0, 1), (0, 3), (1, 1), (2, 0), (3, 3), (4, 1),
+                     (5, 4), (4, 4)]).T
+    W = np.zeros((n, m))
+    W[I, J] = 1.0
+    r, c = W.sum(axis=1), W.sum(axis=0)
+    assert c[2] == 0 and r[0] == 3 and np.all(r > 0)
+    rng = np.random.default_rng(9)
+    grad_r, grad_c = rng.normal(size=n), rng.normal(size=m)
+    dx, dy = _support_newton_direction(I, J, np.bincount(I, minlength=n),
+                                       np.bincount(J, minlength=m), lam,
+                                       grad_r, grad_c, 1e-14)
+    H = np.block([[np.diag(r), W], [W.T, np.diag(c)]]) + lam * np.eye(n + m)
+    grad = np.concatenate([grad_r, grad_c])
+    dense = np.linalg.solve(H, -grad)
+    # as in the dense test, the plan sees only dx_i + dy_j
+    assert np.allclose(dx[:, None] + dy[None, :],
+                       dense[:n, None] + dense[None, n:], rtol=1e-9, atol=1e-10)
+    assert np.allclose(H @ np.concatenate([dx, dy]), -grad, rtol=0, atol=1e-9)
+
+
 def test_sinkhorn_converges_at_pool_scale_without_a_newton_finish():
-    # 600 x 600 at the default config, n + m past NEWTON_MAX_POTENTIALS,
-    # which now limits only the Frobenius solver's dense Newton finish.
-    # Kernel scaling does most of the work; the matrix-free Newton finish,
-    # which runs at every size, takes the last step once scaling stalls
+    # 600 x 600 at the default config.  Kernel scaling does most of the
+    # work; the matrix-free Newton finish, which runs at every size, takes
+    # the last step once scaling stalls
     spec = SynthSpec(num_models=2, feature_dim=8, source_classes=4,
                      target_classes=4, samples=600, domain_shift=(0.0, 1.5),
                      prediction_noise=(0.0, 0.4), seed=7)
     rec = build_pool(spec).manifest.models[1]
     C = cost_matrix(rec.source_features, rec.target_features)
-    assert sum(C.shape) > NEWTON_MAX_POTENTIALS
+    assert C.shape == (600, 600)
     marg = MarginalWeights.uniform(*C.shape)
     cfg = TEConfig()
     out = sinkhorn(C, marg, cfg.epsilon * median_positive_cost(C),
@@ -469,7 +493,7 @@ def test_sinkhorn_keeps_scaling_while_it_would_reach_tol_sooner(monkeypatch):
 
 def test_newton_cg_direction_matches_the_dense_step():
     # the matrix-free Schur-complement step on diag(u) Kt diag(v) against
-    # _newton_direction on that plan, formed here
+    # the dense reference step on that plan, formed here
     rng = np.random.default_rng(6)
     n, m = 9, 7
     Kt = rng.uniform(0.05, 1.0, size=(n, m))
@@ -479,7 +503,8 @@ def test_newton_cg_direction_matches_the_dense_step():
     g = np.full(m, 1.0 / m)
     P = u[:, None] * Kt * v[None, :]
     dx, dy = _newton_cg_direction(Kt, u, v, Kt @ v, b, g, 1e-13)
-    ref_dx, ref_dy = _newton_direction(P, P.sum(axis=1) - b, P.sum(axis=0) - g)
+    ref_dx, ref_dy = newton_direction_dense(P, P.sum(axis=1) - b,
+                                            P.sum(axis=0) - g)
     # as in the dense test, the plan sees only dx_i + dy_j
     assert np.allclose(dx[:, None] + dy[None, :],
                        ref_dx[:, None] + ref_dy[None, :], rtol=0, atol=1e-9)
@@ -575,6 +600,60 @@ def test_frobenius_converges_at_pool_scale_at_the_default_config():
     assert _quad_objective(frob.plan, C, eps) <= _quad_objective(ent.plan, C, eps)
 
 
+def test_frobenius_converges_at_pool_scale_in_a_few_newton_steps():
+    # 1500 x 1500 at the default config, where L-BFGS on the same dual
+    # needs 79 iterations: the start plus a few Newton steps on the sparse
+    # support converge, with no n x m float array beside the buffer that
+    # becomes the plan
+    C = _pool_scale_cost()
+    marg = MarginalWeights.uniform(*C.shape)
+    cfg = TEConfig()
+    eps = cfg.epsilon * median_positive_cost(C)
+    out, ratio = peak_ratio(
+        lambda: sinkhorn_frobenius(C, marg, eps, cfg.max_iters,
+                                   cfg.convergence_tol),
+        C.nbytes)
+    assert out.converged
+    assert _residual(out, marg) <= cfg.convergence_tol
+    assert out.iterations_used <= 15
+    assert ratio <= 1.5
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), m=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1),
+       eps_mult=_log_uniform(1e-2, 1.0), tol=_log_uniform(1e-8, 1e-6),
+       max_iters=st.integers(1, 200), zero_mass=st.booleans(),
+       flat_cost=st.booleans())
+def test_frobenius_properties_on_random_instances(n, m, seed, eps_mult, tol,
+                                                  max_iters, zero_mass,
+                                                  flat_cost):
+    rng = np.random.default_rng(seed)
+    if flat_cost:
+        C = np.full((n, m), float(rng.choice([0.0, rng.uniform(0.1, 3.0)])))
+    else:
+        d = int(rng.integers(1, 5))
+        C = cost_matrix(rng.normal(size=(n, d)),
+                        rng.normal(size=(m, d)) + rng.uniform(0.0, 2.0))
+    b = rng.uniform(0.1, 1.0, size=n)
+    g = rng.uniform(0.1, 1.0, size=m)
+    if zero_mass:
+        # about a third of the entries lose their mass; one always keeps it
+        b[1:][rng.random(n - 1) < 0.3] = 0.0
+        g[1:][rng.random(m - 1) < 0.3] = 0.0
+    try:
+        marg = MarginalWeights(b / b.sum(), g / g.sum())
+        coup = sinkhorn_frobenius(C, marg, eps_mult * median_positive_cost(C),
+                                  max_iters, tol)
+    except ValidationError:
+        return
+    assert np.all(np.isfinite(coup.plan))
+    assert np.all(coup.plan >= 0.0)
+    assert 1 <= coup.iterations_used <= max_iters
+    if coup.converged:
+        assert _residual(coup, marg) <= tol
+
+
 def test_frobenius_dual_matches_the_dense_formula():
     # random potentials put cells on both sides of the clip at zero
     rng = np.random.default_rng(21)
@@ -636,6 +715,57 @@ def test_frobenius_solve_holds_one_work_buffer_and_returns_its_own_plan():
     assert np.array_equal(first.plan, kept)
 
 
+def test_frobenius_newton_steps_take_few_dual_evaluations(monkeypatch):
+    # the two 600 x 600 pool solves at the default config take 40 dual
+    # evaluations between them; without the Levenberg-Marquardt shift the
+    # Armijo searches shorten steps into empty columns over and over, and
+    # the solves take about 650
+    calls = []
+    dual = ot_core._frobenius_dual
+    monkeypatch.setattr(ot_core, "_frobenius_dual",
+                        lambda *args: calls.append(1) or dual(*args))
+    spec = SynthSpec(num_models=2, feature_dim=8, source_classes=4,
+                     target_classes=4, samples=600, domain_shift=(0.0, 1.5),
+                     prediction_noise=(0.0, 0.4), seed=7)
+    cfg = TEConfig()
+    marg = MarginalWeights.uniform(600, 600)
+    for rec in build_pool(spec).manifest.models:
+        C = cost_matrix(rec.source_features, rec.target_features)
+        out = sinkhorn_frobenius(C, marg, cfg.epsilon * median_positive_cost(C),
+                                 cfg.max_iters, cfg.convergence_tol)
+        assert out.converged
+    assert len(calls) <= 60
+
+
+def test_frobenius_stops_at_the_last_accepted_step_when_armijo_fails(monkeypatch):
+    # with one trial per search, the first full step that fails the Armijo
+    # test ends the solve unconverged, and the plan is that of the potentials
+    # before it: what a budget one iteration shorter returns
+    rng = np.random.default_rng(401)
+    C = rng.uniform(0.0, 4.0, size=(4, 5))
+    marg = MarginalWeights.uniform(4, 5)
+    monkeypatch.setattr(ot_core, "ARMIJO_TRIALS", 1)
+    stopped = sinkhorn_frobenius(C, marg, 0.3, max_iters=50000, tol=1e-10)
+    assert not stopped.converged and stopped.iterations_used < 50000
+    monkeypatch.undo()
+    budget = sinkhorn_frobenius(C, marg, 0.3, max_iters=stopped.iterations_used - 1,
+                                tol=1e-10)
+    assert np.array_equal(stopped.plan, budget.plan)
+
+
+def test_frobenius_takes_a_last_step_that_the_value_cannot_resolve():
+    # at a large epsilon the step that meets tol changes the dual value by
+    # less than the value's rounding, so an Armijo test alone rejects it
+    # and the solve spends its whole budget one step short of tol
+    rng = np.random.default_rng(11)
+    C = cost_matrix(rng.normal(size=(30, 3)), rng.normal(size=(30, 3)) + 1.0)
+    marg = MarginalWeights(rng.dirichlet(np.ones(30)), rng.dirichlet(np.ones(30)))
+    coup = sinkhorn_frobenius(C, marg, 10.0 * median_positive_cost(C),
+                              max_iters=1000, tol=1e-11)
+    assert coup.converged and coup.iterations_used <= 30
+    assert _residual(coup, marg) <= 1e-11
+
+
 def test_frobenius_converged_means_residual_within_tol():
     rng = np.random.default_rng(0)
     C = cost_matrix(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)) + 0.5)
@@ -650,8 +780,8 @@ def test_frobenius_converged_means_residual_within_tol():
 
 
 def test_frobenius_newton_finish_reaches_a_tight_tolerance():
-    # the QP-oracle instances below, without the oracle: L-BFGS alone stops
-    # above 1e-10 on each, so the Newton finish must bring them in
+    # the QP-oracle instances below, without the oracle: the Newton steps
+    # must bring each to a residual of 1e-10
     for seed in range(6):
         rng = np.random.default_rng(400 + seed)
         C = rng.uniform(0.0, 4.0, size=(4, 5))
