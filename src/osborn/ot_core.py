@@ -5,16 +5,19 @@ Three routes to a transport plan:
 * ``sinkhorn``         -- entropic regularization, kernel-domain scaling on a
   stabilized kernel whose large scalings are absorbed into log-domain
   potentials (Cuturi 2013; Schmitzer 2019), finished at every size by
-  matrix-free inexact Newton steps, conjugate gradients on the kernel
-  (Brauer, Clason, Lorenz & Wirth 2017)
+  matrix-free inexact Newton steps (Brauer, Clason, Lorenz & Wirth 2017)
 * ``sinkhorn_frobenius`` -- squared-Frobenius regularization, solved at
   every size by globalized semismooth Newton steps on its smooth dual in
   the potentials (Blondel, Seguy & Rolet 2018; Lorenz, Manns & Meyer 2021),
   each on the plan's sparse support
 * ``exact_ot``         -- the unregularized LP, for small reference instances
 
-All solvers accept explicit marginal weights and tolerate zero-mass rows or
-columns by solving the reduced problem and re-inserting zero rows/columns.
+Both regularized duals have the Hessian ``[[diag(r), W], [W^T, diag(c)]]``
+and take their Newton steps from one ``_newton_direction``; they differ only
+in how products with ``W`` are formed.  All solvers accept explicit marginal
+weights and tolerate zero-mass rows or columns by solving the reduced problem
+and re-inserting zero rows/columns.  ``converged`` means the returned plan's
+worse marginal residual (infinity norm) is at most ``tol``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ BACKTRACK_STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625)
 FROBENIUS_SHIFT = 10.0
 # step lengths one Frobenius Armijo search tries before the solve stops
 ARMIJO_TRIALS = 30
+# accepted Frobenius steps in a row that do not lower the dual value before
+# the solve stops: below its rounding floor no step can reach tol
+FROBENIUS_STALL_STEPS = 50
 # a kernel scaling outside [1 / SCALING_BOUND, SCALING_BOUND] is absorbed
 # into the log-domain potentials and the stabilized kernel is rebuilt
 SCALING_BOUND = 1e30
@@ -184,8 +190,10 @@ def _reduce(C, marginals: MarginalWeights):
     return rows, cols, marginals.source[rows], marginals.target[cols], Cr
 
 
-def _coupling(C, P, rows, cols, iterations_used, converged) -> Coupling:
-    """Re-insert the zero rows/columns around the reduced plan ``P``."""
+def _coupling(C, P, rows, cols, iterations_used, marginals, tol) -> Coupling:
+    """Re-insert the zero rows/columns around the reduced plan ``P``;
+    ``converged`` means the returned plan's marginal residual is at most
+    ``tol``."""
     if P.shape == C.shape:
         plan = P
     else:
@@ -196,7 +204,7 @@ def _coupling(C, P, rows, cols, iterations_used, converged) -> Coupling:
         plan=plan,
         transport_cost=float(np.vdot(C, plan)),
         iterations_used=iterations_used,
-        converged=converged,
+        converged=_residual(plan, marginals.source, marginals.target) <= tol,
     )
 
 
@@ -282,56 +290,47 @@ def _pcg(matvec, rhs, diag, eta):
     return y
 
 
-def _newton_cg_direction(Kt, u, v, Kv, b, g, eta):
-    """The Newton step ``(dx, dy)`` on the log-scalings of the entropic plan
-    ``P = diag(u) Kt diag(v)``, with ``Kv = Kt v``, computed without forming
-    ``P``.
+def _forcing(res, b, tol) -> float:
+    """A Newton step's inner relative residual: the quadratic forcing of
+    Dembo, Eisenstat & Steihaug (1982), capped at ``tol / res`` so the step
+    that meets ``tol`` lands where an exact Newton step would."""
+    return min(0.1, res / float(b.max()), tol / res)
 
-    The entropic dual's gradient in the log-scalings is the marginal defect
-    ``(r - b, c - g)`` of ``P``, with ``r = u (Kt v)`` and ``c = v (Kt^T u)``,
-    and its Hessian is ``[[diag(r), P], [P^T, diag(c)]]`` (the epsilon factor
-    cancels in the step), so this is the Newton step of that system, its
-    diagonal shifted by ``lam = _tikhonov(r, c)``, solved inexactly.  ``dy``
-    solves the Schur complement ``S = diag(c + lam) - P^T diag(r + lam)^-1
-    P`` by conjugate gradients to the relative residual ``eta`` (Brauer,
-    Clason, Lorenz & Wirth 2017).  ``S`` is never
-    formed: ``P y = u (Kt (v y))`` and ``P^T z = v (Kt^T (u z))``, so a
-    product with ``S`` is two matrix-vector products with ``Kt``.  The
-    preconditioner is the diagonal of ``S``, from one pass over ``Kt``; it
-    is what keeps the near-permutation plans of a small epsilon solvable.
-    """
-    r = u * Kv
-    c = v * (Kt.T @ u)
-    grad_r = r - b
-    grad_c = c - g
-    lam = _tikhonov(r, c)
-    r += lam
-    c += lam
-    w = u * u / r  # P y / (r + lam) = w (Kt (v y))
 
-    def schur(y):
-        return c * y - v * (Kt.T @ (w * (Kt @ (v * y))))
-
-    # diag(S)_j = c_j + lam - sum_i P_ij^2 / (r_i + lam), kept positive
-    diag = np.maximum(c - v * v * np.einsum("ij,ij,i->j", Kt, Kt, w), lam)
-    dy = _pcg(schur, v * (Kt.T @ (u * grad_r / r)) - grad_c, diag, eta)
-    return -(grad_r + u * (Kt @ (v * dy))) / r, dy
+def _newton_direction(rows_of, cols_of, sq_cols_of, r, c, lam, grad_r,
+                      grad_c, eta):
+    """The Newton step ``(dx, dy)`` for the Hessian ``[[diag(r), W], [W^T,
+    diag(c)]] + lam I`` and gradient ``(grad_r, grad_c)``, ``W`` given only
+    by ``rows_of(y) = W y``, ``cols_of(z) = W^T z`` and ``sq_cols_of(z) =
+    (W * W)^T z``.  ``dy`` solves the Schur complement ``S = diag(c + lam) -
+    W^T diag(r + lam)^-1 W``, never formed, by conjugate gradients to the
+    relative residual ``eta`` (Brauer, Clason, Lorenz & Wirth 2017), and
+    ``dx`` follows row by row.  The Jacobi preconditioner, the true
+    diagonal of ``S``, keeps near-permutation plans solvable."""
+    r = r + lam
+    c = c + lam
+    diag = np.maximum(c - sq_cols_of(1.0 / r), lam)
+    dy = _pcg(lambda y: c * y - cols_of(rows_of(y) / r),
+              cols_of(grad_r / r) - grad_c, diag, eta)
+    return -(grad_r + rows_of(dy)) / r, dy
 
 
 def _newton_cg_step(Kt, u, v, Kv, b, g, res, tol):
     """One damped inexact Newton step on the log-scalings of the entropic
-    plan ``diag(u) Kt diag(v)`` (``_newton_cg_direction``).
-
-    The inner solve's relative residual is ``min(0.1, res / max(b), tol /
-    res)``: the middle term is the quadratic forcing of Dembo, Eisenstat &
-    Steihaug (1982); the last keeps what the inexact solve leaves of the
-    defect below ``tol``, so the step that converges lands where an exact
-    Newton step would.  Backtracks on the residual, each trial's from two
+    plan ``P = diag(u) Kt diag(v)``, with ``Kv = Kt v``, without forming
+    ``P``.  The dual's gradient is the marginal defect ``(r - b, c - g)``
+    of ``P`` and its Hessian ``[[diag(r), P], [P^T, diag(c)]]`` (epsilon
+    cancels), so the step is the shared ``_newton_direction`` through ``P y
+    = u (Kt (v y))``, ``P^T z = v (Kt^T (u z))`` and one pass over ``Kt``
+    for ``(P * P)^T z``.  Backtracks on the residual, each trial's from two
     matrix-vector products.  Returns ``(u, v, Kt v, res, ok)``; ``ok`` is
-    false when no trial lowered the residual.
-    """
-    eta = min(0.1, res / float(b.max()), tol / res)
-    dx, dy = _newton_cg_direction(Kt, u, v, Kv, b, g, eta)
+    false when no trial lowered the residual."""
+    r = u * Kv
+    c = v * (Kt.T @ u)
+    dx, dy = _newton_direction(
+        lambda y: u * (Kt @ (v * y)), lambda z: v * (Kt.T @ (u * z)),
+        lambda z: v * v * np.einsum("ij,ij,i->j", Kt, Kt, u * u * z),
+        r, c, _tikhonov(r, c), r - b, c - g, _forcing(res, b, tol))
     if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
         return u, v, Kv, res, False
     for alpha in BACKTRACK_STEPS:
@@ -359,8 +358,8 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     a scaling leaves ``[1 / SCALING_BOUND, SCALING_BOUND]`` it is absorbed
     into the potentials, ``Kt`` is rebuilt and the scalings reset to one
     (Schmitzer 2019), so small ``epsilon`` neither overflows nor underflows
-    whole rows of the kernel.  Convergence is declared when the worse of
-    the two marginal residuals (infinity norm) drops to ``tol``.
+    whole rows of the kernel.  The loop stops when its residual drops to
+    ``tol``; ``converged`` is taken on the returned plan.
 
     Once the residual is at most ``max(100 tol, 1e-4)`` and scaling, at the
     rate of its last iteration, would need more than
@@ -420,31 +419,7 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     Kt *= v[None, :]
     if not np.all(np.isfinite(Kt)):
         raise ComputationError("sinkhorn produced non-finite plan entries")
-    return _coupling(C, Kt, rows, cols, iters, res <= tol)
-
-
-def _support_newton_direction(I, J, r, c, lam, grad_rows, grad_cols, eta):
-    """The Newton step ``(dx, dy)`` for the Hessian ``[[diag(r), W], [W^T,
-    diag(c)]] + lam I`` and gradient ``(grad_rows, grad_cols)``; ``W`` is 0/1
-    with ones at the cells ``(I, J)``, ``r`` and ``c`` are its row and column
-    counts.  ``dy`` solves the Schur complement ``diag(c + lam) - W^T diag(r
-    + lam)^-1 W`` by Jacobi-preconditioned conjugate gradients to the
-    relative residual ``eta``, and ``dx`` follows row by row.  Products with
-    ``W`` and ``W^T`` are O(nnz) ``np.bincount`` gathers: no n x m or m x m
-    matrix is formed."""
-    r = r + lam
-    c = c + lam
-
-    def rows_of(y):  # W y
-        return np.bincount(I, weights=y[J], minlength=r.size)
-
-    def cols_of(z):  # W^T z
-        return np.bincount(J, weights=z[I], minlength=c.size)
-
-    diag = np.maximum(c - cols_of(1.0 / r), lam)
-    dy = _pcg(lambda y: c * y - cols_of(rows_of(y) / r),
-              cols_of(grad_rows / r) - grad_cols, diag, eta)
-    return -(grad_rows + rows_of(dy)) / r, dy
+    return _coupling(C, Kt, rows, cols, iters, marginals, tol)
 
 
 def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
@@ -456,20 +431,24 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     sum([f_i + h_j - C_ij]_+^2) / (4 epsilon)``, by globalized semismooth
     Newton steps in the potentials (Lorenz, Manns & Meyer 2021).  The
     gradient is the marginal defect of the plan ``P = [f + h - C]_+ / (2
-    epsilon)``, and the Hessian that of ``_support_newton_direction`` on the
-    plan's support, over ``2 epsilon``.  The start ``f_i = min_j C_ij + 2
-    epsilon b_i``, ``h_j = min_i (C_ij - f_i)`` puts every row and column on
-    the support's edge.  Each step reads the support in one pass and shifts
-    the diagonal by ``_tikhonov`` plus ``FROBENIUS_SHIFT`` (adapted step by
-    step) times the residual, a Levenberg-Marquardt term that keeps the step
-    of a column with little or no support finite.  An Armijo search on the
-    dual value, shortening by quadratic interpolation, sets the step length;
-    it also takes a trial whose residual is within ``tol``, whose value
-    change rounding can hide.  A search that finds neither in
-    ``ARMIJO_TRIALS`` trials ends the solve at the last accepted potentials.
-    ``iterations_used`` counts the start plus the Newton steps, at most
-    ``max_iters``; ``converged`` means the returned plan's residual is at
-    most ``tol``.  Every dual evaluation writes ``[f + h - C]_+`` into one
+    epsilon)``, and the Hessian is ``[[diag(r), W], [W^T, diag(c)]] / (2
+    epsilon)`` with ``W`` the plan's 0/1 support and ``r``, ``c`` its row
+    and column counts.  The start ``f_i = min_j C_ij + 2 epsilon b_i``,
+    ``h_j = min_i (C_ij - f_i)`` puts every row and column on the support's
+    edge.  Each step reads the support in one pass and takes the shared
+    ``_newton_direction`` through O(nnz) ``np.bincount`` products with
+    ``W``, its diagonal shifted by ``_tikhonov`` plus ``FROBENIUS_SHIFT``
+    (adapted step by step) times the residual, a Levenberg-Marquardt term
+    that keeps the step of a column with little or no support finite.  An
+    Armijo search on the dual value, shortening by quadratic interpolation,
+    sets the step length; it also takes a trial whose residual is within
+    ``tol``, whose value change rounding can hide.  A search that finds
+    neither in ``ARMIJO_TRIALS`` trials ends the solve at the last accepted
+    potentials, and so do ``FROBENIUS_STALL_STEPS`` accepted steps in a row
+    that leave the dual value where it was (a ``tol`` below the rounding
+    floor).  ``iterations_used`` counts the start plus the Newton steps, at
+    most ``max_iters``; ``converged`` means the returned plan's residual is
+    at most ``tol``.  Every dual evaluation writes ``[f + h - C]_+`` into one
     n x m work buffer (``_frobenius_dual``), and the plan is built in it and
     returned.  Unlike the entropic route the plan can be exactly sparse.
     """
@@ -484,14 +463,22 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     res = float(np.abs(grad).max())
     iters = 1
     shift = FROBENIUS_SHIFT
-    while res > tol and iters < max_iters:
+    stalled = 0  # accepted steps in a row that did not lower the value
+    while res > tol and iters < max_iters and stalled < FROBENIUS_STALL_STEPS:
         iters += 1
         I, J = np.divmod(np.flatnonzero(buf.ravel() > 0), mc)
         r, c = np.bincount(I, minlength=nr), np.bincount(J, minlength=mc)
         scaled = 2.0 * epsilon * grad  # the Hessian above is over 2 epsilon
-        d = np.concatenate(_support_newton_direction(
-            I, J, r, c, _tikhonov(r, c) + shift * res, scaled[:nr], scaled[nr:],
-            min(0.1, res / float(b.max()), tol / res)))
+
+        def rows_of(y):  # W y
+            return np.bincount(I, weights=y[J], minlength=nr)
+
+        def cols_of(z):  # W^T z, and (W * W)^T z as W is 0/1
+            return np.bincount(J, weights=z[I], minlength=mc)
+
+        d = np.concatenate(_newton_direction(
+            rows_of, cols_of, cols_of, r, c, _tikhonov(r, c) + shift * res,
+            scaled[:nr], scaled[nr:], _forcing(res, b, tol)))
         slope = float(grad @ d)
         if not slope < 0:  # rounding left no descent direction
             break
@@ -506,6 +493,7 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
             alpha *= min(max(q, 0.1), 0.5)
         else:
             break
+        stalled = stalled + 1 if trial[0] >= value else 0
         x = x + alpha * d
         value, grad = trial
         res = float(np.abs(grad).max())
@@ -514,7 +502,7 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     P /= 2.0 * epsilon
     if not np.all(np.isfinite(P)):
         raise ComputationError("frobenius solver produced non-finite plan entries")
-    return _coupling(C, P, rows, cols, iters, _residual(P, b, g) <= tol)
+    return _coupling(C, P, rows, cols, iters, marginals, tol)
 
 
 def exact_ot(cost, marginals: MarginalWeights) -> Coupling:
@@ -541,7 +529,8 @@ def exact_ot(cost, marginals: MarginalWeights) -> Coupling:
     if not res.success:
         raise ComputationError(f"exact transport LP failed: {res.message}")
     P = np.maximum(res.x.reshape(nr, mc), 0.0)
-    defect = _residual(P, b, g)
-    if defect > 1e-10:
-        raise ComputationError(f"exact transport LP returned marginal residual {defect:g}")
-    return _coupling(C, P, rows, cols, int(res.nit), True)
+    coup = _coupling(C, P, rows, cols, int(res.nit), marginals, 1e-10)
+    if not coup.converged:
+        raise ComputationError("exact transport LP returned marginal residual "
+                               f"{_residual(P, b, g):g}")
+    return coup

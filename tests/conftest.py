@@ -135,16 +135,17 @@ def assignment_cost_loop(C):
     return best
 
 
-def newton_direction_dense(W, grad_rows, grad_cols):
+def newton_direction_dense(W, grad_rows, grad_cols, lam=None):
     """The Newton step ``(dx, dy)`` of a transport dual with Hessian
     ``[[diag(W 1), W], [W^T, diag(W^T 1)]]`` and gradient ``(grad_rows,
-    grad_cols)``, its diagonal shifted by ``lam = 1e-12 (1 + max(W 1, W^T
-    1))`` against the constant-shift nullspace: the row block is eliminated
-    and the dense m x m Schur complement ``diag(W^T 1 + lam) - W^T diag(W 1
-    + lam)^-1 W`` is solved by ``np.linalg.solve``."""
+    grad_cols)``, its diagonal shifted by ``lam``, by default ``1e-12 (1 +
+    max(W 1, W^T 1))`` against the constant-shift nullspace: the row block
+    is eliminated and the dense m x m Schur complement ``diag(W^T 1 + lam) -
+    W^T diag(W 1 + lam)^-1 W`` is solved by ``np.linalg.solve``."""
     r = W.sum(axis=1)
     c = W.sum(axis=0)
-    lam = 1e-12 * (1.0 + float(max(r.max(), c.max())))
+    if lam is None:
+        lam = 1e-12 * (1.0 + float(max(r.max(), c.max())))
     r += lam
     S = -(W.T @ (W / r[:, None]))
     S[np.diag_indices_from(S)] += c + lam

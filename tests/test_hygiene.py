@@ -1,10 +1,11 @@
 """Source hygiene: every name a module imports, every module-level private
 function and every module-level UPPER_CASE constant it defines, is used in
 that module; imports sit at module level; every parameter of a module-level
-private function is read; and every name the benchmark's tracer wraps
-exists."""
+private function is read; every private or constant name a docstring cites
+is defined; and every name the benchmark's tracer wraps exists."""
 
 import ast
+import re
 import importlib.util
 from pathlib import Path
 
@@ -119,3 +120,32 @@ def test_every_traced_name_exists():
     missing = [f"{module.__name__}.{attr}" for module, attr, *_ in tracing.WRAPPED
                if not callable(getattr(module, attr, None))]
     assert tracing.WRAPPED and not missing, "traced names missing: " + ", ".join(missing)
+
+
+_DOC_NAME = re.compile(r"``(_[A-Za-z]\w*|[A-Z][A-Z0-9_]+)``")
+
+
+def _module_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_docstring_names_exist(path):
+    # a docstring that names a ``_private`` helper or an ``UPPER_CASE``
+    # constant names one this module defines, so a renamed or deleted one
+    # fails here
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = _module_level_names(tree)
+    docs = [ast.get_docstring(node) or "" for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))]
+    missing = sorted({name for doc in docs for name in _DOC_NAME.findall(doc)
+                      if name not in defined})
+    assert not missing, f"{path.name} docstrings name undefined: " + ", ".join(missing)

@@ -22,8 +22,8 @@ from osborn.ot_core import (
     sinkhorn,
     sinkhorn_frobenius,
     _frobenius_dual,
-    _newton_cg_direction,
-    _support_newton_direction,
+    _newton_direction,
+    _tikhonov,
 )
 from osborn.synth import SynthSpec, build_pool
 
@@ -397,32 +397,6 @@ def test_newton_direction_solves_the_dense_system(support):
     assert np.allclose(H @ np.concatenate([dx, dy]), -grad, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("lam", [1e-3, 0.5])
-def test_support_newton_direction_matches_a_dense_solve(lam):
-    # the O(nnz) Schur-complement step against a dense (n+m) solve of the
-    # same shifted Hessian, on a support where column 2 is empty and row 0
-    # holds three cells
-    n, m = 6, 5
-    I, J = np.array([(0, 0), (0, 1), (0, 3), (1, 1), (2, 0), (3, 3), (4, 1),
-                     (5, 4), (4, 4)]).T
-    W = np.zeros((n, m))
-    W[I, J] = 1.0
-    r, c = W.sum(axis=1), W.sum(axis=0)
-    assert c[2] == 0 and r[0] == 3 and np.all(r > 0)
-    rng = np.random.default_rng(9)
-    grad_r, grad_c = rng.normal(size=n), rng.normal(size=m)
-    dx, dy = _support_newton_direction(I, J, np.bincount(I, minlength=n),
-                                       np.bincount(J, minlength=m), lam,
-                                       grad_r, grad_c, 1e-14)
-    H = np.block([[np.diag(r), W], [W.T, np.diag(c)]]) + lam * np.eye(n + m)
-    grad = np.concatenate([grad_r, grad_c])
-    dense = np.linalg.solve(H, -grad)
-    # as in the dense test, the plan sees only dx_i + dy_j
-    assert np.allclose(dx[:, None] + dy[None, :],
-                       dense[:n, None] + dense[None, n:], rtol=1e-9, atol=1e-10)
-    assert np.allclose(H @ np.concatenate([dx, dy]), -grad, rtol=0, atol=1e-9)
-
-
 def test_sinkhorn_converges_at_pool_scale_without_a_newton_finish():
     # 600 x 600 at the default config.  Kernel scaling does most of the
     # work; the matrix-free Newton finish, which runs at every size, takes
@@ -491,33 +465,114 @@ def test_sinkhorn_keeps_scaling_while_it_would_reach_tol_sooner(monkeypatch):
     assert calls == []
 
 
-def test_newton_cg_direction_matches_the_dense_step():
-    # the matrix-free Schur-complement step on diag(u) Kt diag(v) against
-    # the dense reference step on that plan, formed here
-    rng = np.random.default_rng(6)
-    n, m = 9, 7
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+def _kernel_products(Kt, u, v):
+    """``W y``, ``W^T z`` and ``(W * W)^T z`` for the entropic plan ``W =
+    diag(u) Kt diag(v)``, without forming it."""
+    return (lambda y: u * (Kt @ (v * y)), lambda z: v * (Kt.T @ (u * z)),
+            lambda z: v * v * np.einsum("ij,ij,i->j", Kt, Kt, u * u * z))
+
+
+def _support_products(W):
+    """``W y``, ``W^T z`` and ``(W * W)^T z = W^T z`` for a 0/1 ``W``, as
+    ``np.bincount`` gathers over its cells."""
+    I, J = np.nonzero(W)
+    n, m = W.shape
+
+    def cols_of(z):
+        return np.bincount(J, weights=z[I], minlength=m)
+
+    return (lambda y: np.bincount(I, weights=y[J], minlength=n), cols_of,
+            cols_of)
+
+
+def _entropic_case(rng, n, m):
     Kt = rng.uniform(0.05, 1.0, size=(n, m))
     u = rng.uniform(0.5, 2.0, size=n)
     v = rng.uniform(0.5, 2.0, size=m)
-    b = np.full(n, 1.0 / n)
-    g = np.full(m, 1.0 / m)
-    P = u[:, None] * Kt * v[None, :]
-    dx, dy = _newton_cg_direction(Kt, u, v, Kt @ v, b, g, 1e-13)
-    ref_dx, ref_dy = newton_direction_dense(P, P.sum(axis=1) - b,
-                                            P.sum(axis=0) - g)
-    # as in the dense test, the plan sees only dx_i + dy_j
+    return u[:, None] * Kt * v[None, :], _kernel_products(Kt, u, v)
+
+
+def _newton_direction_and_dense_system(W, products, lam, grad_r, grad_c, eta):
+    """The matrix-free step on ``W``, the dense reference step and the
+    shifted dense (n+m) Hessian with the gradient."""
+    n, m = W.shape
+    step = _newton_direction(*products, W.sum(axis=1), W.sum(axis=0), lam,
+                             grad_r, grad_c, eta)
+    ref = newton_direction_dense(W, grad_r, grad_c, lam)
+    H = np.block([[np.diag(W.sum(axis=1)), W], [W.T, np.diag(W.sum(axis=0))]])
+    H += lam * np.eye(n + m)
+    return step, ref, H, np.concatenate([grad_r, grad_c])
+
+
+@pytest.mark.parametrize("case", ["entropic", "support-0.001", "support-0.5"])
+def test_newton_direction_matches_the_dense_step(case):
+    # the one matrix-free Schur-complement step against the dense reference
+    # step: on an entropic plan diag(u) Kt diag(v) at the Tikhonov shift, its
+    # products taken through Kt, and on a 0/1 support where column 2 is
+    # empty and row 0 holds three cells, its products O(nnz) gathers, at a
+    # Levenberg-Marquardt shift
+    if case == "entropic":
+        rng = np.random.default_rng(6)
+        n, m = 9, 7
+        W, products = _entropic_case(rng, n, m)
+        grad_r = W.sum(axis=1) - 1.0 / n
+        grad_c = W.sum(axis=0) - 1.0 / m
+        lam = _tikhonov(W.sum(axis=1), W.sum(axis=0))
+        eta = 1e-13
+    else:
+        n, m = 6, 5
+        I, J = np.array([(0, 0), (0, 1), (0, 3), (1, 1), (2, 0), (3, 3),
+                         (4, 1), (5, 4), (4, 4)]).T
+        W = np.zeros((n, m))
+        W[I, J] = 1.0
+        assert W[:, 2].sum() == 0 and W[0].sum() == 3 and np.all(W.sum(axis=1) > 0)
+        products = _support_products(W)
+        rng = np.random.default_rng(9)
+        grad_r, grad_c = rng.normal(size=n), rng.normal(size=m)
+        lam = float(case.split("-")[1])
+        eta = 1e-14
+    (dx, dy), (ref_dx, ref_dy), H, grad = _newton_direction_and_dense_system(
+        W, products, lam, grad_r, grad_c, eta)
+    # at the Tikhonov shift the steps may differ along the constant shift
+    # (+t on rows, -t on columns), which only lam pins down; the plan sees
+    # dx_i + dy_j
     assert np.allclose(dx[:, None] + dy[None, :],
-                       ref_dx[:, None] + ref_dy[None, :], rtol=0, atol=1e-9)
+                       ref_dx[:, None] + ref_dy[None, :], rtol=1e-9, atol=1e-10)
+    assert np.allclose(H @ np.concatenate([dx, dy]), -grad, rtol=0, atol=1e-9)
 
 
-def _log_uniform(lo, hi):
-    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), m=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), lam=_log_uniform(1e-3, 1.0),
+       support=st.booleans())
+def test_newton_direction_matches_the_dense_step_on_random_plans(n, m, seed,
+                                                                 lam, support):
+    # at a shift of at least 1e-3 the system is well posed, so the whole
+    # step, not only dx_i + dy_j, matches the dense reference
+    rng = np.random.default_rng(seed)
+    if support:
+        W = (rng.random((n, m)) < rng.uniform(0.1, 0.9)).astype(np.float64)
+        products = _support_products(W)
+    else:
+        W, products = _entropic_case(rng, n, m)
+    grad_r, grad_c = rng.normal(size=n), rng.normal(size=m)
+    (dx, dy), (ref_dx, ref_dy), H, grad = _newton_direction_and_dense_system(
+        W, products, lam, grad_r, grad_c, 1e-14)
+    scale = max(1.0, float(np.abs(ref_dx).max()), float(np.abs(ref_dy).max()))
+    np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-9 * scale)
+    np.testing.assert_allclose(dy, ref_dy, rtol=0, atol=1e-9 * scale)
+    np.testing.assert_allclose(H @ np.concatenate([dx, dy]), -grad, rtol=0,
+                               atol=1e-9 * float(np.abs(grad).max()))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(n=st.integers(1, 40), m=st.integers(1, 40),
        seed=st.integers(0, 2**32 - 1),
-       eps_mult=_log_uniform(1e-2, 1.0), tol=_log_uniform(1e-8, 1e-6),
+       eps_mult=_log_uniform(1e-2, 1.0), tol=_log_uniform(1e-17, 1e-6),
        max_iters=st.integers(1, 1000))
 def test_sinkhorn_properties_on_random_instances(n, m, seed, eps_mult, tol,
                                                  max_iters):
@@ -622,7 +677,7 @@ def test_frobenius_converges_at_pool_scale_in_a_few_newton_steps():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(n=st.integers(1, 40), m=st.integers(1, 40),
        seed=st.integers(0, 2**32 - 1),
-       eps_mult=_log_uniform(1e-2, 1.0), tol=_log_uniform(1e-8, 1e-6),
+       eps_mult=_log_uniform(1e-2, 1.0), tol=_log_uniform(1e-17, 1e-6),
        max_iters=st.integers(1, 200), zero_mass=st.booleans(),
        flat_cost=st.booleans())
 def test_frobenius_properties_on_random_instances(n, m, seed, eps_mult, tol,
@@ -764,6 +819,19 @@ def test_frobenius_takes_a_last_step_that_the_value_cannot_resolve():
                               max_iters=1000, tol=1e-11)
     assert coup.converged and coup.iterations_used <= 30
     assert _residual(coup, marg) <= 1e-11
+
+
+def test_frobenius_stops_when_its_steps_no_longer_lower_the_dual():
+    # tol 1e-17 is below this instance's rounding floor: every Armijo search
+    # then accepts a step of equal dual value that leaves the residual where
+    # it is, so a solve without the stall stop spends all 1000 iterations
+    rng = np.random.default_rng(0)
+    C = cost_matrix(rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 1.0)
+    marg = MarginalWeights(rng.dirichlet(np.ones(40)), rng.dirichlet(np.ones(40)))
+    coup = sinkhorn_frobenius(C, marg, median_positive_cost(C), max_iters=1000,
+                              tol=1e-17)
+    assert not coup.converged and coup.iterations_used <= 300
+    assert _residual(coup, marg) > 1e-17
 
 
 def test_frobenius_converged_means_residual_within_tol():
