@@ -29,6 +29,13 @@ def format_real(x) -> str:
     return repr(float(x))
 
 
+def _format_rows(rows, fmt=format_real) -> str:
+    """The text of ``rows`` (lists of Python numbers, as ``ndarray.tolist()``
+    gives them), one line per row, its fields rendered by ``fmt`` and
+    joined by commas."""
+    return "".join([",".join(map(fmt, row)) + "\n" for row in rows])
+
+
 def substream_seed(seed: int, *tags: str) -> int:
     """Derive a stable child seed from a base seed and a sequence of names.
 
@@ -378,8 +385,7 @@ def write_features(features: np.ndarray, path):
         raise ValidationError("feature matrix must be 2-d and non-empty")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"d={X.shape[1]}\n")
-        for row in X:
-            fh.write(",".join(format_real(v) for v in row) + "\n")
+        fh.write(_format_rows(X.tolist()))
 
 
 def _read_class_file(path, kind: str):
@@ -410,8 +416,8 @@ def read_predictions(path) -> PredictionVector:
 def _write_class_file(values, num_classes, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"C={int(num_classes)}\n")
-        for v in np.asarray(values, dtype=np.int64):
-            fh.write(f"{int(v)}\n")
+        fh.write(_format_rows(
+            np.asarray(values, dtype=np.int64).reshape(-1, 1).tolist(), str))
 
 
 def write_labels(labels: LabelVector, path):

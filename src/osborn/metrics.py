@@ -248,12 +248,30 @@ def subset_f(a, H, combos) -> np.ndarray:
     """f of every row of ``combos`` (indices into ``a``).  Terms are
     subtracted one member and one ordered pair at a time, in the order the
     rows list them, so each value rounds the same way as a scalar loop over
-    the subset would."""
-    f = np.zeros(combos.shape[0])
-    for col in combos.T:
-        f -= a[col]
-    for i, j in itertools.permutations(range(combos.shape[1]), 2):
-        f -= H[combos[:, i], combos[:, j]]
+    the subset would.
+
+    ``combos`` may hold any integer dtype.  The kernel walks its columns,
+    which are contiguous in the F-ordered table ``selection._combinations``
+    returns: member terms by ``take`` from ``a``, pair terms by ``take`` from
+    the flattened ``H`` at ``i * m + j``, formed in one reused ``intp``
+    buffer (the product is taken in ``intp``, never in a narrow column
+    dtype).  Indices are bounds-checked once up front, so each ``take``
+    skips numpy's own check and writes into a reused buffer.
+    """
+    cols = np.asarray(combos).T
+    m = H.shape[0]
+    if cols.size and (cols.min() < 0 or cols.max() >= m):
+        raise ValidationError("combos index a model that does not exist")
+    Hflat = np.ravel(H)
+    f = np.zeros(cols.shape[1])
+    terms = np.empty_like(f)
+    for col in cols:
+        f -= np.take(a, col, out=terms, mode="clip")
+    flat = np.empty(cols.shape[1], dtype=np.intp)
+    for i, j in itertools.permutations(range(cols.shape[0]), 2):
+        np.multiply(cols[i], m, out=flat, dtype=np.intp)
+        flat += cols[j]
+        f -= np.take(Hflat, flat, out=terms, mode="clip")
     return f
 
 

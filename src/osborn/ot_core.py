@@ -44,9 +44,11 @@ BACKTRACK_STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625)
 FROBENIUS_SHIFT = 10.0
 # step lengths one Frobenius Armijo search tries before the solve stops
 ARMIJO_TRIALS = 30
-# accepted Frobenius steps in a row that do not lower the dual value before
-# the solve stops: below its rounding floor no step can reach tol
-FROBENIUS_STALL_STEPS = 50
+# iterations in a row that make no progress before a solve stops: entropic
+# iterations near tol that do not lower the best residual so far, or
+# accepted Frobenius steps that do not lower the dual value.  Below a
+# solve's rounding floor no step can reach tol
+STALL_STEPS = 50
 # a kernel scaling outside [1 / SCALING_BOUND, SCALING_BOUND] is absorbed
 # into the log-domain potentials and the stabilized kernel is rebuilt
 SCALING_BOUND = 1e30
@@ -359,7 +361,10 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     into the potentials, ``Kt`` is rebuilt and the scalings reset to one
     (Schmitzer 2019), so small ``epsilon`` neither overflows nor underflows
     whole rows of the kernel.  The loop stops when its residual drops to
-    ``tol``; ``converged`` is taken on the returned plan.
+    ``tol``, or after ``STALL_STEPS`` iterations in a row at a residual
+    within ``max(100 tol, 1e-4)`` that do not lower the best residual so far
+    (a ``tol`` below the rounding floor); ``converged`` is taken on the
+    returned plan.
 
     Once the residual is at most ``max(100 tol, 1e-4)`` and scaling, at the
     rate of its last iteration, would need more than
@@ -396,7 +401,9 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     newton_ok = True
     newton_gate = max(100.0 * float(tol), 1e-4)
     contraction = 0.0  # res / its value before the last scaling iteration
-    while iters < max_iters and res > tol:
+    best = res
+    stalled = 0  # iterations in a row that did not lower best
+    while iters < max_iters and res > tol and stalled < STALL_STEPS:
         iters += 1
         if (newton_ok and res <= newton_gate
                 and res * contraction ** NEWTON_SWITCH_ITERS > tol):
@@ -415,6 +422,11 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
             Kv = Kt @ v
             res = float(np.abs(u * Kv - b).max())
             contraction = res / res_before
+        # far from tol the max-norm residual can plateau for a hundred or more
+        # scaling iterations while other rows still move, so only a stall
+        # within the Newton gate counts
+        stalled = stalled + 1 if best <= res <= newton_gate else 0
+        best = min(best, res)
     Kt *= u[:, None]
     Kt *= v[None, :]
     if not np.all(np.isfinite(Kt)):
@@ -444,7 +456,7 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     sets the step length; it also takes a trial whose residual is within
     ``tol``, whose value change rounding can hide.  A search that finds
     neither in ``ARMIJO_TRIALS`` trials ends the solve at the last accepted
-    potentials, and so do ``FROBENIUS_STALL_STEPS`` accepted steps in a row
+    potentials, and so do ``STALL_STEPS`` accepted steps in a row
     that leave the dual value where it was (a ``tol`` below the rounding
     floor).  ``iterations_used`` counts the start plus the Newton steps, at
     most ``max_iters``; ``converged`` means the returned plan's residual is
@@ -464,7 +476,7 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     iters = 1
     shift = FROBENIUS_SHIFT
     stalled = 0  # accepted steps in a row that did not lower the value
-    while res > tol and iters < max_iters and stalled < FROBENIUS_STALL_STEPS:
+    while res > tol and iters < max_iters and stalled < STALL_STEPS:
         iters += 1
         I, J = np.divmod(np.flatnonzero(buf.ravel() > 0), mc)
         r, c = np.bincount(I, minlength=nr), np.bincount(J, minlength=mc)

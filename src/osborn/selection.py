@@ -19,7 +19,6 @@ results are reproducible across runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,15 +79,41 @@ def _check_k(k: int, m: int) -> int:
 
 
 def _combinations(m: int, k: int) -> np.ndarray:
-    """Every size-k subset of range(m) as one row, in lexicographic order."""
+    """Every size-k subset of range(m) as one row, in lexicographic order.
+
+    The table is built as ``(k, count)`` columns, one level per member: each
+    row of a level is repeated once per admissible next member (``np.repeat``)
+    and the new column counts up from the row's last member + 1 (a
+    ``cumsum``).  It holds the smallest unsigned dtype that fits ``m - 1``
+    and is returned as its transpose, an F-ordered ``(count, k)`` view whose
+    columns are contiguous.
+    """
     count = math.comb(m, k)
     if count > EXHAUSTIVE_BUDGET:
         raise ValidationError(
             f"exhaustive enumeration of C({m}, {k}) subsets exceeds the "
             f"budget of {EXHAUSTIVE_BUDGET}"
         )
-    flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
-    return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+    dtype = np.min_scalar_type(m - 1)
+    cols = np.arange(m - k + 1, dtype=dtype)[None, :]
+    for j in range(1, k):
+        top = m - k + j  # the largest member column j may hold
+        last = cols[-1]
+        reps = top - last.astype(np.intp)  # next members last + 1 .. top
+        starts = np.cumsum(reps) - reps
+        nxt = np.empty((j + 1, int(reps.sum())), dtype=dtype)
+        for i in range(j):
+            nxt[i] = np.repeat(cols[i], reps)
+        # steps of 1 within a row's run, and from the previous run's end
+        # (top) to last + 1 at each run's start; unsigned arithmetic wraps
+        # modulo 2**bits and every true value lies in [0, m - 1], so the
+        # wrapped running sum is exact
+        step = np.ones(nxt.shape[1], dtype=dtype)
+        step[starts] = last + 1
+        step[starts[1:]] -= top
+        np.cumsum(step, dtype=dtype, out=nxt[j])
+        cols = nxt
+    return cols.T
 
 
 def _trace(ids, a, H, order) -> SelectionTrace:
@@ -167,7 +192,9 @@ def score_subsets(pool, k: int, cache: PairwiseCache, config: TEConfig):
 
     ``ids`` are the sorted model ids; row r of ``combos`` holds the
     increasing indices into ``ids`` of subset r, rows in lexicographic
-    order; ``values[r]`` is that subset's osborn value (-f).
+    order; ``values[r]`` is that subset's osborn value (-f).  ``combos`` is
+    the F-ordered table of ``_combinations``, in the smallest unsigned dtype
+    that holds ``len(ids) - 1``.
     """
     ids, a, H = _terms(pool, cache, config)
     combos = _combinations(len(ids), _check_k(k, len(ids)))

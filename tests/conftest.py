@@ -153,6 +153,20 @@ def newton_direction_dense(W, grad_rows, grad_cols, lam=None):
     return -(grad_rows + W @ dy) / r, dy
 
 
+def subset_f_loop(a, H, rows):
+    """f of each row of member indices by scalar subtraction: its members in
+    row order, then its ordered pairs in ``itertools.permutations`` order."""
+    out = []
+    for row in np.asarray(rows).tolist():
+        f = 0.0
+        for i in row:
+            f -= float(a[i])
+        for i, j in itertools.permutations(row, 2):
+            f -= float(H[i, j])
+        out.append(f)
+    return np.array(out)
+
+
 def peak_ratio(fn, nbytes):
     """Run ``fn()`` under tracemalloc: its result and the peak rise of traced
     memory during the call, as a multiple of ``nbytes``."""

@@ -219,6 +219,21 @@ def test_features_reader_rejects_malformed(tmp_path, text, msg):
         read_features(p)
 
 
+def test_feature_and_class_files_are_the_bytes_of_per_value_formatting(tmp_path):
+    # the writers format whole matrices at once; each field must still be
+    # format_real of its value, signed zero and subnormals included
+    X = np.array([[-0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3],
+                  [1.0, 0.1 + 0.2, -np.nextafter(0.0, 1.0), 0.0]])
+    write_features(X, tmp_path / "f.csv")
+    want = "d=4\n" + "".join(",".join(format_real(v) for v in row) + "\n"
+                             for row in X)
+    assert (tmp_path / "f.csv").read_bytes() == want.encode("utf-8")
+    assert read_features(tmp_path / "f.csv").tobytes() == X.tobytes()
+    pv = PredictionVector(np.array([3, 0, 11, 2]), 12)
+    write_predictions(pv, tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_bytes() == b"C=12\n3\n0\n11\n2\n"
+
+
 def test_write_features_rejects_non_matrix(tmp_path):
     with pytest.raises(ValidationError):
         write_features(np.array([1.0, 2.0]), tmp_path / "f.csv")

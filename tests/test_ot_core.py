@@ -834,6 +834,19 @@ def test_frobenius_stops_when_its_steps_no_longer_lower_the_dual():
     assert _residual(coup, marg) > 1e-17
 
 
+def test_sinkhorn_stops_when_its_residual_no_longer_falls():
+    # tol 1e-17 is below this instance's rounding floor: the residual settles
+    # at a few 1e-17 and never reaches tol, so a solve without the stall
+    # stop spends all 1000 iterations
+    rng = np.random.default_rng(0)
+    C = cost_matrix(rng.normal(size=(40, 3)), rng.normal(size=(40, 3)) + 1.0)
+    marg = MarginalWeights(rng.dirichlet(np.ones(40)), rng.dirichlet(np.ones(40)))
+    coup = sinkhorn(C, marg, 0.1 * median_positive_cost(C), max_iters=1000,
+                    tol=1e-17)
+    assert not coup.converged and coup.iterations_used <= 200
+    assert _residual(coup, marg) > 1e-17
+
+
 def test_frobenius_converged_means_residual_within_tol():
     rng = np.random.default_rng(0)
     C = cost_matrix(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)) + 0.5)

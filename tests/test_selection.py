@@ -1,6 +1,8 @@
 """Greedy and exhaustive ensemble search over cached terms."""
 
 import itertools
+import math
+import re
 import warnings
 
 import numpy as np
@@ -13,10 +15,12 @@ from osborn.metrics import (
     build_pairwise_cache,
     osborn_score,
     standardize_terms,
+    subset_f,
 )
 from osborn.selection import (
     EXHAUSTIVE_BUDGET,
     EnsembleCandidate,
+    _combinations,
     exhaustive_select,
     greedy_select,
     marginal_gain,
@@ -25,6 +29,8 @@ from osborn.selection import (
     write_selection,
 )
 from osborn.synth import SynthSpec, build_pool
+
+from conftest import peak_ratio, subset_f_loop
 
 
 def _cache(wd, wt, pair_h):
@@ -244,12 +250,92 @@ def test_exhaustive_budget_guard():
     wd = {i: 0.0 for i in ids}
     pair = {(a, b): 0.0 for a in ids for b in ids if a != b}
     cache = _cache(wd, dict(wd), pair)
-    import math
     assert math.comb(40, 20) > EXHAUSTIVE_BUDGET
     with pytest.raises(ValidationError, match="budget"):
         exhaustive_select(None, 20, cache, TEConfig())
     with pytest.raises(ValidationError, match="budget"):
         score_all(None, 20, cache, TEConfig())
+
+
+def test_exhaustive_on_all_zero_terms_returns_the_first_subset():
+    ids = [f"m{i}" for i in range(9)]
+    zeros = {i: 0.0 for i in ids}
+    cache = _cache(zeros, dict(zeros),
+                   {(a, b): 0.0 for a in ids for b in ids if a != b})
+    for standardize in (False, True):
+        cand, best_f = exhaustive_select(None, 4, cache,
+                                         TEConfig(standardize=standardize))
+        assert cand.ids == tuple(ids[:4]) and best_f == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the enumeration table and the subset kernel
+# ---------------------------------------------------------------------------
+
+
+def test_combinations_are_itertools_combinations():
+    for m in range(1, 13):
+        for k in range(1, m + 1):
+            rows = _combinations(m, k)
+            assert rows.dtype == np.uint8
+            assert rows.tolist() == [list(c) for c in itertools.combinations(range(m), k)]
+
+
+@pytest.mark.parametrize("m,k,dtype", [(256, 1, np.uint8), (256, 2, np.uint8),
+                                       (257, 1, np.uint16), (300, 1, np.uint16),
+                                       (300, 2, np.uint16)])
+def test_combinations_widen_the_dtype_past_255(m, k, dtype):
+    rows = _combinations(m, k)
+    assert rows.dtype == dtype
+    assert rows.tolist() == [list(c) for c in itertools.combinations(range(m), k)]
+
+
+def test_combinations_check_the_budget_before_building():
+    msg = (f"exhaustive enumeration of C(40, 20) subsets exceeds the budget "
+           f"of {EXHAUSTIVE_BUDGET}")
+    with pytest.raises(ValidationError, match=re.escape(msg)):
+        _combinations(40, 20)
+
+
+def _mixed_terms(rng, m):
+    """Mixed-sign terms spread over six decades, so that a change in the
+    order of the subtractions changes the rounding."""
+    a = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, size=m)
+    H = rng.normal(size=(m, m)) * 10.0 ** rng.uniform(-3, 3, size=(m, m))
+    np.fill_diagonal(H, 0.0)
+    return a, H
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_subset_f_is_the_scalar_loop_bit_for_bit(k):
+    rng = np.random.default_rng(40 + k)
+    m = 9
+    a, H = _mixed_terms(rng, m)
+    table = _combinations(m, k)
+    assert subset_f(a, H, table).tobytes() == subset_f_loop(a, H, table).tobytes()
+    # the C-ordered intp row that osborn_score passes
+    for _ in range(5):
+        row = np.sort(rng.choice(m, size=k, replace=False))[None, :]
+        assert subset_f(a, H, row).tobytes() == subset_f_loop(a, H, row).tobytes()
+
+
+def test_subset_f_rejects_indices_outside_the_terms():
+    a, H = _mixed_terms(np.random.default_rng(0), 4)
+    for bad in ([[0, 4]], [[-1, 2]]):
+        with pytest.raises(ValidationError, match="does not exist"):
+            subset_f(a, H, np.array(bad))
+
+
+def test_enumeration_memory_at_the_budget():
+    # C(22, 11) = 705,432 subsets, near the budget: the table and the kernel
+    # over it each peak well below one intp table
+    m, k = 22, 11
+    nbytes = math.comb(m, k) * k * 8
+    table, ratio = peak_ratio(lambda: _combinations(m, k), nbytes)
+    assert ratio <= 0.75
+    a, H = _mixed_terms(np.random.default_rng(1), m)
+    _, ratio = peak_ratio(lambda: subset_f(a, H, table), nbytes)
+    assert ratio <= 0.75
 
 
 # ---------------------------------------------------------------------------
