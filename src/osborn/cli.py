@@ -43,24 +43,17 @@ def _add_config_flags(p, epsilon=False, regularizer=False, seed=False,
 def _resolve_config(args) -> data_io.TEConfig:
     cfg = data_io.read_config(args.config) if getattr(args, "config", None) \
         else data_io.TEConfig()
-    if getattr(args, "epsilon", None) is not None:
-        cfg.epsilon = args.epsilon
-    if getattr(args, "regularizer", None) is not None:
-        cfg.regularizer = args.regularizer
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+    overrides = {key: getattr(args, key) for key in ("epsilon", "regularizer", "seed")
+                 if getattr(args, key, None) is not None}
     if getattr(args, "weights", None) is not None:
-        parts = args.weights.split(",")
-        if len(parts) != 3:
-            raise ValidationError("--weights expects three comma-separated reals")
         try:
-            cfg.lambda_d, cfg.lambda_t, cfg.lambda_c = (float(p) for p in parts)
+            d, t, c = map(float, args.weights.split(","))
         except ValueError as exc:
             raise ValidationError("--weights expects three comma-separated reals") from exc
+        overrides.update(lambda_d=d, lambda_t=t, lambda_c=c)
     if getattr(args, "standardize", None) is not None:
-        cfg.standardize = args.standardize == "true"
-    cfg.validate()
-    return cfg
+        overrides["standardize"] = args.standardize == "true"
+    return dataclasses.replace(cfg, **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:

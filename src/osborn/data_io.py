@@ -56,13 +56,13 @@ def substream_seed(seed: int, *tags: str) -> int:
 def _check_class_vector(vec, noun):
     """Coerce ``vec.values`` to a 1-d int64 array and ``vec.num_classes`` to
     int, and check every entry lies in ``[0, num_classes)``."""
+    _coerce_fields(vec)
     v = np.asarray(vec.values, dtype=np.int64)
     object.__setattr__(vec, "values", v)
     if v.ndim != 1 or v.size == 0:
         raise ValidationError(f"{noun} vector must be a non-empty 1-d array")
-    if int(vec.num_classes) < 1:
+    if vec.num_classes < 1:
         raise ValidationError("num_classes must be >= 1")
-    object.__setattr__(vec, "num_classes", int(vec.num_classes))
     if v.min() < 0 or v.max() >= vec.num_classes:
         raise ValidationError(
             f"{noun}s must lie in [0, {vec.num_classes}); "
@@ -171,11 +171,11 @@ class RankingRecord:
     accuracy: float | None = None
 
     def __post_init__(self):
+        _coerce_fields(self)
         ids = tuple(str(i) for i in self.ensemble)
         if not ids:
             raise ValidationError("ranking record needs at least one member id")
         object.__setattr__(self, "ensemble", ids)
-        object.__setattr__(self, "alpha", float(self.alpha))
         if self.accuracy is not None:
             a = float(self.accuracy)
             if not (0.0 <= a <= 1.0):
@@ -191,10 +191,11 @@ class RankingRecord:
 def read_lines(path, kind: str):
     """Every non-blank line of a text input as a ``(line number, stripped
     text)`` pair, numbered as the file is, so that an error can name the
-    file's own line.  A file that cannot be read or decoded raises
-    ``ValidationError`` naming its ``kind``."""
+    file's own line.  A leading UTF-8 byte-order mark is dropped.  A file
+    that cannot be read or decoded raises ``ValidationError`` naming its
+    ``kind``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return [(n, s) for n, s in enumerate(map(str.strip, fh), start=1) if s]
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {kind} file '{path}': {exc}") from exc
@@ -218,11 +219,28 @@ _CODECS = {
 }
 
 
+def _type_name(f) -> str:
+    """The declared type of dataclass field ``f`` by name, as ``"int"``."""
+    return getattr(f.type, "__name__", f.type)
+
+
 def _codecs(cls, overrides):
     """One ``_CODECS`` entry per field of dataclass ``cls``, in field order;
     ``overrides`` maps a field name to its own entry."""
-    return {f.name: overrides.get(f.name) or _CODECS[getattr(f.type, "__name__", f.type)]
-            for f in fields(cls)}
+    return {f.name: overrides.get(f.name) or _CODECS[_type_name(f)] for f in fields(cls)}
+
+
+# field type: the coercion a constructor applies to a value of that field
+_COERCE = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+def _coerce_fields(obj):
+    """Coerce each ``int``, ``float``, ``str`` or ``bool`` field of frozen
+    dataclass ``obj`` to its declared type; other fields are the caller's."""
+    for f in fields(obj):
+        cast = _COERCE.get(_type_name(f))
+        if cast is not None:
+            object.__setattr__(obj, f.name, cast(getattr(obj, f.name)))
 
 
 def read_fields(cls, path, kind: str, overrides=None):
@@ -271,10 +289,12 @@ def write_fields(obj, path, overrides=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TEConfig:
     """Numerical and weighting knobs for a scoring run.
 
+    Immutable: construction coerces and checks every field, and
+    ``dataclasses.replace`` makes a checked copy with some fields changed.
     ``epsilon`` is scale-free: the solver regularization actually used is
     ``epsilon * median(cost matrix)``, so the default behaves consistently
     across feature scales.
@@ -292,35 +312,23 @@ class TEConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        eps, tol = float(self.epsilon), float(self.convergence_tol)
-        if not (math.isfinite(eps) and eps > 0):
+        _coerce_fields(self)
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValidationError("epsilon must be finite and > 0")
         if self.regularizer not in REGULARIZERS:
             raise ValidationError(
                 f"regularizer must be one of {REGULARIZERS}, got '{self.regularizer}'"
             )
-        if int(self.max_iters) < 1:
+        if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if not (math.isfinite(tol) and tol > 0):
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0):
             raise ValidationError("convergence_tol must be finite and > 0")
         for name in ("lambda_d", "lambda_t", "lambda_c"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(f"{name} must be finite and >= 0")
-        if int(self.subsample_cap) < 1:
+        if self.subsample_cap < 1:
             raise ValidationError("subsample_cap must be >= 1")
-        self.epsilon = float(self.epsilon)
-        self.max_iters = int(self.max_iters)
-        self.convergence_tol = float(self.convergence_tol)
-        self.lambda_d = float(self.lambda_d)
-        self.lambda_t = float(self.lambda_t)
-        self.lambda_c = float(self.lambda_c)
-        self.standardize = bool(self.standardize)
-        self.subsample_cap = int(self.subsample_cap)
-        self.seed = int(self.seed)
 
 
 def read_config(path) -> TEConfig:
@@ -476,7 +484,7 @@ def _read_manifest(manifest_path):
     manifest's directory and every id checked and unique.
     """
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
+        with open(manifest_path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read manifest '{manifest_path}': {exc}") from exc
@@ -590,7 +598,8 @@ def stratified_indices(labels: LabelVector, cap: int, seed: int) -> np.ndarray:
     n = values.shape[0]
     if cap >= n:
         return np.arange(n, dtype=np.int64)
-    classes, counts = np.unique(values, return_counts=True)
+    classes, inverse, counts = np.unique(values, return_inverse=True,
+                                         return_counts=True)
     if cap < classes.shape[0]:
         raise ValidationError(
             f"subsample cap {cap} is below the number of observed classes "
@@ -606,8 +615,7 @@ def stratified_indices(labels: LabelVector, cap: int, seed: int) -> np.ndarray:
         taken[pick] = True
     budget = cap - classes.shape[0]
     if budget > 0:
-        count_of = dict(zip(classes.tolist(), counts.tolist()))
-        weights = np.array([1.0 / count_of[int(v)] for v in values])
+        weights = 1.0 / counts[inverse]
         weights[taken] = 0.0
         weights = weights / weights.sum()
         extra = rng.choice(n, size=budget, replace=False, p=weights)

@@ -166,22 +166,27 @@ def joint_from_coupling(coupling: Coupling, source_labels: LabelVector,
     return table
 
 
-def _conditional_entropy(P: np.ndarray) -> float:
+def _conditional_entropy(P: np.ndarray, split_log=False) -> float:
     """H(row | column) of a non-negative joint table, in nats: the sum over
     positive cells of p(a,b) * log(p(b) / p(a,b)).  Each term is
     non-negative because the column marginal dominates the cell; a table
-    without mass has entropy 0."""
+    without mass has entropy 0.  ``split_log`` takes the log as
+    log p(b) - log p(a,b), which stays finite where the ratio overflows."""
     col = P.sum(axis=0)
     mask = P > 0
     cells = P[mask]
     marg = np.broadcast_to(col[None, :], P.shape)[mask]
-    return float(np.sum(cells * np.log(marg / cells)))
+    logs = np.log(marg) - np.log(cells) if split_log else np.log(marg / cells)
+    return float(np.sum(cells * logs))
 
 
 def w_task(table: np.ndarray) -> float:
     """Task difference: H(source label | target label) of the joint table
     from ``joint_from_coupling``, in nats."""
-    return _conditional_entropy(table)
+    with np.errstate(over="ignore"):
+        h = _conditional_entropy(table)
+    # a subnormal cell's ratio to its column overflows, but its term is finite
+    return _conditional_entropy(table, split_log=True) if h == np.inf else h
 
 
 # ---------------------------------------------------------------------------

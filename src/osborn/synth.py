@@ -35,6 +35,7 @@ from .data_io import (
     ModelRecord,
     PoolManifest,
     PredictionVector,
+    _coerce_fields,
     format_real,
     read_fields,
     substream_seed,
@@ -66,14 +67,11 @@ class SynthSpec:
     source_jitter: float = 0.25
 
     def __post_init__(self):
-        m = int(self.num_models)
+        _coerce_fields(self)
+        m, d, n = self.num_models, self.feature_dim, self.samples
+        cs, ct = self.source_classes, self.target_classes
         if m < 2:
             raise ValidationError("num_models must be >= 2")
-        object.__setattr__(self, "num_models", m)
-        d = int(self.feature_dim)
-        cs = int(self.source_classes)
-        ct = int(self.target_classes)
-        n = int(self.samples)
         if cs < 1 or ct < 1:
             raise ValidationError("class counts must be >= 1")
         if d < max(cs, ct):
@@ -85,10 +83,6 @@ class SynthSpec:
             raise ValidationError(
                 f"samples ({n}) must cover every class (need >= {max(cs, ct)})"
             )
-        object.__setattr__(self, "feature_dim", d)
-        object.__setattr__(self, "source_classes", cs)
-        object.__setattr__(self, "target_classes", ct)
-        object.__setattr__(self, "samples", n)
 
         shift = tuple(float(x) for x in self.domain_shift)
         noise = tuple(float(x) for x in self.prediction_noise)
@@ -122,15 +116,10 @@ class SynthSpec:
                     "prediction_noise; grouped models share one noise realization"
                 )
         object.__setattr__(self, "redundancy_groups", groups)
-        object.__setattr__(self, "seed", int(self.seed))
-        sep = float(self.class_separation)
-        if not (sep > 0):
+        if not (self.class_separation > 0):
             raise ValidationError("class_separation must be > 0")
-        object.__setattr__(self, "class_separation", sep)
-        jitter = float(self.source_jitter)
-        if jitter < 0:
+        if self.source_jitter < 0:
             raise ValidationError("source_jitter must be >= 0")
-        object.__setattr__(self, "source_jitter", jitter)
 
     def group_of(self) -> dict:
         out = {}

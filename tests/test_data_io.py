@@ -1,5 +1,6 @@
 """File formats, validation, config handling, and stratified subsampling."""
 
+import dataclasses
 import json
 import os
 
@@ -126,6 +127,33 @@ def test_config_defaults_pass_validation():
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValidationError):
         TEConfig(**{field: value})
+
+
+def test_config_is_frozen_and_has_no_validate():
+    cfg = TEConfig()
+    assert not hasattr(cfg, "validate")
+    for f in dataclasses.fields(TEConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    assert cfg == TEConfig()
+
+
+@pytest.mark.parametrize("field,value,msg", [
+    ("lambda_c", float("nan"), "lambda_c must be finite and >= 0"),
+    ("max_iters", 0, "max_iters must be >= 1"),
+])
+def test_config_replace_checks_the_new_values(field, value, msg):
+    # a changed copy goes through the same checks as a constructed one
+    with pytest.raises(ValidationError, match=msg):
+        dataclasses.replace(TEConfig(), **{field: value})
+
+
+def test_config_coerces_scalar_fields_to_their_types():
+    cfg = TEConfig(epsilon=1, max_iters=np.int64(7), lambda_d=np.float32(0.5),
+                   standardize=0, seed=np.uint8(3))
+    assert [type(getattr(cfg, f.name)).__name__ for f in dataclasses.fields(cfg)] \
+        == [f.type for f in dataclasses.fields(cfg)]
+    assert (cfg.epsilon, cfg.max_iters, cfg.standardize, cfg.seed) == (1.0, 7, False, 3)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -299,6 +327,29 @@ def test_load_pool_resolves_relative_paths(tmp_path):
     assert rec.source_features.shape == (5, 2)
     with pytest.raises(ValidationError, match="unknown model id"):
         manifest.record("m9")
+
+
+def test_text_inputs_accept_a_byte_order_mark(tmp_path):
+    # a config, a feature file and a manifest saved with a UTF-8 BOM load as
+    # their copies without one do
+    def with_bom(path):
+        bom = path.with_name("bom_" + path.name)
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return bom
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\nstandardize = false\n")
+    assert read_config(with_bom(cfg)) == read_config(cfg)
+    features = tmp_path / "f.csv"
+    write_features(np.random.default_rng(4).normal(size=(3, 2)), features)
+    assert read_features(with_bom(features)).tobytes() == read_features(features).tobytes()
+    manifest = _write_pool_dir(tmp_path)
+    plain, bom = load_pool(manifest), load_pool(with_bom(manifest))
+    assert bom.model_ids() == plain.model_ids()
+    assert np.array_equal(bom.target_labels.values, plain.target_labels.values)
+    for a, b in zip(plain.models, bom.models):
+        assert a.source_features.tobytes() == b.source_features.tobytes()
+        assert np.array_equal(a.target_predictions.values, b.target_predictions.values)
 
 
 def test_load_pool_rejects_duplicate_ids(tmp_path):

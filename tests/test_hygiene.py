@@ -2,7 +2,8 @@
 function and every module-level UPPER_CASE constant it defines, is used in
 that module; imports sit at module level; every parameter of a module-level
 private function is read; every private or constant name a docstring cites
-is defined; and every name the benchmark's tracer wraps exists."""
+is defined; every name the benchmark's tracer wraps exists; and every
+dataclass is declared ``frozen=True``."""
 
 import ast
 import re
@@ -149,3 +150,22 @@ def test_docstring_names_exist(path):
     missing = sorted({name for doc in docs for name in _DOC_NAME.findall(doc)
                       if name not in defined})
     assert not missing, f"{path.name} docstrings name undefined: " + ", ".join(missing)
+
+
+def _is_frozen_dataclass(decorator):
+    return (isinstance(decorator, ast.Call)
+            and getattr(decorator.func, "id", None) == "dataclass"
+            and any(kw.arg == "frozen" and getattr(kw.value, "value", None) is True
+                    for kw in decorator.keywords))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_is_frozen(path):
+    # a value type is built and checked once; a mutable one could be changed
+    # after its checks ran
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    mutable = [f"{path.name}:{node.lineno}: {node.name}"
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for dec in node.decorator_list
+               if "dataclass" in ast.unparse(dec) and not _is_frozen_dataclass(dec)]
+    assert not mutable, "dataclasses not declared frozen=True: " + ", ".join(mutable)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from osborn import metrics
 from osborn.data_io import LabelVector, PoolManifest, PredictionVector, TEConfig
@@ -116,6 +119,23 @@ def test_w_task_nonnegative_on_random_tables():
         assert w_task(joint) >= 0.0
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.floats(0.0, 1.0)))
+def test_w_task_lies_between_zero_and_log_source_classes(cells):
+    # H(source | target) of a joint table is at most the entropy of a
+    # uniform source label
+    assume(cells.sum() > 0)
+    value = w_task(cells / cells.sum())
+    assert -1e-12 <= value <= math.log(cells.shape[0]) + 1e-12
+
+
+def test_w_task_is_finite_with_a_subnormal_cell():
+    # the cell's ratio to its column overflows a double; its term does not
+    table = np.array([[2.2250738585e-313], [1.0]])
+    assert 0.0 <= w_task(table) < 1e-309
+
+
 def test_w_task_empty_table_is_zero():
     assert w_task(np.zeros((2, 3))) == 0.0
 
@@ -153,6 +173,22 @@ def test_cohesion_pair_one_bit_case():
     pj = PredictionVector(np.array([0, 0, 0, 0]), 2)
     assert cohesion_pair(pi, pj) == pytest.approx(math.log(2.0), abs=1e-12)
     assert cohesion_pair(pj, pi) == 0.0
+
+
+@st.composite
+def _prediction_pairs(draw):
+    n, ci, cj = draw(st.integers(1, 40)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    vi = draw(st.lists(st.integers(0, ci - 1), min_size=n, max_size=n))
+    vj = draw(st.lists(st.integers(0, cj - 1), min_size=n, max_size=n))
+    return PredictionVector(np.array(vi), ci), PredictionVector(np.array(vj), cj)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_prediction_pairs())
+def test_cohesion_pair_lies_between_zero_and_log_classes(pair):
+    pred_i, pred_j = pair
+    value = cohesion_pair(pred_i, pred_j)
+    assert -1e-12 <= value <= math.log(pred_i.num_classes) + 1e-12
 
 
 def test_cohesion_pair_length_mismatch():
