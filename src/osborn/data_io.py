@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+import operator
 import os
 import zlib
 from dataclasses import dataclass, fields
@@ -54,13 +56,16 @@ def substream_seed(seed: int, *tags: str) -> int:
 
 
 def _check_class_vector(vec, noun):
-    """Coerce ``vec.values`` to a 1-d int64 array and ``vec.num_classes`` to
-    int, and check every entry lies in ``[0, num_classes)``."""
+    """Coerce ``vec.values``, an integer array, to 1-d int64 and
+    ``vec.num_classes`` to int, and check every entry lies in ``[0, num_classes)``."""
     _coerce_fields(vec)
-    v = np.asarray(vec.values, dtype=np.int64)
-    object.__setattr__(vec, "values", v)
+    v = np.asarray(vec.values)
     if v.ndim != 1 or v.size == 0:
         raise ValidationError(f"{noun} vector must be a non-empty 1-d array")
+    if not np.issubdtype(v.dtype, np.integer):
+        raise ValidationError(f"{noun}s must be integers, got dtype {v.dtype}")
+    v = np.asarray(v, dtype=np.int64)
+    object.__setattr__(vec, "values", v)
     if vec.num_classes < 1:
         raise ValidationError("num_classes must be >= 1")
     if v.min() < 0 or v.max() >= vec.num_classes:
@@ -114,18 +119,60 @@ class ModelRecord:
     target_features: np.ndarray
     target_predictions: PredictionVector
 
+    def __post_init__(self):
+        _check_model_id(self.model_id)
+        mid, S, T = self.model_id, self.source_features, self.target_features
+        if S.ndim != 2 or T.ndim != 2:
+            raise ValidationError(f"model '{mid}': feature matrices must be 2-d")
+        if S.shape[1] != T.shape[1]:
+            raise ValidationError(
+                f"model '{mid}': source/target feature dimension mismatch "
+                f"({S.shape[1]} vs {T.shape[1]})"
+            )
+        if S.shape[0] != len(self.source_labels):
+            raise ValidationError(
+                f"model '{mid}': {S.shape[0]} source rows but "
+                f"{len(self.source_labels)} source labels"
+            )
+        if not np.all(np.isfinite(S)) or not np.all(np.isfinite(T)):
+            raise ValidationError(f"model '{mid}': non-finite feature value")
+
+
+def _check_pool(ids, predictions, target_labels):
+    """Check that a pool has models, unique ``ids``, and one prediction per
+    target label in each of ``predictions`` (one vector per id)."""
+    if not ids:
+        raise ValidationError("pool is empty")
+    if len(set(ids)) != len(ids):
+        repeated = sorted({mid for mid in ids if ids.count(mid) > 1})
+        raise ValidationError(f"pool has duplicate model ids {repeated}")
+    n_target = len(target_labels)
+    for mid, preds in zip(ids, predictions):
+        if len(preds) != n_target:
+            raise ValidationError(
+                f"model '{mid}': {len(preds)} predictions "
+                f"but the pool has {n_target} target labels"
+            )
+
 
 @dataclass(frozen=True)
 class PoolManifest:
-    """A pool of candidate models plus ground-truth target labels."""
+    """A pool of candidate models plus ground-truth target labels; each
+    model has one target feature row and prediction per target label."""
 
     models: tuple
     target_labels: LabelVector
 
     def __post_init__(self):
-        # reversed, so the first record wins on a repeated id, as a scan would
-        object.__setattr__(self, "_by_id",
-                           {m.model_id: m for m in reversed(self.models)})
+        _check_pool(self.model_ids(), [m.target_predictions for m in self.models],
+                    self.target_labels)
+        n_target = len(self.target_labels)
+        for m in self.models:
+            rows = m.target_features.shape[0]
+            if rows != n_target:
+                raise ValidationError(f"model '{m.model_id}': {rows} target feature "
+                                      f"rows but the pool has {n_target} target labels")
+        object.__setattr__(self, "_by_id", {m.model_id: m for m in self.models})
 
     @property
     def size(self) -> int:
@@ -151,6 +198,10 @@ class PoolPredictions:
 
     predictions: dict
     target_labels: LabelVector
+
+    def __post_init__(self):
+        _check_pool(self.model_ids(), list(self.predictions.values()),
+                    self.target_labels)
 
     def model_ids(self):
         return tuple(self.predictions)
@@ -210,12 +261,33 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-# field type: (parse, what a value must look like, format)
+def _check_real(x) -> float:
+    if not isinstance(x, numbers.Real):
+        raise TypeError(x)
+    return float(x)
+
+
+def _check_bool(x) -> bool:
+    if isinstance(x, (bool, np.bool_)) or operator.index(x) in (0, 1):
+        return bool(x)
+    raise ValueError(x)
+
+
+def _check_str(x) -> str:
+    if not isinstance(x, str):
+        raise TypeError(x)
+    return str(x)
+
+
+# field type: (parse text, check a value, what a value must look like, format);
+# a check returns the value as the field's type, or raises where the
+# conversion would lose information
 _CODECS = {
-    "int": (int, "must be an integer", str),
-    "float": (float, "must be a number", format_real),
-    "str": (str, "", str),
-    "bool": (_parse_bool, "expects true/false", lambda b: "true" if b else "false"),
+    "int": (int, operator.index, "must be an integer", str),
+    "float": (float, _check_real, "must be a number", format_real),
+    "str": (str, _check_str, "must be a string", str),
+    "bool": (_parse_bool, _check_bool, "expects true/false",
+             lambda b: "true" if b else "false"),
 }
 
 
@@ -230,17 +302,20 @@ def _codecs(cls, overrides):
     return {f.name: overrides.get(f.name) or _CODECS[_type_name(f)] for f in fields(cls)}
 
 
-# field type: the coercion a constructor applies to a value of that field
-_COERCE = {"int": int, "float": float, "str": str, "bool": bool}
-
-
 def _coerce_fields(obj):
     """Coerce each ``int``, ``float``, ``str`` or ``bool`` field of frozen
-    dataclass ``obj`` to its declared type; other fields are the caller's."""
+    dataclass ``obj`` to its declared type by its ``_CODECS`` check; a value
+    that does not convert without loss raises ``ValidationError`` naming
+    the field.  Other fields are the caller's."""
     for f in fields(obj):
-        cast = _COERCE.get(_type_name(f))
-        if cast is not None:
-            object.__setattr__(obj, f.name, cast(getattr(obj, f.name)))
+        codec = _CODECS.get(_type_name(f))
+        if codec is not None:
+            _, check, expect, _ = codec
+            value = getattr(obj, f.name)
+            try:
+                object.__setattr__(obj, f.name, check(value))
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"{f.name} {expect}, got {value!r}") from None
 
 
 def read_fields(cls, path, kind: str, overrides=None):
@@ -266,7 +341,7 @@ def read_fields(cls, path, kind: str, overrides=None):
         if key in linenos:
             raise ValidationError(f"{path}:{lineno}: repeated key '{key}', "
                                   f"first set on line {linenos[key]}")
-        parse, expect, _ = codecs[key]
+        parse, _, expect, _ = codecs[key]
         try:
             values[key] = parse(text)
         except ValueError as exc:
@@ -280,7 +355,7 @@ def write_fields(obj, path, overrides=None):
     """Write dataclass ``obj`` as one ``key = value`` line per field, in field
     order, each value formatted as ``read_fields`` parses it back."""
     with open(path, "w", encoding="utf-8") as fh:
-        for name, (_, _, fmt) in _codecs(type(obj), overrides or {}).items():
+        for name, (*_, fmt) in _codecs(type(obj), overrides or {}).items():
             fh.write(f"{name} = {fmt(getattr(obj, name))}\n")
 
 
@@ -450,28 +525,6 @@ def _check_model_id(mid):
         )
 
 
-def validate_record(rec: ModelRecord):
-    """Check internal consistency of one model record."""
-    _check_model_id(rec.model_id)
-    mid = rec.model_id
-    S = rec.source_features
-    T = rec.target_features
-    if S.ndim != 2 or T.ndim != 2:
-        raise ValidationError(f"model '{mid}': feature matrices must be 2-d")
-    if S.shape[1] != T.shape[1]:
-        raise ValidationError(
-            f"model '{mid}': source/target feature dimension mismatch "
-            f"({S.shape[1]} vs {T.shape[1]})"
-        )
-    if S.shape[0] != len(rec.source_labels):
-        raise ValidationError(
-            f"model '{mid}': {S.shape[0]} source rows but "
-            f"{len(rec.source_labels)} source labels"
-        )
-    if not np.all(np.isfinite(S)) or not np.all(np.isfinite(T)):
-        raise ValidationError(f"model '{mid}': non-finite feature value")
-
-
 _ENTRY_KEYS = ("source_features", "source_labels", "target_features",
                "target_predictions")
 
@@ -528,41 +581,25 @@ def _read_manifest(manifest_path):
     return target_labels, entries
 
 
-def _check_prediction_count(mid, preds: PredictionVector, n_target):
-    if len(preds) != n_target:
-        raise ValidationError(
-            f"model '{mid}': {len(preds)} predictions "
-            f"but the pool has {n_target} target labels"
-        )
-
-
 def load_pool(manifest_path) -> PoolManifest:
     """Load a pool manifest (JSON) and every file it references.
 
     Relative paths in the manifest are resolved against the manifest's
-    directory.  All cross-file consistency rules are enforced here so that
-    downstream code can assume a well-formed pool.
+    directory.  The records and the pool check themselves as they are built,
+    so downstream code can assume a well-formed pool.
     """
     target_labels, entries = _read_manifest(manifest_path)
-    n_target = len(target_labels)
-    models = []
-    for mid, paths in entries:
-        rec = ModelRecord(
+    models = tuple(
+        ModelRecord(
             model_id=mid,
             source_features=read_features(paths["source_features"]),
             source_labels=read_labels(paths["source_labels"]),
             target_features=read_features(paths["target_features"]),
             target_predictions=read_predictions(paths["target_predictions"]),
         )
-        validate_record(rec)
-        if rec.target_features.shape[0] != n_target:
-            raise ValidationError(
-                f"model '{mid}': {rec.target_features.shape[0]} target feature rows "
-                f"but the pool has {n_target} target labels"
-            )
-        _check_prediction_count(mid, rec.target_predictions, n_target)
-        models.append(rec)
-    return PoolManifest(models=tuple(models), target_labels=target_labels)
+        for mid, paths in entries
+    )
+    return PoolManifest(models=models, target_labels=target_labels)
 
 
 def load_pool_predictions(manifest_path) -> PoolPredictions:
@@ -570,11 +607,8 @@ def load_pool_predictions(manifest_path) -> PoolPredictions:
     pool, checked as ``load_pool`` checks them; no feature or source-label
     file is read.  This is all that selection and scoring need."""
     target_labels, entries = _read_manifest(manifest_path)
-    predictions = {}
-    for mid, paths in entries:
-        preds = read_predictions(paths["target_predictions"])
-        _check_prediction_count(mid, preds, len(target_labels))
-        predictions[mid] = preds
+    predictions = {mid: read_predictions(paths["target_predictions"])
+                   for mid, paths in entries}
     return PoolPredictions(predictions=predictions, target_labels=target_labels)
 
 

@@ -25,6 +25,7 @@ from .data_io import (
     PoolManifest,
     PredictionVector,
     TEConfig,
+    _check_model_id,
     format_real,
     read_lines,
     stratified_indices,
@@ -78,6 +79,8 @@ class PairwiseCache:
         ids = tuple(self.ids)
         if not ids:
             raise ValidationError("cache must contain at least one model")
+        for mid in ids:
+            _check_model_id(mid)
         if len(set(ids)) != len(ids):
             raise ValidationError("cache has duplicate model ids")
         if list(ids) != sorted(ids):
@@ -350,16 +353,10 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
     assembled in sorted id order, so the cache is identical for any thread
     count.  Pair entropies cost microseconds each and run in this thread.
     """
-    if pool.size < 1:
-        raise ValidationError("pool is empty")
     threads = int(threads)
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     ids = sorted(pool.model_ids())
-    repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
-    if repeated:
-        raise ValidationError(f"pool has duplicate model ids {repeated}")
-    records = {m.model_id: m for m in pool.models}
     tgt_idx = stratified_indices(
         pool.target_labels, config.subsample_cap,
         substream_seed(config.seed, "subsample-target"),
@@ -368,7 +365,7 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
                                 pool.target_labels.num_classes)
 
     def model_job(mid):
-        return _model_terms(records[mid], target_labels, tgt_idx, config)
+        return _model_terms(pool.record(mid), target_labels, tgt_idx, config)
 
     if threads == 1:
         results = [model_job(mid) for mid in ids]
@@ -376,7 +373,7 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
         with ThreadPoolExecutor(max_workers=threads) as pool_exec:
             results = list(pool_exec.map(model_job, ids))
     wd, wt, converged = zip(*results)
-    preds = [records[mid].target_predictions for mid in ids]
+    preds = [pool.target_predictions(mid) for mid in ids]
     pair_h = np.zeros((len(ids), len(ids)))
     for i, j in itertools.permutations(range(len(ids)), 2):
         pair_h[i, j] = cohesion_pair(preds[i], preds[j])

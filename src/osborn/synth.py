@@ -39,7 +39,6 @@ from .data_io import (
     format_real,
     read_fields,
     substream_seed,
-    validate_record,
     write_features,
     write_fields,
     write_labels,
@@ -216,15 +215,13 @@ def build_pool(spec: SynthSpec) -> SynthPool:
         tgt_features = base_t + spec.domain_shift[r] * shift_dir
         preds = _flip(pred_base, noise, u_tgt, off_tgt, cs)
 
-        rec = ModelRecord(
+        models.append(ModelRecord(
             model_id=mid,
             source_features=src_features,
             source_labels=LabelVector(src_labels, cs),
             target_features=tgt_features,
             target_predictions=PredictionVector(preds, cs),
-        )
-        validate_record(rec)
-        models.append(rec)
+        ))
         qualities[mid] = float(np.mean(preds == y_t))
         groups[mid] = gi
 
@@ -256,9 +253,10 @@ def proxy_accuracies(ids, combos, pool) -> np.ndarray:
 
 
 # per-model lists are semicolon separated (a single value broadcasts);
-# redundancy groups separate members with commas and groups with "|"
+# redundancy groups separate members with commas and groups with "|".  These
+# text codecs carry no value check: SynthSpec checks these fields itself.
 _PER_MODEL = (lambda text: tuple(float(p) for p in text.split(";") if p.strip()),
-              "expects numbers separated by ';'",
+              None, "expects numbers separated by ';'",
               lambda values: ";".join(format_real(x) for x in values))
 _SPEC_CODECS = {
     "domain_shift": _PER_MODEL,
@@ -266,7 +264,7 @@ _SPEC_CODECS = {
     "redundancy_groups": (
         lambda text: tuple(tuple(int(i) for i in g.split(","))
                            for g in text.split("|") if g.strip()),
-        "expects integers, ',' within a group and '|' between groups",
+        None, "expects integers, ',' within a group and '|' between groups",
         lambda groups: "|".join(",".join(str(i) for i in g) for g in groups)),
 }
 

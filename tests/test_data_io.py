@@ -11,6 +11,7 @@ from osborn.data_io import (
     LabelVector,
     ModelRecord,
     PoolManifest,
+    PoolPredictions,
     PredictionVector,
     RankingRecord,
     TEConfig,
@@ -25,7 +26,6 @@ from osborn.data_io import (
     read_scores,
     stratified_indices,
     substream_seed,
-    validate_record,
     write_config,
     write_features,
     write_labels,
@@ -71,6 +71,11 @@ def test_label_vector_validation():
         LabelVector(np.array([-1, 0]), 3)
     with pytest.raises(ValidationError):
         LabelVector(np.array([0]), 0)
+    # non-integer input is rejected, not truncated
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        LabelVector(np.array([0.7, 1.2]), 2)
+    with pytest.raises(ValidationError, match="num_classes must be an integer"):
+        LabelVector(np.array([0, 1]), 2.9)
 
 
 def test_prediction_vector_validation():
@@ -78,6 +83,8 @@ def test_prediction_vector_validation():
     assert len(pv) == 2
     with pytest.raises(ValidationError):
         PredictionVector(np.array([2]), 2)
+    with pytest.raises(ValidationError, match="predictions must be integers"):
+        PredictionVector(np.array([0.0, 1.0]), 2)
 
 
 def test_ranking_record_normalizes_and_validates():
@@ -126,6 +133,19 @@ def test_config_defaults_pass_validation():
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValidationError):
+        TEConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value,msg", [
+    ("standardize", "false", "standardize expects true/false, got 'false'"),
+    ("standardize", 2, "standardize expects true/false"),
+    ("max_iters", 2.7, "max_iters must be an integer, got 2.7"),
+    ("subsample_cap", 99.9, "subsample_cap must be an integer"),
+    ("epsilon", "abc", "epsilon must be a number, got 'abc'"),
+    ("regularizer", 1, "regularizer must be a string"),
+])
+def test_config_rejects_values_that_do_not_convert_exactly(field, value, msg):
+    with pytest.raises(ValidationError, match=msg):
         TEConfig(**{field: value})
 
 
@@ -425,27 +445,56 @@ def test_load_pool_predictions_checks_what_load_pool_checks(tmp_path):
         load_pool_predictions(path)
 
 
-def test_validate_record_checks_shapes_and_ids():
-    ok = ModelRecord(
+def test_model_record_checks_shapes_and_ids():
+    ok = dict(
         model_id="m",
         source_features=np.zeros((3, 2)),
         source_labels=LabelVector(np.array([0, 1, 0]), 2),
         target_features=np.zeros((4, 2)),
         target_predictions=PredictionVector(np.array([0, 0, 1, 1]), 2),
     )
-    validate_record(ok)
-    import dataclasses
-    with pytest.raises(ValidationError, match="dimension mismatch"):
-        validate_record(dataclasses.replace(ok, target_features=np.zeros((4, 3))))
-    with pytest.raises(ValidationError, match="source labels"):
-        validate_record(dataclasses.replace(ok, source_features=np.zeros((2, 2))))
-    with pytest.raises(ValidationError, match="non-finite"):
-        validate_record(dataclasses.replace(
-            ok, source_features=np.full((3, 2), np.nan)))
-    with pytest.raises(ValidationError, match="reserved character"):
-        validate_record(dataclasses.replace(ok, model_id="a,b"))
-    with pytest.raises(ValidationError, match="non-empty string"):
-        validate_record(dataclasses.replace(ok, model_id=""))
+    ModelRecord(**ok)
+    for change, msg in [
+        (dict(target_features=np.zeros((4, 3))), "dimension mismatch"),
+        (dict(source_features=np.zeros((2, 2))), "source labels"),
+        (dict(source_features=np.full((3, 2), np.nan)), "non-finite"),
+        (dict(model_id="a,b"), "reserved character"),
+        (dict(model_id=""), "non-empty string"),
+    ]:
+        with pytest.raises(ValidationError, match=msg):
+            ModelRecord(**{**ok, **change})
+
+
+@pytest.mark.parametrize("source_rows,target_rows,msg", [
+    (40, 30, "'m': 30 target feature rows but the pool has 40 target labels"),
+    (40, 45, "'m': 45 target feature rows but the pool has 40 target labels"),
+    (30, 40, "'m': 30 source rows but 40 source labels"),
+])
+def test_library_built_pool_checks_rows_against_labels(source_rows, target_rows, msg):
+    # each of these once reached build_pairwise_cache, which raised an
+    # IndexError or scored the first 40 target rows
+    rng = np.random.default_rng(0)
+    labels = LabelVector(np.arange(40) % 2, 2)
+    with pytest.raises(ValidationError, match=msg):
+        PoolManifest(models=(ModelRecord(
+            model_id="m",
+            source_features=rng.normal(size=(source_rows, 3)),
+            source_labels=labels,
+            target_features=rng.normal(size=(target_rows, 3)),
+            target_predictions=PredictionVector(labels.values, 2),
+        ),), target_labels=labels)
+
+
+def test_pool_predictions_check_counts_and_emptiness():
+    labels = LabelVector(np.array([0, 1, 0]), 2)
+    short = {"m": PredictionVector(np.array([0, 1]), 2)}
+    with pytest.raises(ValidationError,
+                       match="'m': 2 predictions but the pool has 3 target labels"):
+        PoolPredictions(predictions=short, target_labels=labels)
+    with pytest.raises(ValidationError, match="pool is empty"):
+        PoolPredictions(predictions={}, target_labels=labels)
+    with pytest.raises(ValidationError, match="pool is empty"):
+        PoolManifest(models=(), target_labels=labels)
 
 
 # ---------------------------------------------------------------------------

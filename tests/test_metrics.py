@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from osborn import metrics
 from osborn.data_io import LabelVector, PoolManifest, PredictionVector, TEConfig
 from osborn.errors import ValidationError
 from osborn.metrics import (
@@ -241,6 +240,8 @@ def test_cache_requires_complete_pair_table():
         (dict(ids=("b", "a")), "sorted"),
         (dict(ids=("a", "a")), "duplicate"),
         (dict(ids=()), "at least one model"),
+        # an id that write_cache could not write readably
+        (dict(ids=("a,b", "c")), "reserved character"),
     ]:
         with pytest.raises(ValidationError, match=msg):
             PairwiseCache(**{**ok, **change})
@@ -405,23 +406,11 @@ def test_build_cache_cohesion_ignores_subsampling():
 
 
 def test_build_cache_rejects_a_repeated_model_id():
+    # the pool cannot be built, so it never reaches a transport solve
     pool = _small_pool()
-    twice = PoolManifest(models=pool.models + pool.models[:1],
-                         target_labels=pool.target_labels)
-    with pytest.raises(ValidationError, match="duplicate model ids"):
-        build_pairwise_cache(twice, TEConfig(seed=0))
-
-
-def test_build_cache_rejects_a_repeated_model_id_before_any_solve(monkeypatch):
-    pool = _small_pool()
-    twice = PoolManifest(models=pool.models + pool.models[:1],
-                         target_labels=pool.target_labels)
-    solves = []
-    monkeypatch.setattr(metrics, "_solve_transport",
-                        lambda *args: solves.append(args))
     with pytest.raises(ValidationError, match=r"duplicate model ids \['m00'\]"):
-        build_pairwise_cache(twice, TEConfig(seed=0))
-    assert solves == []
+        PoolManifest(models=pool.models + pool.models[:1],
+                     target_labels=pool.target_labels)
 
 
 def test_frobenius_regularizer_route_works_end_to_end():
