@@ -31,11 +31,28 @@ def format_real(x) -> str:
     return repr(float(x))
 
 
-def _format_rows(rows, fmt=format_real) -> str:
-    """The text of ``rows`` (lists of Python numbers, as ``ndarray.tolist()``
-    gives them), one line per row, its fields rendered by ``fmt`` and
-    joined by commas."""
-    return "".join([",".join(map(fmt, row)) + "\n" for row in rows])
+def _format_field(x) -> str:
+    """One table field: a float by ``format_real``, a tuple of model ids
+    joined by ``;``, ``None`` as an empty field, anything else by ``str``."""
+    if isinstance(x, (float, np.floating)):
+        return format_real(x)
+    if isinstance(x, tuple):
+        return ";".join(x)
+    return "" if x is None else str(x)
+
+
+def write_table(path, rows, header=None):
+    """Write ``rows`` as comma-separated lines, each field rendered by
+    ``_format_field``, after the ``header`` line if one is given.  A 2-d
+    numpy array of rows is rendered all by ``format_real`` (a float dtype)
+    or all by ``str``, as ``_format_field`` would, with no per-value check."""
+    fmt = _format_field
+    if isinstance(rows, np.ndarray):
+        fmt = format_real if rows.dtype.kind == "f" else str
+        rows = rows.tolist()
+    head = "" if header is None else header + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + "".join([",".join(map(fmt, row)) + "\n" for row in rows]))
 
 
 def substream_seed(seed: int, *tags: str) -> int:
@@ -174,10 +191,6 @@ class PoolManifest:
                                       f"rows but the pool has {n_target} target labels")
         object.__setattr__(self, "_by_id", {m.model_id: m for m in self.models})
 
-    @property
-    def size(self) -> int:
-        return len(self.models)
-
     def model_ids(self):
         return tuple(m.model_id for m in self.models)
 
@@ -227,8 +240,14 @@ class RankingRecord:
         if not ids:
             raise ValidationError("ranking record needs at least one member id")
         object.__setattr__(self, "ensemble", ids)
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha}")
         if self.accuracy is not None:
-            a = float(self.accuracy)
+            try:
+                a = _check_real(self.accuracy)
+            except TypeError:
+                raise ValidationError(
+                    f"accuracy must be a number, got {self.accuracy!r}") from None
             if not (0.0 <= a <= 1.0):
                 raise ValidationError(f"accuracy must lie in [0, 1], got {a}")
             object.__setattr__(self, "accuracy", a)
@@ -265,6 +284,15 @@ def _check_real(x) -> float:
     if not isinstance(x, numbers.Real):
         raise TypeError(x)
     return float(x)
+
+
+def _check_int(value, name: str) -> int:
+    """``value`` as an int, by ``operator.index`` so that nothing is
+    truncated; anything else raises ``ValidationError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_bool(x) -> bool:
@@ -466,9 +494,7 @@ def write_features(features: np.ndarray, path):
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
         raise ValidationError("feature matrix must be 2-d and non-empty")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"d={X.shape[1]}\n")
-        fh.write(_format_rows(X.tolist()))
+    write_table(path, X, header=f"d={X.shape[1]}")
 
 
 def _read_class_file(path, kind: str):
@@ -497,10 +523,8 @@ def read_predictions(path) -> PredictionVector:
 
 
 def _write_class_file(values, num_classes, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"C={int(num_classes)}\n")
-        fh.write(_format_rows(
-            np.asarray(values, dtype=np.int64).reshape(-1, 1).tolist(), str))
+    write_table(path, np.asarray(values, dtype=np.int64).reshape(-1, 1),
+                header=f"C={int(num_classes)}")
 
 
 def write_labels(labels: LabelVector, path):
@@ -625,7 +649,7 @@ def stratified_indices(labels: LabelVector, cap: int, seed: int) -> np.ndarray:
     proportional to 1 / (class count), which flattens class imbalance.
     Returned indices are sorted ascending.
     """
-    cap = int(cap)
+    cap = _check_int(cap, "subsample cap")
     if cap < 1:
         raise ValidationError("subsample cap must be >= 1")
     values = labels.values
@@ -662,21 +686,10 @@ def stratified_indices(labels: LabelVector, cap: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _write_ranking_rows(rows, path):
-    """Write ``(ensemble text, alpha, accuracy or None)`` rows as CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ensemble,alpha,accuracy\n")
-        fh.writelines(
-            f"{ens},{format_real(alpha)},"
-            f"{'' if acc is None else format_real(acc)}\n"
-            for ens, alpha, acc in rows
-        )
-
-
 def write_scores(records, path):
     """Write ranking rows as ``ensemble,alpha,accuracy`` CSV."""
-    _write_ranking_rows(
-        ((";".join(r.ensemble), r.alpha, r.accuracy) for r in records), path)
+    write_table(path, ((r.ensemble, r.alpha, r.accuracy) for r in records),
+                header="ensemble,alpha,accuracy")
 
 
 def write_rankings(ids, combos, alpha, accuracy, path):
@@ -686,9 +699,10 @@ def write_rankings(ids, combos, alpha, accuracy, path):
     them), with ``alpha[r]`` and ``accuracy[r]``; ``accuracy`` None leaves
     every accuracy field empty.
     """
-    names = (";".join(ids[i] for i in row) for row in np.asarray(combos).tolist())
+    names = (tuple(ids[i] for i in row) for row in np.asarray(combos).tolist())
     accs = itertools.repeat(None) if accuracy is None else np.asarray(accuracy).tolist()
-    _write_ranking_rows(zip(names, np.asarray(alpha).tolist(), accs), path)
+    write_table(path, zip(names, np.asarray(alpha).tolist(), accs),
+                header="ensemble,alpha,accuracy")
 
 
 def read_rankings(path):
@@ -716,6 +730,9 @@ def read_rankings(path):
             acc = np.nan if parts[2] == "" else float(parts[2])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: non-numeric field") from exc
+        if not math.isfinite(alpha[row]):
+            raise ValidationError(
+                f"{path}:{lineno}: alpha must be finite, got {parts[1]}")
         if parts[2] != "" and not (0.0 <= acc <= 1.0):
             raise ValidationError(
                 f"{path}:{lineno}: accuracy must lie in [0, 1], got {acc}")

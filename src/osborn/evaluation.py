@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import kendalltau, rankdata
 
-from .data_io import LabelVector, PredictionVector, format_real
+from .data_io import LabelVector, PredictionVector, write_table
 from .errors import ComputationError, ValidationError
 
 # entries of the (ensembles, samples, classes) vote table that
@@ -219,9 +219,5 @@ def evaluate(records) -> CorrelationReport:
 
 
 def write_report(report: CorrelationReport, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("metric,value\n")
-        fh.write(f"pcc,{format_real(report.pcc)}\n")
-        fh.write(f"kt,{format_real(report.kt)}\n")
-        fh.write(f"wkt,{format_real(report.wkt)}\n")
-        fh.write(f"n_pairs,{report.n_pairs}\n")
+    write_table(path, [("pcc", report.pcc), ("kt", report.kt), ("wkt", report.wkt),
+                       ("n_pairs", report.n_pairs)], header="metric,value")

@@ -25,11 +25,12 @@ from .data_io import (
     PoolManifest,
     PredictionVector,
     TEConfig,
+    _check_int,
     _check_model_id,
-    format_real,
     read_lines,
     stratified_indices,
     substream_seed,
+    write_table,
 )
 from .errors import ValidationError
 from .ot_core import Coupling, MarginalWeights, cost_matrix, median_positive_cost, \
@@ -353,7 +354,7 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
     assembled in sorted id order, so the cache is identical for any thread
     count.  Pair entropies cost microseconds each and run in this thread.
     """
-    threads = int(threads)
+    threads = _check_int(threads, "threads")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     ids = sorted(pool.model_ids())
@@ -389,13 +390,13 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
 def write_cache(cache: PairwiseCache, path):
     """Serialize the cache with one ``model`` row per model and one ``pair``
     row per ordered pair, both in sorted id order."""
-    ids = cache.ids
-    with open(path, "w", encoding="utf-8") as fh:
-        for mid, d, t, c in zip(ids, cache.wd, cache.wt, cache.converged):
-            fh.write(f"model,{mid},wd,{format_real(d)},"
-                     f"wt,{format_real(t)},converged,{1 if c else 0}\n")
-        for i, j in itertools.permutations(range(len(ids)), 2):
-            fh.write(f"pair,{ids[i]},{ids[j]},h,{format_real(cache.pair_h[i, j])}\n")
+    ids, pair_h = cache.ids, cache.pair_h.tolist()
+    models = [("model", mid, "wd", d, "wt", t, "converged", int(c))
+              for mid, d, t, c in zip(ids, cache.wd.tolist(), cache.wt.tolist(),
+                                      cache.converged.tolist())]
+    pairs = [("pair", ids[i], ids[j], "h", pair_h[i][j])
+             for i, j in itertools.permutations(range(len(ids)), 2)]
+    write_table(path, models + pairs)
 
 
 def read_cache(path) -> PairwiseCache:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from .data_io import _check_int
 from .errors import ComputationError, ValidationError
 
 EXACT_MAX_CELLS = 64
@@ -174,7 +175,7 @@ def _validate_settings(epsilon, max_iters, tol):
     epsilon = float(epsilon)
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValidationError("epsilon must be finite and > 0")
-    max_iters = int(max_iters)
+    max_iters = _check_int(max_iters, "max_iters")
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1")
     tol = float(tol)

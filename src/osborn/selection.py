@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import TEConfig, format_real
+from .data_io import TEConfig, _check_int, write_table
 from .errors import ValidationError
 from .metrics import PairwiseCache, effective_terms, subset_f
 
@@ -72,7 +72,7 @@ def _terms(pool, cache: PairwiseCache, config: TEConfig):
 
 
 def _check_k(k: int, m: int) -> int:
-    k = int(k)
+    k = _check_int(k, "k")
     if not (1 <= k <= m):
         raise ValidationError(f"k must lie in [1, {m}], got {k}")
     return k
@@ -218,11 +218,7 @@ def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):
 
 
 def write_selection(trace: SelectionTrace, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,chosen_id,gain,f_cumulative\n")
-        for i, step in enumerate(trace.steps, start=1):
-            fh.write(
-                f"{i},{step.chosen_id},{format_real(step.gain)},"
-                f"{format_real(step.f_cumulative)}\n"
-            )
-        fh.write("ensemble," + ";".join(trace.final.ids) + "\n")
+    rows = [(i, step.chosen_id, step.gain, step.f_cumulative)
+            for i, step in enumerate(trace.steps, start=1)]
+    write_table(path, rows + [("ensemble", trace.final.ids)],
+                header="step,chosen_id,gain,f_cumulative")

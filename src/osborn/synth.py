@@ -26,6 +26,7 @@ byte-identical pool every time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ from .data_io import (
     ModelRecord,
     PoolManifest,
     PredictionVector,
+    _check_int,
+    _check_real,
     _coerce_fields,
     format_real,
     read_fields,
@@ -43,12 +46,21 @@ from .data_io import (
     write_fields,
     write_labels,
     write_predictions,
+    write_table,
 )
 from .errors import ValidationError
 from .evaluation import majority_vote_accuracy
 
 import json
 import os
+
+
+def _reals(values, name: str) -> tuple:
+    """The per-model list ``values`` as a tuple of floats."""
+    try:
+        return tuple(_check_real(x) for x in values)
+    except TypeError:
+        raise ValidationError(f"{name} values must be numbers") from None
 
 
 @dataclass(frozen=True)
@@ -83,14 +95,14 @@ class SynthSpec:
                 f"samples ({n}) must cover every class (need >= {max(cs, ct)})"
             )
 
-        shift = tuple(float(x) for x in self.domain_shift)
-        noise = tuple(float(x) for x in self.prediction_noise)
+        shift = _reals(self.domain_shift, "domain_shift")
+        noise = _reals(self.prediction_noise, "prediction_noise")
         if len(shift) != m or len(noise) != m:
             raise ValidationError(
                 "domain_shift and prediction_noise must list one value per model"
             )
-        if any(x < 0 for x in shift):
-            raise ValidationError("domain_shift values must be >= 0")
+        if not all(math.isfinite(x) and x >= 0 for x in shift):
+            raise ValidationError("domain_shift values must be finite and >= 0")
         if any(not (0.0 <= x <= 1.0) for x in noise):
             raise ValidationError("prediction_noise values must lie in [0, 1]")
         object.__setattr__(self, "domain_shift", shift)
@@ -99,7 +111,8 @@ class SynthSpec:
         raw_groups = self.redundancy_groups
         if raw_groups is None:
             raw_groups = default_groups(m)
-        groups = tuple(tuple(int(i) for i in g) for g in raw_groups)
+        groups = tuple(tuple(_check_int(i, "redundancy_groups members") for i in g)
+                       for g in raw_groups)
         flat = [i for g in groups for i in g]
         if sorted(flat) != list(range(m)):
             raise ValidationError(
@@ -115,10 +128,10 @@ class SynthSpec:
                     "prediction_noise; grouped models share one noise realization"
                 )
         object.__setattr__(self, "redundancy_groups", groups)
-        if not (self.class_separation > 0):
-            raise ValidationError("class_separation must be > 0")
-        if self.source_jitter < 0:
-            raise ValidationError("source_jitter must be >= 0")
+        if not (math.isfinite(self.class_separation) and self.class_separation > 0):
+            raise ValidationError("class_separation must be finite and > 0")
+        if not (math.isfinite(self.source_jitter) and self.source_jitter >= 0):
+            raise ValidationError("source_jitter must be finite and >= 0")
 
     def group_of(self) -> dict:
         out = {}
@@ -326,13 +339,9 @@ def generate(spec: SynthSpec, out_dir) -> SynthPool:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     write_synth_spec(spec, os.path.join(out_dir, "synth.spec"))
-    with open(os.path.join(out_dir, "truth.csv"), "w", encoding="utf-8") as fh:
-        fh.write("model_id,group,domain_shift,prediction_noise,quality\n")
-        for r in range(spec.num_models):
-            mid = _model_id(r, spec.num_models)
-            fh.write(
-                f"{mid},{pool.groups[mid]},{format_real(spec.domain_shift[r])},"
-                f"{format_real(spec.prediction_noise[r])},"
-                f"{format_real(pool.qualities[mid])}\n"
-            )
+    write_table(os.path.join(out_dir, "truth.csv"),
+                [(mid, pool.groups[mid], shift, noise, pool.qualities[mid])
+                 for mid, shift, noise in zip(pool.manifest.model_ids(),
+                                              spec.domain_shift, spec.prediction_noise)],
+                header="model_id,group,domain_shift,prediction_noise,quality")
     return pool

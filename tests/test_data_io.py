@@ -34,7 +34,10 @@ from osborn.data_io import (
     write_scores,
 )
 from osborn.errors import ValidationError
-from osborn.synth import read_synth_spec
+from osborn.metrics import build_pairwise_cache
+from osborn.ot_core import MarginalWeights, sinkhorn
+from osborn.selection import greedy_select
+from osborn.synth import SynthSpec, read_synth_spec
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +50,24 @@ def test_format_real_round_trips_exact_float64():
     vals = list(rng.normal(size=50)) + [0.0, -0.0, 1e-300, 1e300, 1 / 3]
     for v in vals:
         assert float(format_real(v)) == float(v)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("k", lambda pool: greedy_select(
+        pool, 2.9, build_pairwise_cache(pool, TEConfig()), TEConfig())),
+    ("threads", lambda pool: build_pairwise_cache(pool, TEConfig(), threads=1.7)),
+    ("subsample cap", lambda pool: stratified_indices(pool.target_labels, 5.9, 0)),
+    ("max_iters", lambda pool: sinkhorn(
+        np.ones((2, 2)), MarginalWeights([0.5, 0.5], [0.5, 0.5]), 0.1, max_iters=1.9)),
+    ("redundancy_groups members", lambda pool: SynthSpec(
+        num_models=3, feature_dim=3, source_classes=2, target_classes=2, samples=30,
+        domain_shift=(0.0,) * 3, prediction_noise=(0.0,) * 3,
+        redundancy_groups=((0.6, 1.9), (2,)))),
+])
+def test_integer_arguments_are_not_truncated(tiny_pool, name, call):
+    # a float where an integer is meant is refused by name, never truncated
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        call(tiny_pool)
 
 
 def test_substream_seed_deterministic_and_tag_sensitive():
@@ -341,7 +362,7 @@ def _write_pool_dir(tmp_path, n_target=4, dim=2):
 def test_load_pool_resolves_relative_paths(tmp_path):
     manifest = load_pool(_write_pool_dir(tmp_path))
     assert manifest.model_ids() == ("m0", "m1")
-    assert manifest.size == 2
+    assert len(manifest.models) == 2
     assert len(manifest.target_labels) == 4
     rec = manifest.record("m1")
     assert rec.source_features.shape == (5, 2)
@@ -594,8 +615,18 @@ def test_rankings_arrays_write_the_bytes_of_records(tmp_path):
 @pytest.mark.parametrize("text,msg", [
     ("ensemble,alpha,accuracy\na,1.0,1.5\n", "2: accuracy must lie in"),
     ("ensemble,alpha,accuracy\na,1.0,0.5\nb,1.0,nan\n", "3: accuracy must lie in"),
+    ("ensemble,alpha,accuracy\na,nan,0.5\n", "r.csv:2: alpha must be finite"),
+    ("ensemble,alpha,accuracy\na,1.0,\nb,-inf,\n", "r.csv:3: alpha must be finite"),
+    # a dict is the arguments of one RankingRecord, which checks as the readers do
+    ({"ensemble": ("a",), "alpha": float("nan")}, "alpha must be finite"),
+    ({"ensemble": ("a",), "alpha": float("inf"), "accuracy": 0.5}, "alpha must be finite"),
+    ({"ensemble": ("a",), "alpha": 1.0, "accuracy": "0.5"}, "accuracy must be a number"),
 ])
 def test_rankings_reader_rejects_accuracy_out_of_range(tmp_path, text, msg):
+    if isinstance(text, dict):
+        with pytest.raises(ValidationError, match=msg):
+            RankingRecord(**text)
+        return
     p = tmp_path / "r.csv"
     p.write_text(text)
     for reader in (read_rankings, read_scores):

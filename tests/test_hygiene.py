@@ -2,8 +2,8 @@
 function and every module-level UPPER_CASE constant it defines, is used in
 that module; imports sit at module level; every parameter of a module-level
 private function is read; every private or constant name a docstring cites
-is defined; every name the benchmark's tracer wraps exists; and every
-dataclass is declared ``frozen=True``."""
+is defined; every name the benchmark's tracer wraps exists; every
+dataclass is declared ``frozen=True``; and only ``data_io`` writes files."""
 
 import ast
 import re
@@ -169,3 +169,32 @@ def test_every_dataclass_is_frozen(path):
                for dec in node.decorator_list
                if "dataclass" in ast.unparse(dec) and not _is_frozen_dataclass(dec)]
     assert not mutable, "dataclasses not declared frozen=True: " + ", ".join(mutable)
+
+
+def _file_writes(tree):
+    """Every call that opens a file for writing: ``open`` or ``fdopen`` with
+    a mode that is not a read-only constant, or ``write_text``/``write_bytes``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            yield node
+        elif name in ("open", "fdopen"):
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value) <= set("rbt")):
+                yield node
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "data_io.py"],
+                         ids=lambda p: p.name)
+def test_only_data_io_writes_files(path):
+    # every table goes through data_io.write_table, so its row format lives
+    # in one place; the one exception is synth's pool.json, which is JSON
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    writes = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+              for node in _file_writes(tree)
+              if not (path.name == "synth.py" and "pool.json" in ast.unparse(node))]
+    assert not writes, "files written outside data_io: " + ", ".join(writes)

@@ -443,6 +443,22 @@ def test_cache_round_trip_bit_exact(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def test_cache_writer_bytes(tmp_path):
+    # model rows then ordered pairs, both in id order; reals in their
+    # shortest round-trip form, signed zero and subnormals included, and an
+    # unconverged model as 0
+    cache = PairwiseCache(ids=("a", "b"), wd=[-0.0, 1e-300], wt=[0.25, 5e-324],
+                          converged=[True, False], pair_h=[[0.0, 0.1], [2.0, 0.0]])
+    p = tmp_path / "cache.csv"
+    write_cache(cache, p)
+    assert p.read_bytes() == (
+        b"model,a,wd,-0.0,wt,0.25,converged,1\n"
+        b"model,b,wd,1e-300,wt,5e-324,converged,0\n"
+        b"pair,a,b,h,0.1\n"
+        b"pair,b,a,h,2.0\n"
+    )
+
+
 @pytest.mark.parametrize("text,msg", [
     ("model,a,wd,1.0,wt,2.0\n", "malformed"),
     ("model,a,wd,1.0,wt,2.0,converged,2\n", "malformed"),

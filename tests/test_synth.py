@@ -52,6 +52,14 @@ def _spec(**kw):
     (dict(redundancy_groups=((0, 1), (2,))), "share one noise realization"),
     (dict(class_separation=0.0), "class_separation"),
     (dict(source_jitter=-0.1), "source_jitter"),
+    # non-finite values are refused by the field that holds them
+    (dict(domain_shift=(0.0, float("nan"), 1.0)), "domain_shift values must be finite"),
+    (dict(domain_shift=(0.0, float("inf"), 1.0)), "domain_shift values must be finite"),
+    (dict(domain_shift=(0.0, "0.5", 1.0)), "domain_shift values must be numbers"),
+    (dict(prediction_noise=(0.0, float("nan"), 0.2)), "prediction_noise values must lie"),
+    (dict(class_separation=float("inf")), "class_separation must be finite"),
+    (dict(source_jitter=float("nan")), "source_jitter must be finite"),
+    (dict(source_jitter=float("inf")), "source_jitter must be finite"),
 ])
 def test_spec_rejects_infeasible_settings(kw, msg):
     with pytest.raises(ValidationError, match=msg):
@@ -380,3 +388,17 @@ def test_generate_truth_table_contents(tmp_path):
         assert float(r[4]) == pool.qualities[r[0]]
     # resolved spec is emitted alongside and parses back
     assert read_synth_spec(tmp_path / "synth.spec") == spec
+
+
+def test_generate_truth_table_bytes(tmp_path):
+    spec = _spec(domain_shift=(0.0, 0.1, 1e-300), prediction_noise=(0.0, 0.25, 0.25),
+                 redundancy_groups=((0,), (1, 2)))
+    pool = generate(spec, tmp_path)
+    q = [repr(pool.qualities[mid]) for mid in ("m00", "m01", "m02")]
+    assert q[0] == "1.0"
+    assert (tmp_path / "truth.csv").read_bytes() == (
+        "model_id,group,domain_shift,prediction_noise,quality\n"
+        f"m00,0,0.0,0.0,{q[0]}\n"
+        f"m01,1,0.1,0.25,{q[1]}\n"
+        f"m02,1,1e-300,0.25,{q[2]}\n"
+    ).encode()
