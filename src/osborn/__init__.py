@@ -47,7 +47,6 @@ from .metrics import (
 from .ot_core import Coupling, MarginalWeights, cost_matrix, exact_ot, sinkhorn, \
     sinkhorn_frobenius
 from .selection import (
-    EnsembleCandidate,
     SelectionTrace,
     exhaustive_select,
     greedy_select,
@@ -64,7 +63,6 @@ __all__ = [
     "ComputationError",
     "CorrelationReport",
     "Coupling",
-    "EnsembleCandidate",
     "LabelVector",
     "MarginalWeights",
     "ModelRecord",

@@ -485,8 +485,10 @@ def read_features(path) -> np.ndarray:
             out[i] = [float(p) for p in parts]
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: non-numeric value") from exc
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{path}: non-finite feature value")
+    finite = np.isfinite(out)
+    if not finite.all():
+        lineno = rows[int(np.argmin(finite.all(axis=1)))][0]
+        raise ValidationError(f"{path}:{lineno}: non-finite feature value")
     return out
 
 
@@ -497,29 +499,33 @@ def write_features(features: np.ndarray, path):
     write_table(path, X, header=f"d={X.shape[1]}")
 
 
-def _read_class_file(path, kind: str):
+def _read_class_file(path, kind: str, cls):
+    """Read a ``C=<int>`` header then one class per row into ``cls``, a
+    ``LabelVector`` or ``PredictionVector``.  A row that is not an integer
+    in ``[0, C)`` raises ``ValidationError`` naming its line; the rows are
+    searched for it only once the whole file has failed."""
     num_classes, rows = _read_headed(path, kind, "C", "class-count")
     try:
-        values = np.array([int(x) for _, x in rows], dtype=np.int64)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-integer {kind} value") from exc
-    return values, num_classes
+        return cls(np.array([int(x) for _, x in rows], dtype=np.int64), num_classes)
+    except (ValueError, OverflowError, ValidationError) as exc:
+        for lineno, text in rows:
+            try:
+                value = int(text)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: non-integer {kind} value") from exc
+            if not 0 <= value < num_classes:
+                raise ValidationError(f"{path}:{lineno}: {kind}s must lie in "
+                                      f"[0, {num_classes}), got {value}") from exc
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def read_labels(path) -> LabelVector:
-    values, num_classes = _read_class_file(path, "label")
-    try:
-        return LabelVector(values, num_classes)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return _read_class_file(path, "label", LabelVector)
 
 
 def read_predictions(path) -> PredictionVector:
-    values, num_classes = _read_class_file(path, "prediction")
-    try:
-        return PredictionVector(values, num_classes)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return _read_class_file(path, "prediction", PredictionVector)
 
 
 def _write_class_file(values, num_classes, path):

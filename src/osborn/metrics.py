@@ -32,7 +32,7 @@ from .data_io import (
     substream_seed,
     write_table,
 )
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 from .ot_core import Coupling, MarginalWeights, cost_matrix, median_positive_cost, \
     sinkhorn, sinkhorn_frobenius
 
@@ -115,10 +115,13 @@ class PairwiseCache:
             object.__setattr__(self, name, arr)
 
     def positions(self, ensemble) -> np.ndarray:
-        """Indices into ``ids`` of an ensemble's members (ids or
-        ``ModelRecord``s), in the order given."""
-        names = [m.model_id if isinstance(m, ModelRecord) else str(m)
-                 for m in ensemble]
+        """Indices into ``ids`` of an ensemble's members, a sequence of
+        model-id strings, in the order given."""
+        names = list(ensemble)
+        for mid in names:
+            if not isinstance(mid, str):
+                raise ValidationError("ensemble members must be model-id strings, "
+                                      f"got {type(mid).__name__}")
         if not names:
             raise ValidationError("ensemble must be non-empty")
         if len(set(names)) != len(names):
@@ -247,10 +250,22 @@ def effective_terms(cache: PairwiseCache, config: TEConfig):
     diagonal, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).  Every scorer
     and selector reads these same numbers through ``subset_f``, which keeps
     incremental gains and from-scratch scores consistent to rounding.
+
+    A weighted term that is not finite, or a total ``sum |a| + 2 sum |H|``
+    that overflows, raises ``ComputationError``: that total bounds every
+    subset's f and every greedy gain, so below it all of them are finite.
     """
     use = standardize_terms(cache) if config.standardize else cache
-    return (use.ids, config.lambda_d * use.wd + config.lambda_t * use.wt,
-            config.lambda_c * use.pair_h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = config.lambda_d * use.wd + config.lambda_t * use.wt
+        H = config.lambda_c * use.pair_h
+        total = np.abs(a).sum() + 2.0 * np.abs(H).sum()
+    if not np.isfinite(total):
+        raise ComputationError(
+            "weighted terms are not finite under weights lambda_d="
+            f"{config.lambda_d!r}, lambda_t={config.lambda_t!r}, "
+            f"lambda_c={config.lambda_c!r}; lower the weights")
+    return use.ids, a, H
 
 
 def subset_f(a, H, combos) -> np.ndarray:

@@ -32,21 +32,6 @@ EXHAUSTIVE_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
-class EnsembleCandidate:
-    """An ensemble as an ordered tuple of member ids (selection order)."""
-
-    ids: tuple
-
-    def __post_init__(self):
-        ids = tuple(str(i) for i in self.ids)
-        if not ids:
-            raise ValidationError("ensemble candidate must be non-empty")
-        if len(set(ids)) != len(ids):
-            raise ValidationError("ensemble candidate has duplicate ids")
-        object.__setattr__(self, "ids", ids)
-
-
-@dataclass(frozen=True)
 class SelectionStep:
     chosen_id: str
     gain: float
@@ -56,7 +41,11 @@ class SelectionStep:
 @dataclass(frozen=True)
 class SelectionTrace:
     steps: tuple
-    final: EnsembleCandidate
+
+    @property
+    def final(self) -> tuple:
+        """The member ids in the order they were added."""
+        return tuple(step.chosen_id for step in self.steps)
 
 
 def _terms(pool, cache: PairwiseCache, config: TEConfig):
@@ -127,16 +116,13 @@ def _trace(ids, a, H, order) -> SelectionTrace:
         steps.append(SelectionStep(chosen_id=ids[v], gain=float(gains[v]),
                                    f_cumulative=float(f_cum)))
         gains = gains - sym[v]
-    return SelectionTrace(steps=tuple(steps),
-                          final=EnsembleCandidate(tuple(ids[v] for v in order)))
+    return SelectionTrace(steps=tuple(steps))
 
 
 def marginal_gain(current, v, cache: PairwiseCache, config: TEConfig) -> float:
     """f(current + v) - f(current) in closed form from cached terms: the
     last gain of the trace that adds the current members, then v."""
-    members = list(current.ids) if isinstance(current, EnsembleCandidate) else \
-        [str(i) for i in current]
-    v = str(v)
+    members = list(current)
     if v in members:
         raise ValidationError(f"model '{v}' is already in the ensemble")
     order = cache.positions(members + [v])
@@ -168,23 +154,23 @@ def greedy_select(pool, k: int, cache: PairwiseCache,
 def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig):
     """True argmax of f over all subsets of size k (lexicographic tie-break).
 
-    Returns (candidate, f_value).  Guarded by an enumeration budget; use
+    Returns (member ids, f_value).  Guarded by an enumeration budget; use
     greedy_select beyond it.
     """
     ids, a, H = _terms(pool, cache, config)
     combos = _combinations(len(ids), _check_k(k, len(ids)))
     f = subset_f(a, H, combos)
     best = int(np.argmax(f))
-    return EnsembleCandidate(tuple(ids[i] for i in combos[best])), float(f[best])
+    return tuple(ids[i] for i in combos[best]), float(f[best])
 
 
 def exhaustive_trace(pool, k: int, cache: PairwiseCache,
                      config: TEConfig) -> SelectionTrace:
     """The exhaustive winner as a trace: its members in id order, each with
     its gain over the members before it."""
-    cand, _ = exhaustive_select(pool, k, cache, config)
+    best, _ = exhaustive_select(pool, k, cache, config)
     ids, a, H = effective_terms(cache, config)
-    return _trace(ids, a, H, cache.positions(cand.ids))
+    return _trace(ids, a, H, cache.positions(best))
 
 
 def score_subsets(pool, k: int, cache: PairwiseCache, config: TEConfig):
@@ -204,11 +190,11 @@ def score_subsets(pool, k: int, cache: PairwiseCache, config: TEConfig):
 def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):
     """Score every size-k subset; rows come back in lexicographic id order.
 
-    Returns a list of (EnsembleCandidate, osborn_value) pairs; see
+    Returns a list of (member ids, osborn_value) pairs; see
     ``score_subsets`` for the same scores as arrays.
     """
     ids, combos, values = score_subsets(pool, k, cache, config)
-    return [(EnsembleCandidate(tuple(ids[i] for i in row)), v)
+    return [(tuple(ids[i] for i in row), v)
             for row, v in zip(combos.tolist(), values.tolist())]
 
 
@@ -220,5 +206,5 @@ def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):
 def write_selection(trace: SelectionTrace, path):
     rows = [(i, step.chosen_id, step.gain, step.f_cumulative)
             for i, step in enumerate(trace.steps, start=1)]
-    write_table(path, rows + [("ensemble", trace.final.ids)],
+    write_table(path, rows + [("ensemble", trace.final)],
                 header="step,chosen_id,gain,f_cumulative")

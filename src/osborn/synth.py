@@ -245,7 +245,7 @@ def build_pool(spec: SynthSpec) -> SynthPool:
 def proxy_accuracy(member_ids, pool) -> float:
     """Majority-vote accuracy of the named models on the pool's target set.
 
-    ``pool`` is a SynthPool, a PoolManifest or a PoolPredictions.
+    ``pool`` is a PoolManifest or a PoolPredictions.
     """
     member_ids = list(member_ids)
     one = np.arange(len(member_ids))[None, :]
@@ -255,9 +255,8 @@ def proxy_accuracy(member_ids, pool) -> float:
 def proxy_accuracies(ids, combos, pool) -> np.ndarray:
     """``proxy_accuracy`` of every ensemble ``ids[combos[r]]``, voted in
     batches (see ``evaluation.majority_vote_accuracy``)."""
-    manifest = pool.manifest if isinstance(pool, SynthPool) else pool
-    preds = [manifest.target_predictions(str(mid)) for mid in ids]
-    return majority_vote_accuracy(preds, manifest.target_labels, combos)
+    preds = [pool.target_predictions(mid) for mid in ids]
+    return majority_vote_accuracy(preds, pool.target_labels, combos)
 
 
 # ---------------------------------------------------------------------------

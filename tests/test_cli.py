@@ -4,15 +4,22 @@ import filecmp
 import json
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from osborn import cli
 from osborn.data_io import (
+    LabelVector,
+    PredictionVector,
     RankingRecord,
     TEConfig,
     load_pool,
     read_scores,
+    write_features,
+    write_labels,
+    write_predictions,
     write_scores,
 )
 from osborn.metrics import read_cache
@@ -174,6 +181,30 @@ def test_malformed_weights_exit_one(tmp_path, pool_dir, capsys):
     assert "lambda_d must be finite" in err
 
 
+@pytest.mark.parametrize("stage", [
+    ["select", "--standardize", "true"],
+    ["select", "--standardize", "false"],
+    ["select", "--strategy", "exhaustive", "--standardize", "true"],
+    ["select", "--strategy", "exhaustive", "--standardize", "false"],
+    ["score"],
+], ids=["greedy-std", "greedy-raw", "exhaustive-std", "exhaustive-raw", "score"])
+def test_overflowing_weighted_terms_exit_two(tmp_path, pool_dir, capsys, stage):
+    # lambda = 1e308 sends the weighted W_D + W_T to inf: no selector or
+    # scorer may write inf gains or alphas, or pick a member twice
+    pool = pool_dir / "pool.json"
+    cache = tmp_path / "cache.csv"
+    out = tmp_path / "out.csv"
+    assert cli.main(["pairwise", "--pool", str(pool), "--out", str(cache)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([stage[0], "--pool", str(pool), "--cache", str(cache),
+                         "--k", "2", *stage[1:], "--weights", "1e308,1e308,1",
+                         "--out", str(out)])
+    assert code == 2
+    assert "weighted terms are not finite under weights" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_flag_overrides_file(tmp_path, pool_dir):
     pool = pool_dir / "pool.json"
     cfg = tmp_path / "te.cfg"
@@ -250,8 +281,8 @@ def test_score_rankings_equal_the_row_by_row_file(tmp_path, pool_dir):
                          "--out", str(ranks)]) == 0
         ref = tmp_path / f"ref{k}.csv"
         write_scores([
-            RankingRecord(ensemble=cand.ids, alpha=-value,
-                          accuracy=proxy_accuracy(cand.ids, pool))
+            RankingRecord(ensemble=cand, alpha=-value,
+                          accuracy=proxy_accuracy(cand, pool))
             for cand, value in score_all(pool, k, cache, TEConfig())
         ], ref)
         assert ranks.read_bytes() == ref.read_bytes()
@@ -318,7 +349,7 @@ def test_select_exhaustive_trace_ends_at_the_exhaustive_value(tmp_path, pool_dir
     lines = out.read_text().splitlines()
     cand, best_f = exhaustive_select(load_pool(pool), 3, read_cache(cache),
                                      TEConfig(standardize=standardize == "true"))
-    assert [ln.split(",")[1] for ln in lines[1:-1]] == list(cand.ids)
+    assert [ln.split(",")[1] for ln in lines[1:-1]] == list(cand)
     assert float(lines[-2].split(",")[3]) == pytest.approx(best_f, abs=1e-12)
 
 
@@ -329,3 +360,89 @@ def test_module_runs_as_script(tmp_path):
     )
     assert proc.returncode == 0
     assert "pairwise" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# degenerate pools
+# ---------------------------------------------------------------------------
+
+
+def _write_pool(root, models, target_labels, target_classes):
+    """Write a pool directory from ``models``, a dict from model id to
+    (source features, source labels, source classes, target features,
+    target predictions); returns the manifest path."""
+    root.mkdir()
+    write_labels(LabelVector(np.array(target_labels), target_classes), root / "t.csv")
+    entries = []
+    for mid, (xs, ys, cs, xt, preds) in models.items():
+        names = {key: f"{mid}_{key}.csv" for key in (
+            "source_features", "source_labels", "target_features",
+            "target_predictions")}
+        write_features(np.array(xs, dtype=float), root / names["source_features"])
+        write_labels(LabelVector(np.array(ys), cs), root / names["source_labels"])
+        write_features(np.array(xt, dtype=float), root / names["target_features"])
+        write_predictions(PredictionVector(np.array(preds), cs),
+                          root / names["target_predictions"])
+        entries.append({"id": mid, **names})
+    manifest = root / "pool.json"
+    manifest.write_text(json.dumps({"target_labels": "t.csv", "models": entries}))
+    return manifest
+
+
+def _features(seed, n):
+    return np.random.default_rng(seed).normal(size=(n, 2))
+
+
+# (models, target labels, target classes) per degenerate pool, and the exit
+# codes of pairwise, greedy select, exhaustive select, score
+# --proxy-accuracy and eval on it, under either regularizer.  Every k = 1
+# ranking of the first three pools has one alpha, so eval's correlation is
+# undefined (2); one model gives eval a single ranking row (1).
+_POINT = [[1.0, 1.0]] * 6
+DEGENERATE_POOLS = {
+    "coincident-points": (
+        {"a": (_POINT, [0, 1] * 3, 2, _POINT, [0, 1, 0, 1, 0, 1]),
+         "b": (_POINT, [0, 1] * 3, 2, _POINT, [1, 1, 0, 0, 1, 0])},
+        [0, 1] * 3, 2, (0, 0, 0, 0, 2)),
+    "one-target-class": (
+        {"a": (_features(1, 6), [0, 1] * 3, 2, _features(2, 6), [0, 1, 0, 1, 0, 1]),
+         "b": (_features(3, 6), [0, 1] * 3, 2, _features(4, 6), [1, 1, 0, 0, 1, 0])},
+        [0] * 6, 1, (0, 0, 0, 0, 2)),
+    "one-source-class": (
+        {"a": (_features(5, 6), [0] * 6, 1, _features(6, 6), [0] * 6),
+         "b": (_features(7, 6), [0] * 6, 1, _features(8, 6), [0] * 6)},
+        [0, 1] * 3, 2, (0, 0, 0, 0, 2)),
+    "one-model": (
+        {"a": (_features(9, 6), [0, 1] * 3, 2, _features(10, 6), [0, 1, 0, 1, 1, 1])},
+        [0, 1] * 3, 2, (0, 0, 0, 0, 1)),
+    "one-sample": (
+        {"a": (_features(11, 1), [0], 2, _features(12, 1), [0]),
+         "b": (_features(13, 1), [0], 2, _features(14, 1), [1])},
+        [0], 2, (0, 0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("regularizer", ["entropic", "frobenius"])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_POOLS))
+def test_degenerate_pools_give_a_value_or_a_clean_exit(tmp_path, capsys, name,
+                                                       regularizer):
+    models, target_labels, target_classes, codes = DEGENERATE_POOLS[name]
+    pool = str(_write_pool(tmp_path / "pool", models, target_labels, target_classes))
+    cache, ranks = str(tmp_path / "cache.csv"), str(tmp_path / "ranks.csv")
+    stages = [
+        ["pairwise", "--pool", pool, "--regularizer", regularizer, "--out", cache],
+        ["select", "--pool", pool, "--cache", cache, "--k", "1",
+         "--out", str(tmp_path / "greedy.csv")],
+        ["select", "--pool", pool, "--cache", cache, "--k", "1",
+         "--strategy", "exhaustive", "--out", str(tmp_path / "exhaustive.csv")],
+        ["score", "--pool", pool, "--cache", cache, "--k", "1",
+         "--proxy-accuracy", "--out", ranks],
+        ["eval", "--rankings", ranks, "--out", str(tmp_path / "report.csv")],
+    ]
+    got = []
+    for argv in stages:
+        got.append(cli.main(argv))
+        err = capsys.readouterr().err
+        assert got[-1] in (0, 1, 2)
+        assert "Traceback" not in err
+    assert tuple(got) == codes

@@ -280,6 +280,8 @@ def test_features_round_trip_bit_exact(tmp_path):
     ("d=2\n1.0\n", "expected 2"),
     ("d=2\n1.0,zzz\n", "non-numeric"),
     ("d=1\ninf\n", "non-finite"),
+    # blank lines count: the error names the file's own line
+    ("d=2\n1,2\n\n1,inf\n", r"f\.csv:4: non-finite"),
 ])
 def test_features_reader_rejects_malformed(tmp_path, text, msg):
     p = tmp_path / "f.csv"
@@ -324,6 +326,9 @@ def test_labels_and_predictions_round_trip(tmp_path):
     ("C=2\n", "no label rows"),
     ("C=2\n0.5\n", "non-integer"),
     ("C=2\n2\n", "must lie in"),
+    ("C=2\n0\n\n0.5\n", r"l\.csv:4: non-integer label value"),
+    ("C=2\n0\n2\n", r"l\.csv:3: labels must lie in \[0, 2\), got 2"),
+    ("C=2\n0\n99999999999999999999999\n", r"l\.csv:3: labels must lie in"),
 ])
 def test_label_reader_rejects_malformed(tmp_path, text, msg):
     p = tmp_path / "l.csv"

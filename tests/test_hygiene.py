@@ -2,15 +2,18 @@
 function and every module-level UPPER_CASE constant it defines, is used in
 that module; imports sit at module level; every parameter of a module-level
 private function is read; every private or constant name a docstring cites
-is defined; every name the benchmark's tracer wraps exists; every
-dataclass is declared ``frozen=True``; and only ``data_io`` writes files."""
+is defined; every name the benchmark's tracer wraps exists; every export
+is reached outside the tests; every dataclass is declared ``frozen=True``;
+and only ``data_io`` writes files."""
 
 import ast
-import re
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
+
+import osborn
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "osborn"
@@ -121,6 +124,39 @@ def test_every_traced_name_exists():
     missing = [f"{module.__name__}.{attr}" for module, attr, *_ in tracing.WRAPPED
                if not callable(getattr(module, attr, None))]
     assert tracing.WRAPPED and not missing, "traced names missing: " + ", ".join(missing)
+
+
+def _names_used_outside_their_definitions():
+    """Every name (or attribute) a module of the package other than
+    ``__init__`` reads outside the top-level statement that defines it."""
+    used = set()
+    for path in MODULES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            used |= {getattr(node, "id", None) or getattr(node, "attr", None)
+                     for node in ast.walk(top)} - {getattr(top, "name", None)}
+    return used
+
+
+def _readme_code():
+    """The text of every fenced block and inline code span of README.md."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    fenced = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.S | re.M)
+    rest = re.sub(r"^```[^\n]*\n.*?^```", "", text, flags=re.S | re.M)
+    return fenced + re.findall(r"`([^`\n]+)`", rest)
+
+
+def test_every_export_is_reached_outside_the_tests():
+    # an export is used by the package, documented in README.md, or timed by
+    # the benchmark's tracer; one that only the tests reach fails here
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    reached = {attr for _, attr, *_ in tracing.WRAPPED} \
+        | _names_used_outside_their_definitions()
+    code = _readme_code()
+    unreached = [name for name in osborn.__all__ if name not in reached
+                 and not any(re.search(rf"\b{name}\b", span) for span in code)]
+    assert not unreached, "exports reached only by tests: " + ", ".join(unreached)
 
 
 _DOC_NAME = re.compile(r"``(_[A-Za-z]\w*|[A-Z][A-Z0-9_]+)``")

@@ -335,6 +335,9 @@ def test_osborn_score_rejects_unknown_and_empty():
         osborn_score(("a", "z"), cache, cfg)
     with pytest.raises(ValidationError, match="non-empty"):
         osborn_score((), cache, cfg)
+    # a member that is not a model-id string is refused, naming its type
+    with pytest.raises(ValidationError, match="model-id strings, got int"):
+        osborn_score(("a", 1), cache, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +360,7 @@ def test_build_cache_matches_direct_term_computation():
     cache = build_pairwise_cache(pool, cfg)
     # cap exceeds the pool size, so no subsampling: terms must equal direct
     # per-model computation on the full data
-    for i, rec in zip(cache.positions(pool.models), pool.models):
+    for i, rec in zip(cache.positions(pool.model_ids()), pool.models):
         C = cost_matrix(rec.source_features, rec.target_features)
         marg = MarginalWeights.uniform(*C.shape)
         coup = sinkhorn(C, marg, cfg.epsilon * median_positive_cost(C),
@@ -369,7 +372,7 @@ def test_build_cache_matches_direct_term_computation():
     for a in pool.models:
         for b in pool.models:
             if a.model_id != b.model_id:
-                i, j = cache.positions((a, b))
+                i, j = cache.positions((a.model_id, b.model_id))
                 assert cache.pair_h[i, j] == cohesion_pair(
                     a.target_predictions, b.target_predictions)
 

@@ -7,21 +7,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from osborn.data_io import TEConfig
 from osborn.errors import ValidationError
 from osborn.metrics import (
     PairwiseCache,
     build_pairwise_cache,
+    effective_terms,
     osborn_score,
     standardize_terms,
     subset_f,
 )
 from osborn.selection import (
     EXHAUSTIVE_BUDGET,
-    EnsembleCandidate,
     _combinations,
     exhaustive_select,
+    exhaustive_trace,
     greedy_select,
     marginal_gain,
     score_all,
@@ -57,20 +61,6 @@ def _f(subset, cache, cfg):
     if not subset:
         return 0.0
     return osborn_score(tuple(subset), cache, cfg).f_value
-
-
-# ---------------------------------------------------------------------------
-# candidates
-# ---------------------------------------------------------------------------
-
-
-def test_candidate_validation_and_ordering():
-    c = EnsembleCandidate(("b", "a", "c"))
-    assert c.ids == ("b", "a", "c")
-    with pytest.raises(ValidationError, match="duplicate"):
-        EnsembleCandidate(("a", "a"))
-    with pytest.raises(ValidationError, match="non-empty"):
-        EnsembleCandidate(())
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +126,7 @@ def test_greedy_hand_checkable_instance():
     )
     cfg = TEConfig(standardize=False)
     trace = greedy_select(None, 2, cache, cfg)
-    assert trace.final.ids == ("b", "a")
+    assert trace.final == ("b", "a")
     assert trace.steps[0].gain == pytest.approx(-0.5, abs=1e-12)
     assert trace.steps[1].gain == pytest.approx(-1.2, abs=1e-12)
     assert trace.steps[1].f_cumulative == pytest.approx(-1.7, abs=1e-12)
@@ -148,7 +138,7 @@ def test_greedy_breaks_ties_toward_smaller_id():
         {(a, b): 0.25 for a in "xyz" for b in "xyz" if a != b},
     )
     trace = greedy_select(None, 2, cache, TEConfig(standardize=False))
-    assert trace.final.ids == ("x", "y")
+    assert trace.final == ("x", "y")
 
 
 def test_greedy_cumulative_f_matches_rescoring():
@@ -158,7 +148,7 @@ def test_greedy_cumulative_f_matches_rescoring():
         cache = _random_cache(np.random.default_rng(200 + trial), 6)
         trace = greedy_select(None, 4, cache, cfg)
         assert trace.steps[-1].f_cumulative == pytest.approx(
-            _f(trace.final.ids, cache, cfg), abs=1e-12)
+            _f(trace.final, cache, cfg), abs=1e-12)
         gains = [s.gain for s in trace.steps]
         assert gains == sorted(gains, reverse=True)
 
@@ -232,7 +222,7 @@ def test_exhaustive_agrees_with_direct_enumeration():
         cand, best_f = exhaustive_select(None, 3, cache, cfg)
         ref = max(itertools.combinations(ids, 3),
                   key=lambda c: _f(c, cache, cfg))
-        assert _f(cand.ids, cache, cfg) == pytest.approx(best_f, abs=1e-12)
+        assert _f(cand, cache, cfg) == pytest.approx(best_f, abs=1e-12)
         assert best_f == pytest.approx(_f(ref, cache, cfg), abs=1e-12)
 
 
@@ -265,7 +255,39 @@ def test_exhaustive_on_all_zero_terms_returns_the_first_subset():
     for standardize in (False, True):
         cand, best_f = exhaustive_select(None, 4, cache,
                                          TEConfig(standardize=standardize))
-        assert cand.ids == tuple(ids[:4]) and best_f == 0.0
+        assert cand == tuple(ids[:4]) and best_f == 0.0
+
+
+_TERM = st.floats(-3.0, 3.0)
+_WEIGHT = st.floats(0.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), m=st.integers(1, 8), standardize=st.booleans(),
+       weights=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT))
+def test_exhaustive_trace_gains_are_subset_f_differences(data, m, standardize,
+                                                         weights):
+    # the trace select --strategy exhaustive writes: each gain is f of the
+    # prefix plus the new member minus f of the prefix, and the trace ends
+    # at the exhaustive optimum
+    pair = data.draw(hnp.arrays(np.float64, (m, m), elements=_TERM))
+    np.fill_diagonal(pair, 0.0)
+    cache = PairwiseCache(
+        ids=tuple(f"m{i}" for i in range(m)),
+        wd=data.draw(hnp.arrays(np.float64, m, elements=_TERM)),
+        wt=data.draw(hnp.arrays(np.float64, m, elements=_TERM)),
+        converged=[True] * m, pair_h=pair)
+    cfg = TEConfig(standardize=standardize, lambda_d=weights[0],
+                   lambda_t=weights[1], lambda_c=weights[2])
+    k = data.draw(st.integers(1, m))
+    trace = exhaustive_trace(None, k, cache, cfg)
+    _, a, H = effective_terms(cache, cfg)
+    p = cache.positions(trace.final)
+    for s, step in enumerate(trace.steps):
+        diff = subset_f(a, H, p[None, :s + 1])[0] - subset_f(a, H, p[None, :s])[0]
+        assert step.gain == pytest.approx(diff, abs=1e-12)
+    _, best_f = exhaustive_select(None, k, cache, cfg)
+    assert trace.steps[-1].f_cumulative == pytest.approx(best_f, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +375,9 @@ def test_score_all_enumerates_lexicographically_and_matches_scores():
         scored = score_all(None, k, cache, cfg)
         ids = list(cache.ids)
         expected_combos = list(itertools.combinations(ids, k))
-        assert [c.ids for c, _ in scored] == expected_combos
+        assert [c for c, _ in scored] == expected_combos
         for cand, value in scored:
-            assert value == osborn_score(cand.ids, cache, cfg).osborn_value
+            assert value == osborn_score(cand, cache, cfg).osborn_value
 
 
 def test_score_subsets_are_the_arrays_behind_score_all():
@@ -366,7 +388,7 @@ def test_score_subsets_are_the_arrays_behind_score_all():
         assert ids == cache.ids
         assert combos.tolist() == [list(c) for c in itertools.combinations(range(m), k)]
         scored = score_all(None, k, cache, cfg)
-        assert [c.ids for c, _ in scored] == \
+        assert [c for c, _ in scored] == \
             [tuple(ids[i] for i in row) for row in combos]
         assert [v for _, v in scored] == values.tolist()
 
@@ -399,7 +421,7 @@ def test_selection_on_generated_pool_prefers_clean_models():
     cfg = TEConfig(standardize=False, seed=0)
     cache = build_pairwise_cache(pool, cfg)
     trace = greedy_select(pool, 2, cache, cfg)
-    assert "m03" not in trace.final.ids
+    assert "m03" not in trace.final
 
 
 def test_write_selection_format(tmp_path):

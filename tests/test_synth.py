@@ -237,7 +237,7 @@ def test_redundant_triple_scores_better_than_diverse_triple():
 
 def test_proxy_accuracy_perfect_model():
     spec = _spec(prediction_noise=(0.0, 0.3, 0.3))
-    pool = build_pool(spec)
+    pool = build_pool(spec).manifest
     assert proxy_accuracy(("m00",), pool) == 1.0
     with pytest.raises(ValidationError, match="unknown model"):
         proxy_accuracy(("m99",), pool)
@@ -248,7 +248,7 @@ def test_proxy_accuracy_redundant_triple_equals_single():
         num_models=3, prediction_noise=(0.4, 0.4, 0.4),
         redundancy_groups=((0, 1, 2),),
     )
-    pool = build_pool(spec)
+    pool = build_pool(spec).manifest
     assert proxy_accuracy(("m00", "m01", "m02"), pool) == \
         proxy_accuracy(("m00",), pool)
 
@@ -258,7 +258,7 @@ def test_proxy_accuracies_equal_proxy_accuracy_per_ensemble(tmp_path):
                  prediction_noise=(0.1, 0.3, 0.5, 0.5, 0.7),
                  redundancy_groups=((0,), (1,), (2, 3), (4,)))
     generate(spec, tmp_path)
-    pools = (build_pool(spec), load_pool_predictions(tmp_path / "pool.json"))
+    pools = (build_pool(spec).manifest, load_pool_predictions(tmp_path / "pool.json"))
     ids = ("m00", "m01", "m02", "m03", "m04")
     for k in range(1, 6):
         combos = np.array(list(itertools.combinations(range(5), k)))
@@ -279,7 +279,7 @@ def test_independent_noisy_voters_beat_a_single_voter_on_average():
             prediction_noise=(0.4, 0.4, 0.4), seed=7000 + s,
         )
         pool = build_pool(spec)
-        ens += proxy_accuracy(("m00", "m01", "m02"), pool)
+        ens += proxy_accuracy(("m00", "m01", "m02"), pool.manifest)
         solo += np.mean([pool.qualities[m] for m in ("m00", "m01", "m02")])
     assert ens / 100 > solo / 100
     assert ens / 100 == pytest.approx(0.648, abs=0.02)
