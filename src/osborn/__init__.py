@@ -44,8 +44,7 @@ from .metrics import (
     w_task,
     write_cache,
 )
-from .ot_core import Coupling, MarginalWeights, cost_matrix, exact_ot, sinkhorn, \
-    sinkhorn_frobenius
+from .ot_core import Coupling, MarginalWeights, cost_matrix, sinkhorn, sinkhorn_frobenius
 from .selection import (
     SelectionTrace,
     exhaustive_select,
@@ -83,7 +82,6 @@ __all__ = [
     "correlate",
     "cost_matrix",
     "evaluate",
-    "exact_ot",
     "exhaustive_select",
     "generate",
     "greedy_select",

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau, rankdata
 
 from .data_io import LabelVector, PredictionVector, write_table
 from .errors import ComputationError, ValidationError
@@ -102,18 +101,7 @@ def pearson(xs, ys) -> float:
 
 def kendall_tau(xs, ys) -> float:
     """Kendall tau-b (tie-corrected)."""
-    x, y = _paired(xs, ys, "kendall_tau")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        raise ComputationError("kendall tau undefined when one input is constant")
-    stat = float(kendalltau(x, y, variant="b").statistic)
-    if not np.isfinite(stat):
-        raise ComputationError("kendall tau computation failed")
-    # the normalizer is applied as two chained sqrt divisions, which costs a
-    # few ulps; a true tau cannot sit within 1e-12 of +/-1 without being
-    # exactly there (one discordant pair already moves it by 4/(n*(n-1)))
-    if abs(abs(stat) - 1.0) < 1e-12:
-        stat = math.copysign(1.0, stat)
-    return min(1.0, max(-1.0, stat))
+    return _kendall_pair(*_paired(xs, ys, "kendall_tau"))[0]
 
 
 def _earlier_smaller(v) -> np.ndarray:
@@ -150,6 +138,52 @@ def _below_left(rx, ry) -> np.ndarray:
     return out
 
 
+def _average_ranks(dense) -> np.ndarray:
+    """1-based average ranks of values whose 0-based dense ranks are
+    ``dense``: a tie group holds the mean of its positions, an exact
+    half-integer."""
+    counts = np.bincount(dense)
+    return (np.cumsum(counts) - (counts - 1) / 2)[dense]
+
+
+def _kendall_pair(x, y):
+    """Kendall tau-b and the weighted tau (see ``weighted_kendall_tau``) of
+    two checked vectors, both from one count of each item's net concordance
+    c_i = sum_j sgn(x_i - x_j) sgn(y_i - y_j), taken from strict dominance
+    counts in O(N log N) time and O(N) memory (Knight 1966; Vigna 2015 for
+    the weighted, tied form)."""
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        raise ComputationError("kendall tau undefined when one input is constant")
+    n = x.shape[0]
+    rx = np.unique(x, return_inverse=True)[1].astype(np.int64)
+    ry = np.unique(y, return_inverse=True)[1].astype(np.int64)
+    ry_down = ry.max() - ry  # from the top, as the weights rank the items
+    concordant = _below_left(rx, ry) + _below_left(rx.max() - rx, ry_down)
+    # pairs untied on both sides, by inclusion-exclusion over the tie groups
+    # (each group count includes i itself)
+    tie_x = np.bincount(rx)
+    tie_y = np.bincount(ry)
+    _, cell, cell_count = np.unique(rx * (ry.max() + 1) + ry,
+                                    return_inverse=True, return_counts=True)
+    untied = n - tie_x[rx] - tie_y[ry] + cell_count[cell]
+    c = 2 * concordant - untied
+    # tau-b = (con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie) on exact
+    # pair counts, where sum_i c_i = 2 (con - dis)
+    tot = n * (n - 1) // 2
+    xtie, ytie = (int((t * (t - 1) // 2).sum()) for t in (tie_x, tie_y))
+    kt = (int(c.sum()) // 2) / math.sqrt(tot - xtie) / math.sqrt(tot - ytie)
+    # the normalizer is applied as two chained sqrt divisions, which costs a
+    # few ulps; a true tau cannot sit within 1e-12 of +/-1 without being
+    # exactly there (one discordant pair already moves it by 4/(n*(n-1)))
+    if abs(abs(kt) - 1.0) < 1e-12:
+        kt = math.copysign(1.0, kt)
+    w = 1.0 / _average_ranks(ry_down)
+    # sum_i w_i (c_i / (N - 1)) and sum_i w_i add up in the same order, so
+    # c = +/-(N - 1) everywhere gives exactly +/-1
+    wkt = float(np.sum(w * (c / (n - 1)))) / float(np.sum(w))
+    return min(1.0, max(-1.0, kt)), min(1.0, max(-1.0, wkt))
+
+
 def weighted_kendall_tau(xs, ys) -> float:
     """Kendall-style correlation with hyperbolic top weighting.
 
@@ -161,32 +195,9 @@ def weighted_kendall_tau(xs, ys) -> float:
 
     The pair weight is additive, so the numerator is sum_i w_i c_i, where
     c_i = sum_j sgn(x_i - x_j) sgn(y_i - y_j), and the normalizer is
-    (N - 1) sum_i w_i.  Each c_i comes from strict dominance counts in
-    O(N log N) time and O(N) memory (Knight 1966; Vigna 2015 for the
-    weighted, tied form).
+    (N - 1) sum_i w_i.
     """
-    x, y = _paired(xs, ys, "weighted_kendall_tau")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        raise ComputationError(
-            "weighted kendall tau undefined when one input is constant"
-        )
-    n = x.shape[0]
-    w = 1.0 / rankdata(-y, method="average")
-    rx = np.unique(x, return_inverse=True)[1].astype(np.int64)
-    ry = np.unique(y, return_inverse=True)[1].astype(np.int64)
-    concordant = _below_left(rx, ry) + _below_left(rx.max() - rx, ry.max() - ry)
-    # pairs untied on both sides, by inclusion-exclusion over the tie groups
-    # (each group count includes i itself)
-    tie_x = np.bincount(rx)[rx]
-    tie_y = np.bincount(ry)[ry]
-    _, cell, cell_count = np.unique(rx * (ry.max() + 1) + ry,
-                                    return_inverse=True, return_counts=True)
-    untied = n - tie_x - tie_y + cell_count[cell]
-    c = 2 * concordant - untied
-    # sum_i w_i (c_i / (N - 1)) and sum_i w_i add up in the same order, so
-    # c = +/-(N - 1) everywhere gives exactly +/-1
-    t = float(np.sum(w * (c / (n - 1)))) / float(np.sum(w))
-    return min(1.0, max(-1.0, t))
+    return _kendall_pair(*_paired(xs, ys, "weighted_kendall_tau"))[1]
 
 
 def correlate(alpha, accuracy) -> CorrelationReport:
@@ -202,12 +213,11 @@ def correlate(alpha, accuracy) -> CorrelationReport:
         raise ValidationError(f"need at least 2 records with accuracy, got {n}")
     alpha = alpha[usable]
     accuracy = accuracy[usable]
-    return CorrelationReport(
-        pcc=pearson(alpha, accuracy),
-        kt=kendall_tau(alpha, accuracy),
-        wkt=weighted_kendall_tau(alpha, accuracy),
-        n_pairs=n,
-    )
+    # pearson runs first: it checks that every value is finite, which the
+    # concordance count relies on
+    pcc = pearson(alpha, accuracy)
+    kt, wkt = _kendall_pair(alpha, accuracy)
+    return CorrelationReport(pcc=pcc, kt=kt, wkt=wkt, n_pairs=n)
 
 
 def evaluate(records) -> CorrelationReport:

@@ -60,6 +60,15 @@ class ScoreBreakdown:
     f_value: float
 
 
+def _members(ensemble) -> list:
+    """An ensemble, a sequence of model ids, as a list.  A bare string is
+    refused: as a sequence it would be one member per character."""
+    if isinstance(ensemble, str):
+        raise ValidationError("an ensemble must be a sequence of model ids, "
+                              "got a str")
+    return list(ensemble)
+
+
 @dataclass(frozen=True, eq=False)
 class PairwiseCache:
     """Per-model and per-ordered-pair terms for one pool under one config.
@@ -117,7 +126,7 @@ class PairwiseCache:
     def positions(self, ensemble) -> np.ndarray:
         """Indices into ``ids`` of an ensemble's members, a sequence of
         model-id strings, in the order given."""
-        names = list(ensemble)
+        names = _members(ensemble)
         for mid in names:
             if not isinstance(mid, str):
                 raise ValidationError("ensemble members must be model-id strings, "

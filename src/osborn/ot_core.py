@@ -1,6 +1,6 @@
 """Discrete optimal transport solvers over squared Euclidean ground cost.
 
-Three routes to a transport plan:
+Two routes to a transport plan:
 
 * ``sinkhorn``         -- entropic regularization, kernel-domain scaling on a
   stabilized kernel whose large scalings are absorbed into log-domain
@@ -10,11 +10,10 @@ Three routes to a transport plan:
   every size by globalized semismooth Newton steps on its smooth dual in
   the potentials (Blondel, Seguy & Rolet 2018; Lorenz, Manns & Meyer 2021),
   each on the plan's sparse support
-* ``exact_ot``         -- the unregularized LP, for small reference instances
 
 Both regularized duals have the Hessian ``[[diag(r), W], [W^T, diag(c)]]``
 and take their Newton steps from one ``_newton_direction``; they differ only
-in how products with ``W`` are formed.  All solvers accept explicit marginal
+in how products with ``W`` are formed.  Both solvers accept explicit marginal
 weights and tolerate zero-mass rows or columns by solving the reduced problem
 and re-inserting zero rows/columns.  ``converged`` means the returned plan's
 worse marginal residual (infinity norm) is at most ``tol``.
@@ -25,12 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .data_io import _check_int
 from .errors import ComputationError, ValidationError
 
-EXACT_MAX_CELLS = 64
 # the entropic Newton finish starts once scaling, at the rate its last
 # iteration shrank the residual, would need more than this many further
 # iterations to reach tol: at pool scale one Newton step (its diagonal,
@@ -516,34 +513,3 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     if not np.all(np.isfinite(P)):
         raise ComputationError("frobenius solver produced non-finite plan entries")
     return _coupling(C, P, rows, cols, iters, marginals, tol)
-
-
-def exact_ot(cost, marginals: MarginalWeights) -> Coupling:
-    """Unregularized OT solved as a transportation LP (reference oracle).
-
-    Refuses instances with more than ``EXACT_MAX_CELLS`` plan entries: this
-    route exists for validating the scalable solvers, not for production use.
-    """
-    C = _validate_problem(cost, marginals)
-    n, m = C.shape
-    if n * m > EXACT_MAX_CELLS:
-        raise ValidationError(
-            f"exact solver limited to {EXACT_MAX_CELLS} plan entries, got {n * m}"
-        )
-    rows, cols, b, g, Cr = _reduce(C, marginals)
-    nr, mc = Cr.shape
-    A_eq = np.zeros((nr + mc, nr * mc))
-    for i in range(nr):
-        A_eq[i, i * mc:(i + 1) * mc] = 1.0
-    for j in range(mc):
-        A_eq[nr + j, j::mc] = 1.0
-    b_eq = np.concatenate([b, g])
-    res = linprog(Cr.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise ComputationError(f"exact transport LP failed: {res.message}")
-    P = np.maximum(res.x.reshape(nr, mc), 0.0)
-    coup = _coupling(C, P, rows, cols, int(res.nit), marginals, 1e-10)
-    if not coup.converged:
-        raise ComputationError("exact transport LP returned marginal residual "
-                               f"{_residual(P, b, g):g}")
-    return coup

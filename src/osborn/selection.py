@@ -26,7 +26,7 @@ import numpy as np
 
 from .data_io import TEConfig, _check_int, write_table
 from .errors import ValidationError
-from .metrics import PairwiseCache, effective_terms, subset_f
+from .metrics import PairwiseCache, _members, effective_terms, subset_f
 
 EXHAUSTIVE_BUDGET = 10 ** 6
 
@@ -122,7 +122,7 @@ def _trace(ids, a, H, order) -> SelectionTrace:
 def marginal_gain(current, v, cache: PairwiseCache, config: TEConfig) -> float:
     """f(current + v) - f(current) in closed form from cached terms: the
     last gain of the trace that adds the current members, then v."""
-    members = list(current)
+    members = _members(current)
     if v in members:
         raise ValidationError(f"model '{v}' is already in the ensemble")
     order = cache.positions(members + [v])
@@ -151,13 +151,16 @@ def greedy_select(pool, k: int, cache: PairwiseCache,
     return _trace(ids, a, H, order)
 
 
-def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig):
+def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig, *,
+                      terms=None):
     """True argmax of f over all subsets of size k (lexicographic tie-break).
 
     Returns (member ids, f_value).  Guarded by an enumeration budget; use
-    greedy_select beyond it.
+    greedy_select beyond it.  ``terms``, the ``(ids, a, H)`` that
+    ``effective_terms`` already gave for ``cache`` and ``config``, spares
+    computing them again.
     """
-    ids, a, H = _terms(pool, cache, config)
+    ids, a, H = _terms(pool, cache, config) if terms is None else terms
     combos = _combinations(len(ids), _check_k(k, len(ids)))
     f = subset_f(a, H, combos)
     best = int(np.argmax(f))
@@ -168,9 +171,9 @@ def exhaustive_trace(pool, k: int, cache: PairwiseCache,
                      config: TEConfig) -> SelectionTrace:
     """The exhaustive winner as a trace: its members in id order, each with
     its gain over the members before it."""
-    best, _ = exhaustive_select(pool, k, cache, config)
-    ids, a, H = effective_terms(cache, config)
-    return _trace(ids, a, H, cache.positions(best))
+    terms = _terms(pool, cache, config)
+    best, _ = exhaustive_select(pool, k, cache, config, terms=terms)
+    return _trace(*terms, cache.positions(best))
 
 
 def score_subsets(pool, k: int, cache: PairwiseCache, config: TEConfig):

@@ -2,7 +2,8 @@
 
 The reference routines here deliberately use naive scalar loops (different
 code paths from the library's vectorized versions) so that agreement between
-the two is meaningful evidence rather than a tautology.
+the two is meaningful evidence rather than a tautology.  The transport
+oracle ``exact_ot`` solves the unregularized LP with scipy instead.
 """
 
 import itertools
@@ -11,7 +12,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from osborn import ComputationError, Coupling, ValidationError
 from osborn.data_io import LabelVector, ModelRecord, PoolManifest, PredictionVector
 
 
@@ -133,6 +136,50 @@ def assignment_cost_loop(C):
         cost = sum(C[i, perm[i]] for i in range(n))
         best = min(best, cost)
     return best
+
+
+# plan entries the LP oracle accepts: it exists to check the scalable
+# solvers on small instances
+EXACT_MAX_CELLS = 64
+
+
+def exact_ot(cost, marginals):
+    """Unregularized OT as a transportation LP (``scipy.optimize.linprog``,
+    HiGHS): the oracle the regularized solvers are compared with.
+
+    Zero-mass rows and columns stay out of the LP and come back as zero rows
+    and columns of the plan.  Instances of more than ``EXACT_MAX_CELLS`` plan
+    entries are refused with ``ValidationError``.  ``iterations_used`` is the
+    LP's iteration count; a plan off its marginals by more than 1e-10 raises
+    ``ComputationError``.
+    """
+    C = np.asarray(cost, dtype=np.float64)
+    n, m = C.shape
+    if n * m > EXACT_MAX_CELLS:
+        raise ValidationError(
+            f"exact solver limited to {EXACT_MAX_CELLS} plan entries, got {n * m}"
+        )
+    rows = np.flatnonzero(marginals.source > 0)
+    cols = np.flatnonzero(marginals.target > 0)
+    nr, mc = rows.size, cols.size
+    A_eq = np.zeros((nr + mc, nr * mc))
+    for i in range(nr):
+        A_eq[i, i * mc:(i + 1) * mc] = 1.0
+    for j in range(mc):
+        A_eq[nr + j, j::mc] = 1.0
+    b_eq = np.concatenate([marginals.source[rows], marginals.target[cols]])
+    res = linprog(C[np.ix_(rows, cols)].ravel(), A_eq=A_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    if not res.success:
+        raise ComputationError(f"exact transport LP failed: {res.message}")
+    plan = np.zeros((n, m))
+    plan[np.ix_(rows, cols)] = np.maximum(res.x.reshape(nr, mc), 0.0)
+    residual = max(float(np.abs(plan.sum(axis=1) - marginals.source).max()),
+                   float(np.abs(plan.sum(axis=0) - marginals.target).max()))
+    if residual > 1e-10:
+        raise ComputationError(f"exact transport LP returned marginal residual {residual:g}")
+    return Coupling(plan=plan, transport_cost=float(np.vdot(C, plan)),
+                    iterations_used=int(res.nit), converged=True)
 
 
 def newton_direction_dense(W, grad_rows, grad_cols, lam=None):

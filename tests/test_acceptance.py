@@ -27,7 +27,6 @@ from osborn.metrics import (
 from osborn.ot_core import (
     MarginalWeights,
     cost_matrix,
-    exact_ot,
     median_positive_cost,
     sinkhorn,
     sinkhorn_frobenius,
@@ -41,6 +40,7 @@ from osborn.synth import SynthSpec, build_pool, proxy_accuracy
 
 from conftest import (
     cond_entropy_rows_given_cols,
+    exact_ot,
     joint_table_loop,
     kendall_tau_b_loop,
     pearson_loop,

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import kendalltau, rankdata
 
+from osborn import evaluation
 from osborn.data_io import LabelVector, PredictionVector, RankingRecord
 from osborn.errors import ComputationError, ValidationError
 from osborn.evaluation import (
     CorrelationReport,
+    _average_ranks,
     correlate,
     evaluate,
     kendall_tau,
@@ -199,6 +202,29 @@ def test_kendall_matches_loop_with_and_without_ties():
             kendall_tau_b_loop(x.tolist(), y.tolist()), abs=1e-12)
 
 
+_VALUE = st.one_of(st.integers(0, 3).map(float),
+                   st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_VALUE, _VALUE), min_size=2, max_size=120))
+def test_kendall_and_average_ranks_equal_scipy_bit_for_bit(pairs):
+    # scipy's tau-b after the clamp kendall_tau applies, and scipy's average
+    # ranks of x and of -y (the weighted tau's ranking), on tied and untied
+    # inputs
+    x = np.array([p[0] for p in pairs])
+    y = np.array([p[1] for p in pairs])
+    for v in (x, -y):
+        dense = np.unique(v, return_inverse=True)[1]
+        assert np.array_equal(_average_ranks(dense), rankdata(v, method="average"))
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return
+    ref = float(kendalltau(x, y, variant="b").statistic)
+    if abs(abs(ref) - 1.0) < 1e-12:
+        ref = math.copysign(1.0, ref)
+    assert kendall_tau(x, y) == min(1.0, max(-1.0, ref))
+
+
 def test_kendall_rejects_constant_input():
     with pytest.raises(ComputationError, match="constant"):
         kendall_tau([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
@@ -322,6 +348,25 @@ def test_correlate_skips_rows_without_accuracy_like_evaluate():
         correlate([1.0, 2.0], [0.5, np.nan])
     with pytest.raises(ValidationError, match="equal-length"):
         correlate([1.0, 2.0], [0.5, 0.6, 0.7])
+
+
+def test_correlate_counts_concordance_once(monkeypatch):
+    # both Kendall statistics come from one pass, and equal the standalone ones
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return kendall_pair(x, y)
+
+    kendall_pair = evaluation._kendall_pair
+    monkeypatch.setattr(evaluation, "_kendall_pair", counted)
+    rng = np.random.default_rng(6)
+    alpha = rng.normal(size=200)
+    accuracy = np.round(alpha + rng.normal(size=200), 1)
+    rep = correlate(alpha, accuracy)
+    assert len(calls) == 1
+    assert (rep.kt, rep.wkt) == (kendall_tau(alpha, accuracy),
+                                 weighted_kendall_tau(alpha, accuracy))
 
 
 def test_evaluate_needs_two_usable_rows():

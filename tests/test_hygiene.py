@@ -4,11 +4,15 @@ that module; imports sit at module level; every parameter of a module-level
 private function is read; every private or constant name a docstring cites
 is defined; every name the benchmark's tracer wraps exists; every export
 is reached outside the tests; every dataclass is declared ``frozen=True``;
-and only ``data_io`` writes files."""
+only ``data_io`` writes files; the package imports exactly the third-party
+modules ``pyproject.toml`` declares; and the CLI loads no scipy."""
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,3 +238,33 @@ def test_only_data_io_writes_files(path):
               for node in _file_writes(tree)
               if not (path.name == "synth.py" and "pool.json" in ast.unparse(node))]
     assert not writes, "files written outside data_io: " + ", ".join(writes)
+
+
+def _declared_dependencies():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, flags=re.S | re.M)
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+            for req in re.findall(r'"([^"]+)"', deps.group(1))}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    # a dependency nothing imports, or an import nothing declares, fails here
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == _declared_dependencies()
+
+
+def test_the_cli_loads_no_scipy():
+    # scipy is a test dependency only; importing it would cost every
+    # subcommand most of its start-up
+    code = ("import sys, osborn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

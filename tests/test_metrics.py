@@ -340,6 +340,16 @@ def test_osborn_score_rejects_unknown_and_empty():
         osborn_score(("a", 1), cache, cfg)
 
 
+def test_a_bare_string_is_not_an_ensemble():
+    # "ab" would otherwise read as the pair ("a", "b")
+    cache = _cache({"a": 1.0, "b": 1.0}, {"a": 0.0, "b": 0.0},
+                   {("a", "b"): 0.0, ("b", "a"): 0.0})
+    with pytest.raises(ValidationError, match="got a str"):
+        cache.positions("ab")
+    with pytest.raises(ValidationError, match="got a str"):
+        osborn_score("ab", cache, TEConfig())
+
+
 # ---------------------------------------------------------------------------
 # cache construction on real pools
 # ---------------------------------------------------------------------------

@@ -13,11 +13,9 @@ from osborn import ot_core
 from osborn.data_io import TEConfig
 from osborn.errors import ComputationError, ValidationError
 from osborn.ot_core import (
-    EXACT_MAX_CELLS,
     Coupling,
     MarginalWeights,
     cost_matrix,
-    exact_ot,
     median_positive_cost,
     sinkhorn,
     sinkhorn_frobenius,
@@ -27,7 +25,13 @@ from osborn.ot_core import (
 )
 from osborn.synth import SynthSpec, build_pool
 
-from conftest import assignment_cost_loop, newton_direction_dense, peak_ratio
+from conftest import (
+    EXACT_MAX_CELLS,
+    assignment_cost_loop,
+    exact_ot,
+    newton_direction_dense,
+    peak_ratio,
+)
 
 
 def _residual(coupling, marg):
@@ -145,7 +149,7 @@ def test_marginal_weights_validation():
 
 
 # ---------------------------------------------------------------------------
-# exact solver
+# exact LP oracle (conftest.exact_ot)
 # ---------------------------------------------------------------------------
 
 
@@ -204,12 +208,6 @@ def test_exact_handles_zero_mass_rows():
     assert coup.transport_cost == pytest.approx(0.0, abs=1e-12)
 
 
-def test_plan_is_read_only():
-    coup = exact_ot(np.array([[1.0]]), MarginalWeights.uniform(1, 1))
-    with pytest.raises(ValueError):
-        coup.plan[0, 0] = 7.0
-
-
 # ---------------------------------------------------------------------------
 # entropic solver
 # ---------------------------------------------------------------------------
@@ -264,6 +262,12 @@ def test_sinkhorn_two_point_symmetric_instance():
     assert np.allclose(coup.plan, np.diag([0.5, 0.5]), atol=1e-6)
 
 
+def test_plan_is_read_only():
+    coup = sinkhorn(np.array([[1.0]]), MarginalWeights.uniform(1, 1), 1.0)
+    with pytest.raises(ValueError):
+        coup.plan[0, 0] = 7.0
+
+
 def test_sinkhorn_single_cell():
     coup = sinkhorn(np.array([[25.0]]), MarginalWeights.uniform(1, 1), 1.0)
     assert coup.converged
@@ -309,8 +313,7 @@ def test_sinkhorn_validation():
 @pytest.mark.parametrize("solver", [
     lambda C, marg: sinkhorn(C, marg, 1.0),
     lambda C, marg: sinkhorn_frobenius(C, marg, 1.0),
-    exact_ot,
-], ids=["sinkhorn", "frobenius", "exact"])
+], ids=["sinkhorn", "frobenius"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_cost_validation_reports_non_finite_before_negative(solver, bad):
     marg = MarginalWeights.uniform(2, 3)

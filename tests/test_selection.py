@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from osborn import selection
 from osborn.data_io import TEConfig
 from osborn.errors import ValidationError
 from osborn.metrics import (
@@ -91,6 +92,16 @@ def test_marginal_gain_rejects_repeats_and_strangers():
         marginal_gain(["m0"], "m0", cache, cfg)
     with pytest.raises(ValidationError, match="not in the cache"):
         marginal_gain(["m0"], "zz", cache, cfg)
+
+
+def test_marginal_gain_refuses_a_bare_string_ensemble():
+    # "m1" would otherwise read as the members "m" and "1"
+    cache = _cache({"a": 1.0, "b": 2.0, "m1": 3.0}, {"a": 0.0, "b": 0.0, "m1": 0.0},
+                   {})
+    with pytest.raises(ValidationError, match="got a str"):
+        marginal_gain("a", "b", cache, TEConfig())
+    with pytest.raises(ValidationError, match="got a str"):
+        marginal_gain("m1", "a", cache, TEConfig())
 
 
 def test_gains_diminish_on_nonnegative_terms():
@@ -288,6 +299,21 @@ def test_exhaustive_trace_gains_are_subset_f_differences(data, m, standardize,
         assert step.gain == pytest.approx(diff, abs=1e-12)
     _, best_f = exhaustive_select(None, k, cache, cfg)
     assert trace.steps[-1].f_cumulative == pytest.approx(best_f, abs=1e-12)
+
+
+def test_exhaustive_trace_computes_the_terms_once(monkeypatch):
+    calls = []
+
+    def counted(cache, config):
+        calls.append(None)
+        return effective_terms(cache, config)
+
+    monkeypatch.setattr(selection, "effective_terms", counted)
+    cache = _random_cache(np.random.default_rng(3), 6)
+    cfg = TEConfig(standardize=True)
+    trace = exhaustive_trace(None, 3, cache, cfg)
+    assert len(calls) == 1
+    assert trace.final == exhaustive_select(None, 3, cache, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
