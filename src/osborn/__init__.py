@@ -11,21 +11,17 @@ from .data_io import (
     PoolManifest,
     PoolPredictions,
     PredictionVector,
-    RankingRecord,
     TEConfig,
     load_pool,
     load_pool_predictions,
     read_config,
-    read_rankings,
     read_scores,
     write_config,
-    write_rankings,
     write_scores,
 )
 from .errors import ComputationError, OsbornError, ValidationError
 from .evaluation import (
     CorrelationReport,
-    correlate,
     evaluate,
     kendall_tau,
     majority_vote_accuracy,
@@ -51,10 +47,8 @@ from .selection import (
     greedy_select,
     marginal_gain,
     score_all,
-    score_subsets,
 )
-from .synth import SynthSpec, build_pool, generate, proxy_accuracies, proxy_accuracy, \
-    read_synth_spec
+from .synth import SynthSpec, build_pool, generate, proxy_accuracy, read_synth_spec
 
 __version__ = "0.1.0"
 
@@ -70,7 +64,6 @@ __all__ = [
     "PoolManifest",
     "PoolPredictions",
     "PredictionVector",
-    "RankingRecord",
     "ScoreBreakdown",
     "SelectionTrace",
     "SynthSpec",
@@ -79,7 +72,6 @@ __all__ = [
     "build_pairwise_cache",
     "build_pool",
     "cohesion_pair",
-    "correlate",
     "cost_matrix",
     "evaluate",
     "exhaustive_select",
@@ -93,15 +85,12 @@ __all__ = [
     "marginal_gain",
     "osborn_score",
     "pearson",
-    "proxy_accuracies",
     "proxy_accuracy",
     "read_cache",
     "read_config",
-    "read_rankings",
     "read_scores",
     "read_synth_spec",
     "score_all",
-    "score_subsets",
     "sinkhorn",
     "sinkhorn_frobenius",
     "standardize_terms",
@@ -109,6 +98,5 @@ __all__ = [
     "weighted_kendall_tau",
     "write_cache",
     "write_config",
-    "write_rankings",
     "write_scores",
 ]

@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "against the pool's target labels")
     p.add_argument("--out", required=True, help="rankings CSV to write")
 
-    p = sub.add_parser("eval", help="correlate proxy scores with accuracy")
+    p = sub.add_parser("eval", help="correlation report of proxy scores against accuracy")
     p.add_argument("--rankings", required=True, help="rankings CSV with accuracy")
     p.add_argument("--out", required=True, help="report CSV to write")
 
@@ -138,17 +138,17 @@ def cmd_score(args) -> int:
     pool = data_io.load_pool_predictions(args.pool)
     cache = metrics.read_cache(args.cache)
     _warn_unconverged(cache)
-    ids, combos, values = selection.score_subsets(pool, args.k, cache, cfg)
-    accuracy = synth.proxy_accuracies(ids, combos, pool) if args.proxy_accuracy \
+    ids, combos, values = selection.score_all(pool, args.k, cache, cfg)
+    accuracy = synth.proxy_accuracy(ids, combos, pool) if args.proxy_accuracy \
         else None
     # alpha = -osborn value: higher alpha predicts better transfer
-    data_io.write_rankings(ids, combos, -values, accuracy, args.out)
+    data_io.write_scores(ids, combos, -values, accuracy, args.out)
     return 0
 
 
 def cmd_eval(args) -> int:
-    _, alpha, accuracy = data_io.read_rankings(args.rankings)
-    report = evaluation.correlate(alpha, accuracy)
+    _, alpha, accuracy = data_io.read_scores(args.rankings)
+    report = evaluation.evaluate(alpha, accuracy)
     evaluation.write_report(report, args.out)
     return 0
 

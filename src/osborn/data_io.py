@@ -8,7 +8,6 @@ value across a write/read cycle.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -224,33 +223,6 @@ class PoolPredictions:
             return self.predictions[model_id]
         except KeyError:
             raise ValidationError(f"unknown model id '{model_id}'") from None
-
-
-@dataclass(frozen=True)
-class RankingRecord:
-    """One scored ensemble: member ids, proxy score, optional true accuracy."""
-
-    ensemble: tuple
-    alpha: float
-    accuracy: float | None = None
-
-    def __post_init__(self):
-        _coerce_fields(self)
-        ids = tuple(str(i) for i in self.ensemble)
-        if not ids:
-            raise ValidationError("ranking record needs at least one member id")
-        object.__setattr__(self, "ensemble", ids)
-        if not math.isfinite(self.alpha):
-            raise ValidationError(f"alpha must be finite, got {self.alpha}")
-        if self.accuracy is not None:
-            try:
-                a = _check_real(self.accuracy)
-            except TypeError:
-                raise ValidationError(
-                    f"accuracy must be a number, got {self.accuracy!r}") from None
-            if not (0.0 <= a <= 1.0):
-                raise ValidationError(f"accuracy must lie in [0, 1], got {a}")
-            object.__setattr__(self, "accuracy", a)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +521,11 @@ def write_predictions(preds: PredictionVector, path):
 def _check_model_id(mid):
     if not isinstance(mid, str) or not mid:
         raise ValidationError("model id must be a non-empty string")
-    if any(ch in _ID_FORBIDDEN for ch in mid):
-        raise ValidationError(
-            f"model id '{mid}' contains a reserved character (comma/semicolon/whitespace)"
-        )
+    # every reader strips each line, so a first field's leading whitespace
+    # would not survive a round trip
+    if any(ch in _ID_FORBIDDEN for ch in mid) or mid != mid.strip():
+        raise ValidationError(f"model id '{mid}' contains a reserved character "
+                              "(comma/semicolon/tab/line break) or outer whitespace")
 
 
 _ENTRY_KEYS = ("source_features", "source_labels", "target_features",
@@ -692,31 +665,57 @@ def stratified_indices(labels: LabelVector, cap: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_scores(records, path):
-    """Write ranking rows as ``ensemble,alpha,accuracy`` CSV."""
-    write_table(path, ((r.ensemble, r.alpha, r.accuracy) for r in records),
-                header="ensemble,alpha,accuracy")
+def _ranking_column(values, name: str, n: int, bad, rule: str) -> np.ndarray:
+    """``values`` as a float64 vector of ``n`` numbers; the first r where
+    ``bad(vector)[r]`` raises ``ValidationError`` naming row r and ``rule``."""
+    v = np.asarray(values)
+    if v.dtype.kind not in "iuf" or v.shape != (n,):
+        raise ValidationError(f"{name} must be a number per row of combos, "
+                              f"got {v.dtype} of shape {v.shape}")
+    v = v.astype(np.float64)
+    rows = np.flatnonzero(bad(v))
+    if rows.size:
+        raise ValidationError(f"row {rows[0]}: {name} {rule}, got {v[rows[0]]}")
+    return v
 
 
-def write_rankings(ids, combos, alpha, accuracy, path):
-    """Write the rankings file of ``write_scores`` from arrays.
+def write_scores(ids, combos, alpha, accuracy, path):
+    """Write a rankings file: an ``ensemble,alpha,accuracy`` row per row of
+    ``combos``.
 
-    Row r names the ensemble ``ids[combos[r]]`` (in the order the row lists
-    them), with ``alpha[r]`` and ``accuracy[r]``; ``accuracy`` None leaves
-    every accuracy field empty.
+    Row r names the ensemble ``ids[combos[r]]``, in the row's order, with
+    ``alpha[r]`` and ``accuracy[r]``.  ``accuracy`` None, or a NaN entry,
+    leaves the accuracy field empty, which ``read_scores`` reads back as
+    NaN.  A non-finite alpha or an accuracy outside [0, 1] raises
+    ``ValidationError`` naming its row r, as do a bad model id and a row
+    of ``combos`` that repeats a member or indexes no id; nothing is
+    written then.
     """
-    names = (tuple(ids[i] for i in row) for row in np.asarray(combos).tolist())
-    accs = itertools.repeat(None) if accuracy is None else np.asarray(accuracy).tolist()
-    write_table(path, zip(names, np.asarray(alpha).tolist(), accs),
-                header="ensemble,alpha,accuracy")
+    for mid in ids:
+        _check_model_id(mid)
+    combos = np.asarray(combos)
+    if combos.ndim != 2 or combos.shape[1] == 0 or combos.dtype.kind not in "iu":
+        raise ValidationError("combos must be a 2-d integer array with >= 1 column")
+    members = np.sort(combos, axis=1)
+    if members.size and (members[:, 0].min() < 0 or members[:, -1].max() >= len(ids)
+                         or (members[:, 1:] == members[:, :-1]).any()):
+        raise ValidationError("a row of combos repeats a member or indexes no model id")
+    n = combos.shape[0]
+    alpha = _ranking_column(alpha, "alpha", n, lambda a: ~np.isfinite(a), "must be finite")
+    acc = np.full(n, np.nan) if accuracy is None else _ranking_column(
+        accuracy, "accuracy", n, lambda a: (a < 0.0) | (a > 1.0), "must lie in [0, 1]")
+    names = (tuple(ids[i] for i in row) for row in combos.tolist())
+    accs = (None if math.isnan(a) else a for a in acc.tolist())
+    write_table(path, zip(names, alpha.tolist(), accs), header="ensemble,alpha,accuracy")
 
 
-def read_rankings(path):
+def read_scores(path):
     """Read a rankings file into ``(ensembles, alpha, accuracy)``.
 
     ``ensembles`` is a list of id tuples; ``alpha`` and ``accuracy`` are
-    float64 arrays, with NaN for an empty accuracy field.  Every row is
-    checked as ``RankingRecord`` checks it.
+    float64 arrays, with NaN for an empty accuracy field.  A row that breaks
+    a rule ``write_scores`` keeps, or whose ensemble field has an empty or
+    repeated member, raises ``ValidationError`` naming its line.
     """
     lines = read_lines(path, "rankings")
     if not lines or lines[0][1] != "ensemble,alpha,accuracy":
@@ -728,9 +727,11 @@ def read_rankings(path):
         parts = line.split(",")
         if len(parts) != 3:
             raise ValidationError(f"{path}:{lineno}: expected 3 fields")
-        ids = tuple(p for p in parts[0].split(";") if p)
-        if not ids:
-            raise ValidationError(f"{path}:{lineno}: empty ensemble field")
+        ids = tuple(parts[0].split(";"))
+        if "" in ids:
+            raise ValidationError(f"{path}:{lineno}: empty ensemble member in '{parts[0]}'")
+        if len(set(ids)) != len(ids):
+            raise ValidationError(f"{path}:{lineno}: repeated model id in '{parts[0]}'")
         try:
             alpha[row] = float(parts[1])
             acc = np.nan if parts[2] == "" else float(parts[2])
@@ -745,12 +746,3 @@ def read_rankings(path):
         accuracy[row] = acc
         ensembles.append(ids)
     return ensembles, alpha, accuracy
-
-
-def read_scores(path):
-    """Read a rankings file as a list of ``RankingRecord``."""
-    ensembles, alpha, accuracy = read_rankings(path)
-    return [
-        RankingRecord(ensemble=ids, alpha=a, accuracy=None if math.isnan(acc) else acc)
-        for ids, a, acc in zip(ensembles, alpha.tolist(), accuracy.tolist())
-    ]

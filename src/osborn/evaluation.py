@@ -1,7 +1,7 @@
 """Agreement between proxy rankings and measured ensemble accuracy.
 
-Given ranking records that carry both a proxy score (alpha) and a ground
-truth accuracy, this module reports Pearson correlation, Kendall tau-b, and a
+Given each ranked ensemble's proxy score (alpha) and ground truth accuracy,
+this module reports Pearson correlation, Kendall tau-b, and a
 top-weighted Kendall variant that pays more attention to disagreements among
 the best-ranked ensembles.
 """
@@ -200,13 +200,13 @@ def weighted_kendall_tau(xs, ys) -> float:
     return _kendall_pair(*_paired(xs, ys, "weighted_kendall_tau"))[1]
 
 
-def correlate(alpha, accuracy) -> CorrelationReport:
+def evaluate(alpha, accuracy) -> CorrelationReport:
     """Correlate proxy scores with accuracy over the rows whose accuracy is
     not NaN (NaN marks a row without a measured accuracy)."""
     alpha = np.asarray(alpha, dtype=np.float64)
     accuracy = np.asarray(accuracy, dtype=np.float64)
     if alpha.shape != accuracy.shape or alpha.ndim != 1:
-        raise ValidationError("correlate expects two equal-length vectors")
+        raise ValidationError("evaluate expects two equal-length vectors")
     usable = ~np.isnan(accuracy)
     n = int(np.count_nonzero(usable))
     if n < 2:
@@ -218,14 +218,6 @@ def correlate(alpha, accuracy) -> CorrelationReport:
     pcc = pearson(alpha, accuracy)
     kt, wkt = _kendall_pair(alpha, accuracy)
     return CorrelationReport(pcc=pcc, kt=kt, wkt=wkt, n_pairs=n)
-
-
-def evaluate(records) -> CorrelationReport:
-    """Correlate alpha against accuracy over records that carry both."""
-    return correlate(
-        [r.alpha for r in records],
-        [np.nan if r.accuracy is None else r.accuracy for r in records],
-    )
 
 
 def write_report(report: CorrelationReport, path):

@@ -176,7 +176,7 @@ def exhaustive_trace(pool, k: int, cache: PairwiseCache,
     return _trace(*terms, cache.positions(best))
 
 
-def score_subsets(pool, k: int, cache: PairwiseCache, config: TEConfig):
+def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):
     """Score every size-k subset as arrays: ``(ids, combos, values)``.
 
     ``ids`` are the sorted model ids; row r of ``combos`` holds the
@@ -188,17 +188,6 @@ def score_subsets(pool, k: int, cache: PairwiseCache, config: TEConfig):
     ids, a, H = _terms(pool, cache, config)
     combos = _combinations(len(ids), _check_k(k, len(ids)))
     return ids, combos, -subset_f(a, H, combos)
-
-
-def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):
-    """Score every size-k subset; rows come back in lexicographic id order.
-
-    Returns a list of (member ids, osborn_value) pairs; see
-    ``score_subsets`` for the same scores as arrays.
-    """
-    ids, combos, values = score_subsets(pool, k, cache, config)
-    return [(tuple(ids[i] for i in row), v)
-            for row, v in zip(combos.tolist(), values.tolist())]
 
 
 # ---------------------------------------------------------------------------

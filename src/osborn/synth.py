@@ -242,19 +242,11 @@ def build_pool(spec: SynthSpec) -> SynthPool:
     return SynthPool(manifest=manifest, qualities=qualities, groups=groups, spec=spec)
 
 
-def proxy_accuracy(member_ids, pool) -> float:
-    """Majority-vote accuracy of the named models on the pool's target set.
-
-    ``pool`` is a PoolManifest or a PoolPredictions.
-    """
-    member_ids = list(member_ids)
-    one = np.arange(len(member_ids))[None, :]
-    return float(proxy_accuracies(member_ids, one, pool)[0])
-
-
-def proxy_accuracies(ids, combos, pool) -> np.ndarray:
-    """``proxy_accuracy`` of every ensemble ``ids[combos[r]]``, voted in
-    batches (see ``evaluation.majority_vote_accuracy``)."""
+def proxy_accuracy(ids, combos, pool) -> np.ndarray:
+    """Majority-vote accuracy on the target set of ``pool`` (a PoolManifest
+    or PoolPredictions) of every ensemble ``ids[combos[r]]``, voted in
+    batches (see ``evaluation.majority_vote_accuracy``).  One ensemble ``e``
+    is one row: ``proxy_accuracy(e, [range(len(e))], pool)[0]``."""
     preds = [pool.target_predictions(mid) for mid in ids]
     return majority_vote_accuracy(preds, pool.target_labels, combos)
 

@@ -128,6 +128,17 @@ def majority_vote_loop(pred_lists, truth):
     return hits / n
 
 
+def write_rankings_loop(path, rows):
+    """Write ``(member ids, alpha, accuracy or None)`` rows as a rankings
+    file, one line at a time: ids joined by ``;``, reals by ``repr``, and an
+    empty field for a missing accuracy."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("ensemble,alpha,accuracy\n")
+        for ids, alpha, acc in rows:
+            acc_text = "" if acc is None else repr(float(acc))
+            fh.write(f"{';'.join(ids)},{float(alpha)!r},{acc_text}\n")
+
+
 def assignment_cost_loop(C):
     """Minimum-cost perfect assignment by brute force (small square C)."""
     n = C.shape[0]

@@ -181,8 +181,8 @@ def test_criterion_4_greedy_matches_exhaustive_quality():
         greedy_f = trace.steps[-1].f_cumulative
         if abs(greedy_f - best_f) <= 1e-9:
             equal_f += 1
-        acc_greedy.append(proxy_accuracy(trace.final, pool.manifest))
-        acc_best.append(proxy_accuracy(best, pool.manifest))
+        acc_greedy.append(proxy_accuracy(trace.final, [range(3)], pool.manifest)[0])
+        acc_best.append(proxy_accuracy(best, [range(3)], pool.manifest)[0])
     elapsed = time.perf_counter() - start
     assert equal_f >= 160
     ratio = float(np.mean(acc_greedy)) / float(np.mean(acc_best))
@@ -209,7 +209,7 @@ def test_criterion_5_dropping_cohesion_hurts_correlation():
         pool = build_pool(spec)
         cache = build_pairwise_cache(pool.manifest, full_cfg)
         ensembles = list(itertools.combinations(cache.ids, 2))
-        accs = [proxy_accuracy(e, pool.manifest) for e in ensembles]
+        accs = [proxy_accuracy(e, [range(2)], pool.manifest)[0] for e in ensembles]
         for cfg, out in ((full_cfg, pcc_full), (ablated_cfg, pcc_ablated)):
             alphas = [-osborn_score(e, cache, cfg).osborn_value
                       for e in ensembles]

@@ -1,6 +1,7 @@
 """Command line driver: exit codes, file handoff, and reproducibility."""
 
 import filecmp
+import itertools
 import json
 import subprocess
 import sys
@@ -13,18 +14,18 @@ from osborn import cli
 from osborn.data_io import (
     LabelVector,
     PredictionVector,
-    RankingRecord,
     TEConfig,
     load_pool,
     read_scores,
     write_features,
     write_labels,
     write_predictions,
-    write_scores,
 )
-from osborn.metrics import read_cache
-from osborn.selection import exhaustive_select, score_all
-from osborn.synth import proxy_accuracy, read_synth_spec
+from osborn.metrics import osborn_score, read_cache
+from osborn.selection import exhaustive_select
+from osborn.synth import read_synth_spec
+
+from conftest import majority_vote_loop, write_rankings_loop
 
 SPEC_TEXT = (
     "num_models = 4\n"
@@ -78,10 +79,9 @@ def test_full_pipeline(tmp_path, pool_dir, capsys):
     trace_lines = (trace / "trace.csv").read_text().splitlines()
     assert trace_lines[0] == "step,chosen_id,gain,f_cumulative"
     assert trace_lines[-1].startswith("ensemble,")
-    records = read_scores(ranks)
-    assert len(records) == 6  # C(4, 2) ensembles
-    assert all(r.accuracy is not None and 0.0 <= r.accuracy <= 1.0
-               for r in records)
+    ensembles, _, accuracy = read_scores(ranks)
+    assert len(ensembles) == 6  # C(4, 2) ensembles
+    assert np.all((accuracy >= 0.0) & (accuracy <= 1.0))  # and none is NaN
     text = report.read_text().splitlines()
     assert text[0] == "metric,value"
     assert [ln.split(",")[0] for ln in text[1:]] == \
@@ -93,6 +93,14 @@ def test_missing_input_file_exits_one(tmp_path, capsys):
                      "--out", str(tmp_path / "cache.csv")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_one(tmp_path, pool_dir, capsys):
+    # an --out in a directory that does not exist is a bad input
+    code = cli.main(["pairwise", "--pool", str(pool_dir / "pool.json"),
+                     "--out", str(tmp_path / "absent" / "cache.csv")])
+    assert code == 1
+    assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_one(tmp_path, pool_dir, capsys):
@@ -279,12 +287,15 @@ def test_score_rankings_equal_the_row_by_row_file(tmp_path, pool_dir):
         assert cli.main(["score", "--pool", str(pool_path), "--cache",
                          str(cache_path), "--k", str(k), "--proxy-accuracy",
                          "--out", str(ranks)]) == 0
+        # one ensemble at a time, in lexicographic order: its osborn value
+        # and a scalar majority vote, written by the test's own writer
         ref = tmp_path / f"ref{k}.csv"
-        write_scores([
-            RankingRecord(ensemble=cand, alpha=-value,
-                          accuracy=proxy_accuracy(cand, pool))
-            for cand, value in score_all(pool, k, cache, TEConfig())
-        ], ref)
+        write_rankings_loop(ref, [
+            (cand, -osborn_score(cand, cache, TEConfig()).osborn_value,
+             majority_vote_loop([pool.target_predictions(m).values for m in cand],
+                                pool.target_labels.values))
+            for cand in itertools.combinations(cache.ids, k)
+        ])
         assert ranks.read_bytes() == ref.read_bytes()
 
 

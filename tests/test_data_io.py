@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osborn.data_io import (
     LabelVector,
@@ -13,8 +16,8 @@ from osborn.data_io import (
     PoolManifest,
     PoolPredictions,
     PredictionVector,
-    RankingRecord,
     TEConfig,
+    _check_model_id,
     format_real,
     load_pool,
     load_pool_predictions,
@@ -22,7 +25,6 @@ from osborn.data_io import (
     read_features,
     read_labels,
     read_predictions,
-    read_rankings,
     read_scores,
     stratified_indices,
     substream_seed,
@@ -30,7 +32,6 @@ from osborn.data_io import (
     write_features,
     write_labels,
     write_predictions,
-    write_rankings,
     write_scores,
 )
 from osborn.errors import ValidationError
@@ -38,6 +39,8 @@ from osborn.metrics import build_pairwise_cache
 from osborn.ot_core import MarginalWeights, sinkhorn
 from osborn.selection import greedy_select
 from osborn.synth import SynthSpec, read_synth_spec
+
+from conftest import write_rankings_loop
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +109,6 @@ def test_prediction_vector_validation():
         PredictionVector(np.array([2]), 2)
     with pytest.raises(ValidationError, match="predictions must be integers"):
         PredictionVector(np.array([0.0, 1.0]), 2)
-
-
-def test_ranking_record_normalizes_and_validates():
-    r = RankingRecord(ensemble=("b", "a"), alpha=1.5, accuracy=0.25)
-    assert r.ensemble == ("b", "a")
-    assert r.accuracy == 0.25
-    assert RankingRecord(ensemble=("a",), alpha=0.0).accuracy is None
-    with pytest.raises(ValidationError):
-        RankingRecord(ensemble=(), alpha=0.0)
-    with pytest.raises(ValidationError):
-        RankingRecord(ensemble=("a",), alpha=0.0, accuracy=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +226,8 @@ def test_config_parser_skips_comments_and_blanks(tmp_path):
     cfg = read_config(p)
     assert cfg.seed == 5
     assert cfg.standardize is False
+    p.write_text("standardize = True\n")
+    assert read_config(p).standardize is True
 
 
 @pytest.mark.parametrize("reader,text", [
@@ -425,6 +419,13 @@ def test_load_pool_rejects_bad_json_and_missing_keys(tmp_path):
     p.write_text(json.dumps({"target_labels": "t.csv", "models": []}))
     with pytest.raises(ValidationError, match="at least one model"):
         load_pool(p)
+    p.write_text(json.dumps([{"target_labels": "t.csv"}]))
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        load_pool(p)
+    (tmp_path / "t.csv").write_text("C=2\n0\n1\n")
+    p.write_text(json.dumps({"target_labels": "t.csv", "models": ["m0"]}))
+    with pytest.raises(ValidationError, match="model entry must be a JSON object"):
+        load_pool(p)
     with pytest.raises(ValidationError, match="cannot read"):
         load_pool(tmp_path / "nope.json")
 
@@ -485,7 +486,9 @@ def test_model_record_checks_shapes_and_ids():
         (dict(source_features=np.zeros((2, 2))), "source labels"),
         (dict(source_features=np.full((3, 2), np.nan)), "non-finite"),
         (dict(model_id="a,b"), "reserved character"),
+        (dict(model_id=" a"), "outer whitespace"),
         (dict(model_id=""), "non-empty string"),
+        (dict(source_features=np.zeros(3)), "'m': feature matrices must be 2-d"),
     ]:
         with pytest.raises(ValidationError, match=msg):
             ModelRecord(**{**ok, **change})
@@ -583,17 +586,15 @@ def test_stratified_rejects_impossible_caps():
 
 
 def test_scores_round_trip_including_missing_accuracy(tmp_path):
-    rows = [
-        RankingRecord(ensemble=("a", "b"), alpha=-1.25, accuracy=0.75),
-        RankingRecord(ensemble=("c",), alpha=0.5, accuracy=None),
-    ]
     p = tmp_path / "rankings.csv"
-    write_scores(rows, p)
-    text = p.read_text().splitlines()
-    assert text[0] == "ensemble,alpha,accuracy"
-    assert text[1].startswith("a;b,")
-    back = read_scores(p)
-    assert back == rows
+    write_scores(("a", "b", "c"), np.array([[1, 0], [2, 0]]), [-1.25, 0.5],
+                 [0.75, np.nan], p)
+    assert p.read_text().splitlines() == \
+        ["ensemble,alpha,accuracy", "b;a,-1.25,0.75", "c;a,0.5,"]
+    ensembles, alpha, accuracy = read_scores(p)
+    assert ensembles == [("b", "a"), ("c", "a")]
+    assert alpha.tolist() == [-1.25, 0.5]
+    assert accuracy[0] == 0.75 and np.isnan(accuracy[1])
 
 
 def test_rankings_arrays_write_the_bytes_of_records(tmp_path):
@@ -604,17 +605,79 @@ def test_rankings_arrays_write_the_bytes_of_records(tmp_path):
     for acc in (accuracy, None):
         p_arr = tmp_path / "arrays.csv"
         p_rec = tmp_path / "records.csv"
-        write_rankings(ids, combos, alpha, acc, p_arr)
-        write_scores([
-            RankingRecord(ensemble=tuple(ids[i] for i in row), alpha=a,
-                          accuracy=None if acc is None else acc[r])
+        write_scores(ids, combos, alpha, acc, p_arr)
+        write_rankings_loop(p_rec, [
+            (tuple(ids[i] for i in row), a, None if acc is None else acc[r])
             for r, (row, a) in enumerate(zip(combos, alpha))
-        ], p_rec)
+        ])
         assert p_arr.read_bytes() == p_rec.read_bytes()
-    ensembles, back_alpha, back_acc = read_rankings(p_arr)
+    ensembles, back_alpha, back_acc = read_scores(p_arr)
     assert ensembles == [("a", "b"), ("a", "c"), ("b", "c")]
     assert back_alpha.tolist() == alpha.tolist()
     assert np.all(np.isnan(back_acc))
+
+
+def _is_model_id(text):
+    try:
+        _check_model_id(text)
+    except ValidationError:
+        return False
+    return True
+
+
+_FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_ACCURACY = st.one_of(st.just(math.nan), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rankings_round_trip_is_exact(tmp_path_factory, data):
+    # whatever write_scores accepts, read_scores gives back: the same
+    # ensembles, alpha to the bit, and NaN accuracy exactly where it was;
+    # the ids are any that a pool or cache accepts
+    ids = data.draw(st.lists(st.text(min_size=1, max_size=4).filter(_is_model_id),
+                             min_size=1, max_size=6, unique=True))
+    k = data.draw(st.integers(1, len(ids)))
+    n = data.draw(st.integers(0, 6))
+    combos = np.array([data.draw(st.permutations(range(len(ids))))[:k]
+                       for _ in range(n)], dtype=np.int64).reshape(n, k)
+    alpha = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
+    accuracy = data.draw(st.one_of(
+        st.none(), st.lists(_ACCURACY, min_size=n, max_size=n).map(np.array)))
+    p = tmp_path_factory.mktemp("rankings") / "r.csv"
+    write_scores(ids, combos, alpha, accuracy, p)
+    ensembles, back_alpha, back_acc = read_scores(p)
+    assert ensembles == [tuple(ids[i] for i in row) for row in combos.tolist()]
+    assert back_alpha.view(np.uint64).tolist() == alpha.view(np.uint64).tolist()
+    expected = np.full(n, np.nan) if accuracy is None else accuracy
+    assert np.array_equal(back_acc, expected, equal_nan=True)
+
+
+def test_rankings_writer_refuses_bad_rows(tmp_path):
+    p = tmp_path / "r.csv"
+    two = np.array([[0], [1]])
+    for combos, alpha, accuracy, msg in [
+        (np.zeros((1, 0), dtype=int), [1.0], None, ">= 1 column"),
+        (np.array([0, 1]), [1.0, 2.0], None, "2-d integer array"),
+        (np.array([[0.0, 1.0]]), [1.0], None, "2-d integer array"),
+        (two, [1.0], None, "alpha must be a number per row"),
+        (two, [1.0, 2.0], [0.5], "accuracy must be a number per row"),
+        (two, [1.0, np.inf], None, "row 1: alpha must be finite, got inf"),
+        (two, [1.0, 2.0], [0.5, 1.5], r"row 1: accuracy must lie in \[0, 1\], got 1.5"),
+        (two, [1.0, 2.0], [-np.inf, 0.5], "row 0: accuracy must lie in"),
+        # a negative index would name the last id, and a repeated member or
+        # a bad id would write a row read_scores refuses or misreads
+        (np.array([[-1]]), [1.0], None, "indexes no model id"),
+        (np.array([[2]]), [1.0], None, "indexes no model id"),
+        (np.array([[0, 1], [1, 1]]), [1.0, 2.0], None, "repeats a member"),
+    ]:
+        with pytest.raises(ValidationError, match=msg):
+            write_scores(("a", "b"), combos, alpha, accuracy, p)
+        assert not p.exists()
+    with pytest.raises(ValidationError, match="reserved character"):
+        write_scores(("a", "b;c"), two, [1.0, 2.0], None, p)
+    assert not p.exists()
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -622,27 +685,31 @@ def test_rankings_arrays_write_the_bytes_of_records(tmp_path):
     ("ensemble,alpha,accuracy\na,1.0,0.5\nb,1.0,nan\n", "3: accuracy must lie in"),
     ("ensemble,alpha,accuracy\na,nan,0.5\n", "r.csv:2: alpha must be finite"),
     ("ensemble,alpha,accuracy\na,1.0,\nb,-inf,\n", "r.csv:3: alpha must be finite"),
-    # a dict is the arguments of one RankingRecord, which checks as the readers do
-    ({"ensemble": ("a",), "alpha": float("nan")}, "alpha must be finite"),
-    ({"ensemble": ("a",), "alpha": float("inf"), "accuracy": 0.5}, "alpha must be finite"),
-    ({"ensemble": ("a",), "alpha": 1.0, "accuracy": "0.5"}, "accuracy must be a number"),
+    # a dict is the alpha and accuracy of one write_scores row, which the
+    # writer checks as the reader does
+    ({"alpha": [float("nan")], "accuracy": None}, "alpha must be finite"),
+    ({"alpha": [float("inf")], "accuracy": [0.5]}, "alpha must be finite"),
+    ({"alpha": [1.0], "accuracy": ["0.5"]}, "accuracy must be a number"),
 ])
 def test_rankings_reader_rejects_accuracy_out_of_range(tmp_path, text, msg):
+    p = tmp_path / "r.csv"
     if isinstance(text, dict):
         with pytest.raises(ValidationError, match=msg):
-            RankingRecord(**text)
+            write_scores(("a",), [[0]], text["alpha"], text["accuracy"], p)
+        assert not p.exists()
         return
-    p = tmp_path / "r.csv"
     p.write_text(text)
-    for reader in (read_rankings, read_scores):
-        with pytest.raises(ValidationError, match=msg):
-            reader(p)
+    with pytest.raises(ValidationError, match=msg):
+        read_scores(p)
 
 
 @pytest.mark.parametrize("text,msg", [
     ("alpha,ensemble\n", "expected header"),
     ("ensemble,alpha,accuracy\na;b,1.0\n", "expected 3 fields"),
     ("ensemble,alpha,accuracy\n,1.0,\n", "empty ensemble"),
+    ("ensemble,alpha,accuracy\na;;b,1.0,0.5\n", "r.csv:2: empty ensemble member in 'a;;b'"),
+    ("ensemble,alpha,accuracy\n;c,3.0,\n", "r.csv:2: empty ensemble member in ';c'"),
+    ("ensemble,alpha,accuracy\na;a,2.0,0.25\n", "r.csv:2: repeated model id in 'a;a'"),
     ("ensemble,alpha,accuracy\na,x,\n", "non-numeric"),
     # blank lines count: the bad row is the file's fifth line
     ("ensemble,alpha,accuracy\n\na,1.0,0.5\n\nb,x,\n", "r.csv:5: non-numeric"),

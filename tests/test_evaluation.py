@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from scipy.stats import kendalltau, rankdata
 
 from osborn import evaluation
-from osborn.data_io import LabelVector, PredictionVector, RankingRecord
+from osborn.data_io import LabelVector, PredictionVector
 from osborn.errors import ComputationError, ValidationError
 from osborn.evaluation import (
     CorrelationReport,
     _average_ranks,
-    correlate,
     evaluate,
     kendall_tau,
     majority_vote_accuracy,
@@ -315,39 +314,16 @@ def test_weighted_kendall_punishes_top_swaps_more():
 # ---------------------------------------------------------------------------
 
 
-def _rec(ids, alpha, acc):
-    return RankingRecord(ensemble=ids, alpha=alpha, accuracy=acc)
-
-
 def test_evaluate_uses_only_rows_with_accuracy():
-    records = [
-        _rec(("a",), 1.0, 0.2),
-        _rec(("b",), 2.0, None),
-        _rec(("c",), 3.0, 0.8),
-        _rec(("d",), 4.0, 0.9),
-    ]
-    rep = evaluate(records)
+    # NaN marks a row without a measured accuracy
+    rep = evaluate([1.0, 2.0, 3.0, 4.0], [0.2, np.nan, 0.8, 0.9])
     assert rep.n_pairs == 3
     assert rep.pcc == pytest.approx(
         pearson([1.0, 3.0, 4.0], [0.2, 0.8, 0.9]), abs=1e-15)
     assert rep.kt == pytest.approx(1.0, abs=1e-12)
     assert rep.wkt == pytest.approx(1.0, abs=1e-12)
-
-
-def test_correlate_skips_rows_without_accuracy_like_evaluate():
-    records = [
-        _rec(("a",), 1.0, 0.2),
-        _rec(("b",), 2.0, None),
-        _rec(("c",), 3.0, 0.8),
-        _rec(("d",), 4.0, 0.7),
-    ]
-    rep = correlate([1.0, 2.0, 3.0, 4.0], [0.2, np.nan, 0.8, 0.7])
-    assert rep == evaluate(records)
-    assert rep.n_pairs == 3
-    with pytest.raises(ValidationError, match="at least 2"):
-        correlate([1.0, 2.0], [0.5, np.nan])
-    with pytest.raises(ValidationError, match="equal-length"):
-        correlate([1.0, 2.0], [0.5, 0.6, 0.7])
+    assert evaluate([1.0, 2.0, 3.0, 4.0], [0.2, np.nan, 0.8, 0.7]) == \
+        evaluate([1.0, 3.0, 4.0], [0.2, 0.8, 0.7])
 
 
 def test_correlate_counts_concordance_once(monkeypatch):
@@ -363,7 +339,7 @@ def test_correlate_counts_concordance_once(monkeypatch):
     rng = np.random.default_rng(6)
     alpha = rng.normal(size=200)
     accuracy = np.round(alpha + rng.normal(size=200), 1)
-    rep = correlate(alpha, accuracy)
+    rep = evaluate(alpha, accuracy)
     assert len(calls) == 1
     assert (rep.kt, rep.wkt) == (kendall_tau(alpha, accuracy),
                                  weighted_kendall_tau(alpha, accuracy))
@@ -371,7 +347,9 @@ def test_correlate_counts_concordance_once(monkeypatch):
 
 def test_evaluate_needs_two_usable_rows():
     with pytest.raises(ValidationError, match="at least 2"):
-        evaluate([_rec(("a",), 1.0, 0.5), _rec(("b",), 2.0, None)])
+        evaluate([1.0, 2.0], [0.5, np.nan])
+    with pytest.raises(ValidationError, match="equal-length"):
+        evaluate([1.0, 2.0], [0.5, 0.6, 0.7])
 
 
 def test_write_report_format(tmp_path):

@@ -2,10 +2,11 @@
 function and every module-level UPPER_CASE constant it defines, is used in
 that module; imports sit at module level; every parameter of a module-level
 private function is read; every private or constant name a docstring cites
-is defined; every name the benchmark's tracer wraps exists; every export
-is reached outside the tests; every dataclass is declared ``frozen=True``;
-only ``data_io`` writes files; the package imports exactly the third-party
-modules ``pyproject.toml`` declares; and the CLI loads no scipy."""
+is defined; every name the benchmark's tracer wraps exists and, but one,
+is called by the pipeline; every export is reached outside the tests;
+every dataclass is declared ``frozen=True``; only ``data_io`` writes
+files; the package imports exactly the third-party modules
+``pyproject.toml`` declares; and the CLI loads no scipy."""
 
 import ast
 import importlib.util
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import osborn
+from osborn import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "osborn"
@@ -118,16 +120,56 @@ def test_exports_match_imports():
     assert set(exported) == {name for name, _ in _imported_names(tree)}
 
 
+def _tracing():
+    """The benchmark's tracer module, ``bench/tracing.py``."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_every_traced_name_exists():
     # bench/run.py --trace 1 replaces each (module, attribute) of WRAPPED
     # with a timing wrapper, so a renamed or deleted attribute breaks the
     # traced benchmark; the tracer itself is not installed here
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     missing = [f"{module.__name__}.{attr}" for module, attr, *_ in tracing.WRAPPED
                if not callable(getattr(module, attr, None))]
     assert tracing.WRAPPED and not missing, "traced names missing: " + ", ".join(missing)
+
+
+def test_every_traced_layer_is_called_by_the_pipeline(tmp_path, monkeypatch):
+    # a wrapped name the CLI never calls reads a constant 0 in every traced
+    # benchmark run; each stage runs in-process under the tracer's wrappers
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    for module, attr, name, stats in tracing.WRAPPED:
+        monkeypatch.setattr(module, attr, tracer._wrap(getattr(module, attr), name, stats))
+    spec = tmp_path / "pool.spec"
+    spec.write_text("num_models = 4\nfeature_dim = 3\nsource_classes = 3\n"
+                    "target_classes = 3\nsamples = 24\nseed = 1\n"
+                    "prediction_noise = 0.0;0.1;0.3;0.5\n")
+    pool = str(tmp_path / "pool" / "pool.json")
+    out = {name: str(tmp_path / f"{name}.csv")
+           for name in ("entropic", "frobenius", "greedy", "exhaustive", "ranks", "report")}
+    common = ["--pool", pool, "--cache", out["entropic"], "--k", "2"]
+    for argv in (
+        ["synth", "--spec", str(spec), "--out", str(tmp_path / "pool")],
+        ["pairwise", "--pool", pool, "--out", out["entropic"]],
+        ["pairwise", "--pool", pool, "--regularizer", "frobenius", "--out", out["frobenius"]],
+        ["select", *common, "--strategy", "greedy", "--out", out["greedy"]],
+        ["select", *common, "--strategy", "exhaustive", "--out", out["exhaustive"]],
+        ["score", *common, "--proxy-accuracy", "--out", out["ranks"]],
+        ["eval", "--rankings", out["ranks"], "--out", out["report"]],
+    ):
+        assert cli.main(argv) == 0, argv
+    layers = {name for *_, name, _ in tracing.WRAPPED}
+    uncalled = {name for name in layers if not tracer.sums[name + ".calls"]}
+    # evaluation.evaluate takes both Kendall statistics from one concordance
+    # count and does not call weighted_kendall_tau; dropping that wrap is a
+    # change to the benchmark (CHANGES.md, the FOUND line on
+    # weighted_kendall_tau; ROADMAP item 2)
+    assert uncalled == {"evaluation.weighted_kendall_tau"}, sorted(uncalled)
 
 
 def _names_used_outside_their_definitions():
@@ -150,13 +192,9 @@ def _readme_code():
 
 
 def test_every_export_is_reached_outside_the_tests():
-    # an export is used by the package, documented in README.md, or timed by
-    # the benchmark's tracer; one that only the tests reach fails here
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    reached = {attr for _, attr, *_ in tracing.WRAPPED} \
-        | _names_used_outside_their_definitions()
+    # an export is used by the package or documented in README.md; one that
+    # only the tests reach fails here
+    reached = _names_used_outside_their_definitions()
     code = _readme_code()
     unreached = [name for name in osborn.__all__ if name not in reached
                  and not any(re.search(rf"\b{name}\b", span) for span in code)]

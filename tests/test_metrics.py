@@ -479,9 +479,12 @@ def test_cache_writer_bytes(tmp_path):
     ("row,a,b\n", "malformed"),
     ("model,a,wd,1.0,wt,2.0,converged,1\nmodel,a,wd,1.0,wt,2.0,converged,1\n",
      "duplicate model"),
+    ("pair,a,b,h,0.5\npair,a,b,h,0.5\n", "c.csv:2: duplicate pair"),
     # blank lines count: the bad row is the file's fifth line
     ("model,a,wd,1.0,wt,2.0,converged,1\n\nmodel,b,wd,1.0,wt,2.0,converged,1\n"
      "\npair,a,b,g,0.5\n", "c.csv:5: malformed"),
+    # a rule PairwiseCache keeps is reported with the file's name
+    ("model,a,wd,nan,wt,2.0,converged,1\n", "c.csv: non-finite cached value for model 'a'"),
 ])
 def test_cache_reader_rejects_malformed(tmp_path, text, msg):
     p = tmp_path / "c.csv"

@@ -77,6 +77,8 @@ def test_cost_matrix_validation():
         cost_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
     with pytest.raises(ValidationError, match="non-finite"):
         cost_matrix(np.full((2, 2), np.inf), np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="non-empty"):
+        cost_matrix(np.zeros((0, 2)), np.zeros((2, 2)))
 
 
 def test_cost_matrix_is_bit_identical_to_the_dense_expression_in_one_array():

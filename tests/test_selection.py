@@ -30,7 +30,6 @@ from osborn.selection import (
     greedy_select,
     marginal_gain,
     score_all,
-    score_subsets,
     write_selection,
 )
 from osborn.synth import SynthSpec, build_pool
@@ -398,34 +397,20 @@ def test_score_all_enumerates_lexicographically_and_matches_scores():
     for cfg, (m, k) in itertools.product(
             configs, [(5, 2), (1, 1), (4, 1), (4, 4), (7, 3), (6, 6)]):
         cache = _random_cache(np.random.default_rng(6), m)
-        scored = score_all(None, k, cache, cfg)
-        ids = list(cache.ids)
-        expected_combos = list(itertools.combinations(ids, k))
-        assert [c for c, _ in scored] == expected_combos
-        for cand, value in scored:
-            assert value == osborn_score(cand, cache, cfg).osborn_value
-
-
-def test_score_subsets_are_the_arrays_behind_score_all():
-    cfg = TEConfig()
-    for m, k in [(5, 2), (6, 6), (7, 3)]:
-        cache = _random_cache(np.random.default_rng(7), m)
-        ids, combos, values = score_subsets(None, k, cache, cfg)
+        ids, combos, values = score_all(None, k, cache, cfg)
         assert ids == cache.ids
         assert combos.tolist() == [list(c) for c in itertools.combinations(range(m), k)]
-        scored = score_all(None, k, cache, cfg)
-        assert [c for c, _ in scored] == \
-            [tuple(ids[i] for i in row) for row in combos]
-        assert [v for _, v in scored] == values.tolist()
+        for row, value in zip(combos.tolist(), values.tolist()):
+            assert value == osborn_score([ids[i] for i in row], cache, cfg).osborn_value
 
 
-def test_score_subsets_on_a_one_model_cache_warns_of_nothing():
+def test_score_all_on_a_one_model_cache_warns_of_nothing():
     # standardizing the empty pair table must not ask numpy for the mean and
     # std of an empty array
     cache = _cache({"m0": 2.0}, {"m0": 0.5}, {})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ids, combos, values = score_subsets(None, 1, cache, TEConfig())
+        ids, combos, values = score_all(None, 1, cache, TEConfig())
     assert list(ids) == ["m0"]
     assert combos.tolist() == [[0]]
     assert values.tolist() == [0.0]

@@ -16,11 +16,12 @@ from osborn.synth import (
     build_pool,
     default_groups,
     generate,
-    proxy_accuracies,
     proxy_accuracy,
     read_synth_spec,
     write_synth_spec,
 )
+
+from conftest import majority_vote_loop
 
 
 def _spec(**kw):
@@ -60,6 +61,7 @@ def _spec(**kw):
     (dict(class_separation=float("inf")), "class_separation must be finite"),
     (dict(source_jitter=float("nan")), "source_jitter must be finite"),
     (dict(source_jitter=float("inf")), "source_jitter must be finite"),
+    (dict(source_classes=0), "class counts must be >= 1"),
 ])
 def test_spec_rejects_infeasible_settings(kw, msg):
     with pytest.raises(ValidationError, match=msg):
@@ -238,9 +240,9 @@ def test_redundant_triple_scores_better_than_diverse_triple():
 def test_proxy_accuracy_perfect_model():
     spec = _spec(prediction_noise=(0.0, 0.3, 0.3))
     pool = build_pool(spec).manifest
-    assert proxy_accuracy(("m00",), pool) == 1.0
+    assert proxy_accuracy(("m00",), [[0]], pool)[0] == 1.0
     with pytest.raises(ValidationError, match="unknown model"):
-        proxy_accuracy(("m99",), pool)
+        proxy_accuracy(("m99",), [[0]], pool)
 
 
 def test_proxy_accuracy_redundant_triple_equals_single():
@@ -249,8 +251,8 @@ def test_proxy_accuracy_redundant_triple_equals_single():
         redundancy_groups=((0, 1, 2),),
     )
     pool = build_pool(spec).manifest
-    assert proxy_accuracy(("m00", "m01", "m02"), pool) == \
-        proxy_accuracy(("m00",), pool)
+    assert proxy_accuracy(("m00", "m01", "m02"), [[0, 1, 2]], pool)[0] == \
+        proxy_accuracy(("m00",), [[0]], pool)[0]
 
 
 def test_proxy_accuracies_equal_proxy_accuracy_per_ensemble(tmp_path):
@@ -263,9 +265,15 @@ def test_proxy_accuracies_equal_proxy_accuracy_per_ensemble(tmp_path):
     for k in range(1, 6):
         combos = np.array(list(itertools.combinations(range(5), k)))
         for pool in pools:
-            got = proxy_accuracies(ids, combos, pool)
+            # one batch, one ensemble at a time, and the scalar vote loop
+            got = proxy_accuracy(ids, combos, pool)
             assert got.tolist() == [
-                proxy_accuracy([ids[i] for i in row], pool) for row in combos]
+                proxy_accuracy([ids[i] for i in row], [range(k)], pool)[0]
+                for row in combos]
+            assert got.tolist() == [
+                majority_vote_loop([pool.target_predictions(ids[i]).values for i in row],
+                                   pool.target_labels.values)
+                for row in combos]
 
 
 def test_independent_noisy_voters_beat_a_single_voter_on_average():
@@ -279,7 +287,7 @@ def test_independent_noisy_voters_beat_a_single_voter_on_average():
             prediction_noise=(0.4, 0.4, 0.4), seed=7000 + s,
         )
         pool = build_pool(spec)
-        ens += proxy_accuracy(("m00", "m01", "m02"), pool.manifest)
+        ens += proxy_accuracy(("m00", "m01", "m02"), [[0, 1, 2]], pool.manifest)[0]
         solo += np.mean([pool.qualities[m] for m in ("m00", "m01", "m02")])
     assert ens / 100 > solo / 100
     assert ens / 100 == pytest.approx(0.648, abs=0.02)
@@ -322,6 +330,8 @@ def test_spec_single_value_broadcasts(tmp_path):
     ("set:redundancy_groups = 0,x|1", "expects integers"),
     ("set:prediction_noise = 0.1;0.2", "1 or num_models"),
     ("set:source_jitter = soft", "bad source_jitter"),
+    # a rule SynthSpec keeps is reported with the file's name
+    ("set:source_classes = 0", "pool.spec: class counts must be >= 1"),
 ])
 def test_spec_parser_rejects_malformed(tmp_path, mutation, msg):
     lines = {
