@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import kendalltau, rankdata
 
 from osborn import evaluation
-from osborn.data_io import LabelVector, PredictionVector
+from osborn.data_io import LabelVector, PredictionVector, read_scores, write_scores
 from osborn.errors import ComputationError, ValidationError
 from osborn.evaluation import (
     CorrelationReport,
@@ -324,6 +324,20 @@ def test_evaluate_uses_only_rows_with_accuracy():
     assert rep.wkt == pytest.approx(1.0, abs=1e-12)
     assert evaluate([1.0, 2.0, 3.0, 4.0], [0.2, np.nan, 0.8, 0.7]) == \
         evaluate([1.0, 3.0, 4.0], [0.2, 0.8, 0.7])
+
+
+def test_correlate_skips_rows_without_accuracy_like_evaluate(tmp_path):
+    # a rankings row with an empty accuracy field reads back as NaN, and
+    # evaluate leaves it out just as it leaves out a NaN in the arrays
+    path = tmp_path / "rankings.csv"
+    write_scores(["a", "b", "c", "d"], np.arange(4).reshape(4, 1),
+                 [1.0, 2.0, 3.0, 4.0], [0.2, np.nan, 0.8, 0.7], path)
+    _, alpha, accuracy = read_scores(path)
+    assert np.isnan(accuracy[1])
+    rep = evaluate(alpha, accuracy)
+    assert rep == evaluate([1.0, 2.0, 3.0, 4.0], [0.2, np.nan, 0.8, 0.7])
+    assert rep == evaluate([1.0, 3.0, 4.0], [0.2, 0.8, 0.7])
+    assert rep.n_pairs == 3
 
 
 def test_correlate_counts_concordance_once(monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from osborn import selection
-from osborn.data_io import TEConfig
+from osborn.data_io import TEConfig, read_scores, write_scores
 from osborn.errors import ValidationError
 from osborn.metrics import (
     PairwiseCache,
@@ -402,6 +402,23 @@ def test_score_all_enumerates_lexicographically_and_matches_scores():
         assert combos.tolist() == [list(c) for c in itertools.combinations(range(m), k)]
         for row, value in zip(combos.tolist(), values.tolist()):
             assert value == osborn_score([ids[i] for i in row], cache, cfg).osborn_value
+
+
+def test_score_subsets_are_the_arrays_behind_score_all(tmp_path):
+    # the rankings file written from score_all's arrays names each subset by
+    # its ids, in lexicographic order, with its value as alpha
+    cfg = TEConfig()
+    for m, k in [(5, 2), (6, 6), (7, 3)]:
+        cache = _random_cache(np.random.default_rng(7), m)
+        ids, combos, values = score_all(None, k, cache, cfg)
+        assert ids == cache.ids
+        assert combos.tolist() == [list(c) for c in itertools.combinations(range(m), k)]
+        path = tmp_path / f"rankings_{m}_{k}.csv"
+        write_scores(ids, combos, values, None, path)
+        ensembles, alpha, accuracy = read_scores(path)
+        assert ensembles == [tuple(ids[i] for i in row) for row in combos.tolist()]
+        assert alpha.tolist() == values.tolist()
+        assert np.isnan(accuracy).all()
 
 
 def test_score_all_on_a_one_model_cache_warns_of_nothing():
