@@ -16,7 +16,7 @@ import numpy as np
 from .data_io import LabelVector, PredictionVector, write_table
 from .errors import ComputationError, ValidationError
 
-# entries of the (ensembles, samples, classes) vote table that
+# entries of the (ensembles, classes, samples) vote table that
 # majority_vote_accuracy fills at once, so its temporaries stay bounded
 # whatever the number of ensembles
 _VOTE_CELLS = 1 << 21
@@ -36,8 +36,8 @@ def majority_vote_accuracy(members, truth: LabelVector, combos) -> np.ndarray:
     ``members`` is a sequence of PredictionVector; row r of the 2-d integer
     array ``combos`` lists the indices into ``members`` of ensemble r.  Each
     ensemble's votes are summed per sample and the most voted class wins,
-    ties going to the smallest class index.  The one-hot vote table of all
-    members is built once; ensembles are voted in chunks.
+    ties going to the smallest class index.  The vote table of all members
+    is built once; ensembles are voted in chunks.
     """
     members = list(members)
     if not members or not all(isinstance(m, PredictionVector) for m in members):
@@ -56,20 +56,29 @@ def majority_vote_accuracy(members, truth: LabelVector, combos) -> np.ndarray:
     # classes above every member's range get no votes and so never win,
     # which makes one shared width right for every ensemble
     width = max(m.num_classes for m in members)
-    onehot = np.zeros((len(members), n, width),
-                      dtype=np.min_scalar_type(combos.shape[1]))
+    # class c's key is votes·width + (width − 1 − c), below (k + 1)·width:
+    # the largest key names the most voted class, ties going to the smallest
+    # index.  Members add `width` a vote; an ensemble's first adds the offsets.
+    dtype = np.min_scalar_type((combos.shape[1] + 1) * width)
+    onehot = np.zeros((len(members), width, n), dtype=dtype)
+    correct = np.zeros((len(members), n), dtype=dtype)
     rows = np.arange(n)
     for i, m in enumerate(members):
-        onehot[i, rows, m.values] = 1
+        onehot[i, m.values, rows] = width
+        correct[i, m.values == truth.values] = width
+    first = onehot + np.arange(width - 1, -1, -1, dtype=dtype)[:, None]
+    # a truth class at or above `width` keeps key 0, below every winner's
+    correct_first = correct + np.maximum(width - 1 - truth.values, 0).astype(dtype)
     out = np.empty(combos.shape[0])
     step = max(1, _VOTE_CELLS // (n * width))
     for s in range(0, combos.shape[0], step):
         chunk = combos[s:s + step]
-        votes = onehot[chunk[:, 0]]
+        votes = first[chunk[:, 0]]
+        truth_key = correct_first[chunk[:, 0]]
         for col in chunk[:, 1:].T:
             votes += onehot[col]
-        # argmax takes the first maximum: the smallest class wins ties
-        hits = np.count_nonzero(votes.argmax(axis=2) == truth.values, axis=1)
+            truth_key += correct[col]
+        hits = np.count_nonzero(truth_key == votes.max(axis=1), axis=1)
         out[s:s + step] = hits / n
     return out
 

@@ -1,6 +1,7 @@
 """File formats, validation, config handling, and stratified subsampling."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -617,6 +618,25 @@ def test_rankings_arrays_write_the_bytes_of_records(tmp_path):
     assert np.all(np.isnan(back_acc))
 
 
+def test_rankings_writer_renders_the_bytes_of_the_row_loop(tmp_path):
+    rng = np.random.default_rng(3)
+    ids = [f"m{i:02d}" for i in range(32)]
+    combos = np.array(list(itertools.combinations(range(32), 3)))
+    combos = combos[rng.permutation(len(combos))]
+    combos = np.take_along_axis(combos, rng.permuted(np.tile([0, 1, 2], (len(combos), 1)),
+                                                     axis=1), axis=1)
+    alpha = rng.normal(size=len(combos)) * 10.0 ** rng.integers(-20, 20, len(combos))
+    alpha[:3] = [0.0, -0.0, 5e-324]
+    accuracy = rng.random(len(combos))
+    accuracy[rng.random(len(combos)) < 0.25] = np.nan
+    accuracy[3:5] = [0.0, 1.0]
+    write_scores(ids, combos, alpha, accuracy, tmp_path / "arrays.csv")
+    write_rankings_loop(tmp_path / "loop.csv", [
+        (tuple(ids[i] for i in row), a, None if math.isnan(c) else c)
+        for row, a, c in zip(combos.tolist(), alpha.tolist(), accuracy.tolist())])
+    assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
 def _is_model_id(text):
     try:
         _check_model_id(text)
@@ -678,6 +698,11 @@ def test_rankings_writer_refuses_bad_rows(tmp_path):
     with pytest.raises(ValidationError, match="reserved character"):
         write_scores(("a", "b;c"), two, [1.0, 2.0], None, p)
     assert not p.exists()
+    # a repeated id would write an ensemble like 'a;a', which read_scores
+    # refuses
+    with pytest.raises(ValidationError, match="ids repeat a model id"):
+        write_scores(("a", "a"), [[0, 1]], [1.0], None, p)
+    assert not p.exists()
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -706,10 +731,15 @@ def test_rankings_reader_rejects_accuracy_out_of_range(tmp_path, text, msg):
 @pytest.mark.parametrize("text,msg", [
     ("alpha,ensemble\n", "expected header"),
     ("ensemble,alpha,accuracy\na;b,1.0\n", "expected 3 fields"),
+    # two bad rows whose fields, run together, would still make 3 a row
+    ("ensemble,alpha,accuracy\n0.5,1.0\n0.5,0.5,0.5,0.5\n", "r.csv:2: expected 3 fields"),
     ("ensemble,alpha,accuracy\n,1.0,\n", "empty ensemble"),
     ("ensemble,alpha,accuracy\na;;b,1.0,0.5\n", "r.csv:2: empty ensemble member in 'a;;b'"),
     ("ensemble,alpha,accuracy\n;c,3.0,\n", "r.csv:2: empty ensemble member in ';c'"),
     ("ensemble,alpha,accuracy\na;a,2.0,0.25\n", "r.csv:2: repeated model id in 'a;a'"),
+    # members follow the model-id rule of every other reader and writer
+    ("ensemble,alpha,accuracy\na; b,1.0,0.5\n", "r.csv:2: model id ' b' contains a reserved"),
+    ("ensemble,alpha,accuracy\nb,1.0,\nc\t,2.0,\n", "r.csv:3: model id 'c\t' contains a reserved"),
     ("ensemble,alpha,accuracy\na,x,\n", "non-numeric"),
     # blank lines count: the bad row is the file's fifth line
     ("ensemble,alpha,accuracy\n\na,1.0,0.5\n\nb,x,\n", "r.csv:5: non-numeric"),

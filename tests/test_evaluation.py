@@ -120,6 +120,13 @@ def test_batched_vote_equals_ensemble_accuracy_for_every_ensemble():
             assert got == pytest.approx(loop, abs=1e-12)
 
 
+def assert_votes_match_loop(members, truth, combos):
+    got = majority_vote_accuracy(members, truth, combos)
+    loop = [majority_vote_loop([members[i].values.tolist() for i in row],
+                               truth.values.tolist()) for row in combos]
+    assert got.tolist() == loop
+
+
 def test_batched_vote_chunks_agree_with_one_chunk(monkeypatch):
     rng = np.random.default_rng(8)
     truth = LabelVector(rng.integers(0, 3, 40), 3)
@@ -129,6 +136,59 @@ def test_batched_vote_chunks_agree_with_one_chunk(monkeypatch):
     # a budget below one ensemble's table still votes one ensemble at a time
     monkeypatch.setattr("osborn.evaluation._VOTE_CELLS", 1)
     assert majority_vote_accuracy(members, truth, combos).tolist() == whole.tolist()
+    assert_votes_match_loop(members, truth, combos)
+
+
+def test_vote_keys_past_one_byte_match_loop():
+    # class keys reach (k + 1)·width − 1, past a byte from k = 64 at width 4:
+    # 64 members that all vote the truth give its class a key of 256 to 259
+    rng = np.random.default_rng(9)
+    truth = LabelVector(rng.integers(0, 4, 30), 4)
+    same = PredictionVector(truth.values.copy(), 4)
+    members = [same] * 66 + [PredictionVector(rng.integers(0, 4, 30), 4)
+                             for _ in range(4)]
+    for k in (63, 64, 70):
+        combos = np.array([np.arange(k), np.arange(70 - k, 70),
+                           rng.permutation(70)[:k]])
+        assert_votes_match_loop(members, truth, combos)
+
+
+def test_vote_truth_above_every_members_classes_is_never_a_hit():
+    rng = np.random.default_rng(10)
+    truth = LabelVector(rng.integers(0, 6, 50), 6)
+    members = [PredictionVector(rng.integers(0, 3, 50), 3) for _ in range(5)]
+    combos = np.array(list(itertools.permutations(range(5), 3)))
+    assert_votes_match_loop(members, truth, combos)
+    # every truth class from 4 to 299 against members of width 4: no class
+    # offset may wrap round onto a winning key
+    above = LabelVector(np.arange(4, 300), 300)
+    members = [PredictionVector(np.zeros(296, dtype=int), 4)] * 3 + \
+        [PredictionVector(rng.integers(0, 4, 296), 4)]
+    combos = np.array(list(itertools.permutations(range(4), 3)))
+    assert majority_vote_accuracy(members, above, combos).tolist() == [0.0] * len(combos)
+
+
+def test_vote_all_way_ties_go_to_the_smallest_class():
+    # sample s: member i votes (i + s) % 4, so pairs tie one to one and the
+    # full ensemble gives each of the four classes one vote
+    n, width = 8, 4
+    members = [PredictionVector((i + np.arange(n)) % width, width) for i in range(width)]
+    for k in (2, 4):
+        combos = np.array(list(itertools.permutations(range(width), k)))
+        for c in range(width):
+            assert_votes_match_loop(members, LabelVector(np.full(n, c), width), combos)
+    full = majority_vote_accuracy(members, LabelVector(np.zeros(n, dtype=int), width),
+                                  [list(range(width))])
+    assert full.tolist() == [1.0]
+
+
+def test_vote_members_of_different_widths_match_loop():
+    rng = np.random.default_rng(11)
+    truth = LabelVector(rng.integers(0, 5, 40), 5)
+    members = [PredictionVector(rng.integers(0, c, 40), c) for c in (1, 2, 3, 5, 2, 4)]
+    for k in (1, 2, 3, 6):
+        assert_votes_match_loop(members, truth,
+                                np.array(list(itertools.permutations(range(6), k))))
 
 
 def test_batched_vote_input_validation():
