@@ -710,8 +710,9 @@ def write_scores(ids, combos, alpha, accuracy, path):
     table = np.empty((n, 3), dtype=object)
     table[:, 0] = names[:, 0] + (";" + names[:, 1:]).sum(axis=1, initial="")
     table[:, 1] = list(map(format_real, alpha.tolist()))
-    table[:, 2] = list(map(format_real, acc.tolist()))
-    table[np.isnan(acc), 2] = ""
+    table[:, 2] = ""
+    known = ~np.isnan(acc)
+    table[known, 2] = list(map(format_real, acc[known].tolist()))
     write_table(path, table, header="ensemble,alpha,accuracy")
 
 
@@ -727,45 +728,38 @@ def read_scores(path):
     lines = read_lines(path, "rankings")
     if not lines or lines[0][1] != "ensemble,alpha,accuracy":
         raise ValidationError(f"{path}: expected header 'ensemble,alpha,accuracy'")
-    body = [line for _, line in lines[1:]]
-    cells = ",".join(body).split(",") if body else []
-    ensembles = [tuple(name.split(";")) for name in cells[0::3]]
-    # each rule is checked on whole columns; only a file that breaks one is
-    # searched row by row, for the line to name
-    try:
-        for mid in set().union(*ensembles):
-            _check_model_id(mid)
-        alpha = np.fromiter(map(float, cells[1::3]), np.float64, len(body))
-        accuracy = np.fromiter(map(float, [a or "nan" for a in cells[2::3]]),
-                               np.float64, len(body))
-        # an empty accuracy field reads as NaN; every other one lies in [0, 1]
-        ok = (all(line.count(",") == 2 for line in body)
-              and sum(map(len, map(set, ensembles))) == sum(map(len, ensembles))
-              and np.isfinite(alpha).all() and cells[2::3].count("")
-              + ((accuracy >= 0.0) & (accuracy <= 1.0)).sum() == len(body))
-    except (ValueError, ValidationError):
-        ok = False
-    if not ok:
-        for lineno, line in lines[1:]:
-            where, parts = f"{path}:{lineno}", line.split(",")
-            if len(parts) != 3:
-                raise ValidationError(f"{where}: expected 3 fields")
-            ids = parts[0].split(";")
-            if "" in ids:
-                raise ValidationError(f"{where}: empty ensemble member in '{parts[0]}'")
-            if len(set(ids)) != len(ids):
-                raise ValidationError(f"{where}: repeated model id in '{parts[0]}'")
+    ensembles = []
+    alpha = np.empty(len(lines) - 1)
+    accuracy = np.empty(len(lines) - 1)
+    checked = set()
+    for row, (lineno, line) in enumerate(lines[1:]):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValidationError(f"{path}:{lineno}: expected 3 fields")
+        ids = tuple(parts[0].split(";"))
+        if "" in ids:
+            raise ValidationError(f"{path}:{lineno}: empty ensemble member in '{parts[0]}'")
+        if len(set(ids)) != len(ids):
+            raise ValidationError(f"{path}:{lineno}: repeated model id in '{parts[0]}'")
+        # each distinct member is checked once, at its first line
+        if not checked.issuperset(ids):
             try:
                 for mid in ids:
                     _check_model_id(mid)
-                alpha_r = float(parts[1])
-                acc = np.nan if parts[2] == "" else float(parts[2])
             except ValidationError as exc:
-                raise ValidationError(f"{where}: {exc}") from None
-            except ValueError as exc:
-                raise ValidationError(f"{where}: non-numeric field") from exc
-            if not math.isfinite(alpha_r):
-                raise ValidationError(f"{where}: alpha must be finite, got {parts[1]}")
-            if parts[2] != "" and not (0.0 <= acc <= 1.0):
-                raise ValidationError(f"{where}: accuracy must lie in [0, 1], got {acc}")
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            checked.update(ids)
+        try:
+            alpha[row] = float(parts[1])
+            acc = np.nan if parts[2] == "" else float(parts[2])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: non-numeric field") from exc
+        if not math.isfinite(alpha[row]):
+            raise ValidationError(
+                f"{path}:{lineno}: alpha must be finite, got {parts[1]}")
+        if parts[2] != "" and not (0.0 <= acc <= 1.0):
+            raise ValidationError(
+                f"{path}:{lineno}: accuracy must lie in [0, 1], got {acc}")
+        accuracy[row] = acc
+        ensembles.append(ids)
     return ensembles, alpha, accuracy

@@ -58,26 +58,31 @@ def majority_vote_accuracy(members, truth: LabelVector, combos) -> np.ndarray:
     width = max(m.num_classes for m in members)
     # class c's key is votes·width + (width − 1 − c), below (k + 1)·width:
     # the largest key names the most voted class, ties going to the smallest
-    # index.  Members add `width` a vote; an ensemble's first adds the offsets.
+    # index.  The tables hold one-vote counts; keys exist only per chunk.
     dtype = np.min_scalar_type((combos.shape[1] + 1) * width)
-    onehot = np.zeros((len(members), width, n), dtype=dtype)
-    correct = np.zeros((len(members), n), dtype=dtype)
+    onehot = np.zeros((len(members), width, n),
+                      dtype=np.min_scalar_type(combos.shape[1]))
+    correct = np.zeros((len(members), n), dtype=onehot.dtype)
     rows = np.arange(n)
     for i, m in enumerate(members):
-        onehot[i, m.values, rows] = width
-        correct[i, m.values == truth.values] = width
-    first = onehot + np.arange(width - 1, -1, -1, dtype=dtype)[:, None]
+        onehot[i, m.values, rows] = 1
+        correct[i] = m.values == truth.values
+    offsets = np.arange(width - 1, -1, -1, dtype=dtype)[:, None]
     # a truth class at or above `width` keeps key 0, below every winner's
-    correct_first = correct + np.maximum(width - 1 - truth.values, 0).astype(dtype)
+    truth_offset = np.maximum(width - 1 - truth.values, 0).astype(dtype)
     out = np.empty(combos.shape[0])
     step = max(1, _VOTE_CELLS // (n * width))
     for s in range(0, combos.shape[0], step):
         chunk = combos[s:s + step]
-        votes = first[chunk[:, 0]]
-        truth_key = correct_first[chunk[:, 0]]
+        votes = onehot[chunk[:, 0]].astype(dtype, copy=False)
+        truth_key = correct[chunk[:, 0]].astype(dtype, copy=False)
         for col in chunk[:, 1:].T:
             votes += onehot[col]
             truth_key += correct[col]
+        votes *= width
+        votes += offsets
+        truth_key *= width
+        truth_key += truth_offset
         hits = np.count_nonzero(truth_key == votes.max(axis=1), axis=1)
         out[s:s + step] = hits / n
     return out

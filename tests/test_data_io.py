@@ -740,6 +740,8 @@ def test_rankings_reader_rejects_accuracy_out_of_range(tmp_path, text, msg):
     # members follow the model-id rule of every other reader and writer
     ("ensemble,alpha,accuracy\na; b,1.0,0.5\n", "r.csv:2: model id ' b' contains a reserved"),
     ("ensemble,alpha,accuracy\nb,1.0,\nc\t,2.0,\n", "r.csv:3: model id 'c\t' contains a reserved"),
+    # a bad member beside members an earlier line already passed
+    ("ensemble,alpha,accuracy\na;b,1.0,\nb;a\t,2.0,\n", "r.csv:3: model id 'a\t' contains a reserved"),
     ("ensemble,alpha,accuracy\na,x,\n", "non-numeric"),
     # blank lines count: the bad row is the file's fifth line
     ("ensemble,alpha,accuracy\n\na,1.0,0.5\n\nb,x,\n", "r.csv:5: non-numeric"),
