@@ -47,7 +47,10 @@ def write_table(path, rows, header=None):
     or all by ``str``, as ``_format_field`` would, with no per-value check."""
     fmt = _format_field
     if isinstance(rows, np.ndarray):
-        fmt = format_real if rows.dtype.kind == "f" else str
+        fmt = str
+        if rows.dtype.kind == "f":
+            # as Python floats, which repr renders as format_real does
+            fmt, rows = repr, rows.astype(np.float64, copy=False)
         rows = rows.tolist()
     head = "" if header is None else header + "\n"
     with open(path, "w", encoding="utf-8") as fh:
@@ -444,19 +447,40 @@ def _read_headed(path, kind: str, key: str, noun: str):
     return value, lines[1:]
 
 
+# numpy's reader takes these separators for spaces, which float() refuses
+_NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
 def read_features(path) -> np.ndarray:
-    """Read a feature matrix: a ``d=<int>`` header then one CSV row per sample."""
+    """Read a feature matrix: a ``d=<int>`` header then one CSV row per sample.
+
+    numpy's C reader parses the rows in one call.  The row loop, one
+    ``float`` per value, reads them instead where numpy refuses a row,
+    returns other than ``d`` values a row, or might take a character of
+    ``_NUMPY_ONLY_SPACES`` for a space: the loop alone decides what is
+    accepted and which line an error names.  Where both accept a value,
+    both give the same float64."""
     d, rows = _read_headed(path, "feature", "d", "dimension")
-    out = np.empty((len(rows), d), dtype=np.float64)
-    for i, (lineno, row) in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != d:
-            raise ValidationError(
-                f"{path}:{lineno}: row has {len(parts)} values, expected {d}")
+    texts = [row for _, row in rows]
+    joined = "".join(texts)
+    out = None
+    if not any(ch in joined for ch in _NUMPY_ONLY_SPACES):
         try:
-            out[i] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: non-numeric value") from exc
+            out = np.loadtxt(texts, dtype=np.float64, delimiter=",",
+                             comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if out is None or out.shape != (len(rows), d):
+        out = np.empty((len(rows), d), dtype=np.float64)
+        for i, (lineno, row) in enumerate(rows):
+            parts = row.split(",")
+            if len(parts) != d:
+                raise ValidationError(
+                    f"{path}:{lineno}: row has {len(parts)} values, expected {d}")
+            try:
+                out[i] = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: non-numeric value") from exc
     finite = np.isfinite(out)
     if not finite.all():
         lineno = rows[int(np.argmin(finite.all(axis=1)))][0]

@@ -182,48 +182,91 @@ def joint_from_coupling(coupling: Coupling, source_labels: LabelVector,
     return table
 
 
-def _conditional_entropy(P: np.ndarray, split_log=False) -> float:
-    """H(row | column) of a non-negative joint table, in nats: the sum over
-    positive cells of p(a,b) * log(p(b) / p(a,b)).  Each term is
-    non-negative because the column marginal dominates the cell; a table
-    without mass has entropy 0.  ``split_log`` takes the log as
-    log p(b) - log p(a,b), which stays finite where the ratio overflows."""
-    col = P.sum(axis=0)
+def _conditional_entropy(P: np.ndarray, col=None, split_log=False) -> np.ndarray:
+    """H(row | column) of each non-negative joint table in a (tables, rows,
+    columns) stack, in nats: per table the sum over positive cells of
+    p(a,b) * log(p(b) / p(a,b)), where p(b), the column sums, default to
+    ``P.sum(axis=1)``.  Each term is non-negative because the column
+    marginal dominates the cell; a table without mass has entropy 0.
+    ``split_log`` takes the log as log p(b) - log p(a,b), which stays finite
+    where the ratio overflows.
+
+    A table's positive cells are summed by one pairwise ``np.sum`` in
+    row-major order, so zero rows or columns padded onto a table leave its
+    value bit for bit as it was.  Tables with the same number of positive
+    cells are summed together as the rows of one array, which numpy sums
+    as it sums each row alone."""
+    if col is None:
+        col = P.sum(axis=1)
     mask = P > 0
     cells = P[mask]
-    marg = np.broadcast_to(col[None, :], P.shape)[mask]
+    marg = np.broadcast_to(col[:, None, :], P.shape)[mask]
     logs = np.log(marg) - np.log(cells) if split_log else np.log(marg / cells)
-    return float(np.sum(cells * logs))
+    terms = cells * logs
+    lengths = mask.sum(axis=(1, 2))
+    starts = np.cumsum(lengths) - lengths
+    out = np.zeros(P.shape[0])
+    for n_cells in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n_cells)
+        out[rows] = terms[starts[rows, None] + np.arange(n_cells)].sum(axis=1)
+    return out
 
 
 def w_task(table: np.ndarray) -> float:
     """Task difference: H(source label | target label) of the joint table
     from ``joint_from_coupling``, in nats."""
+    P = table[None]
     with np.errstate(over="ignore"):
-        h = _conditional_entropy(table)
+        h = float(_conditional_entropy(P)[0])
     # a subnormal cell's ratio to its column overflows, but its term is finite
-    return _conditional_entropy(table, split_log=True) if h == np.inf else h
+    return float(_conditional_entropy(P, split_log=True)[0]) if h == np.inf else h
 
 
 # ---------------------------------------------------------------------------
 # cohesion
 # ---------------------------------------------------------------------------
 
+# cells of the padded joint tables that one bincount in cohesion_pair counts
+_COHESION_CELLS = 1 << 21
 
-def cohesion_pair(pred_i: PredictionVector, pred_j: PredictionVector) -> float:
-    """H(pred_i | pred_j) over the shared target set, in nats.
 
-    Zero exactly when pred_i is a deterministic function of pred_j (in
-    particular when the two models agree everywhere).
+def cohesion_pair(pred_i: PredictionVector, preds) -> np.ndarray:
+    """H(pred_i | pred_j) over the shared target set, in nats, for each
+    pred_j in the sequence ``preds``: one entry per member, in order.
+
+    An entry is zero exactly when pred_i is a deterministic function of
+    pred_j (in particular when the two models agree everywhere, as pred_i
+    does with itself).  For a single pair call ``cohesion_pair(a, [b])[0]``.
+
+    One ``np.bincount`` counts the joint tables of a block of models,
+    each padded with zeros to w x w for w the largest class count, so a
+    call holds memory in proportion to ``len(preds)`` times the vector
+    length.  A block holds at most ``_COHESION_CELLS`` cells, or one table.
     """
-    if len(pred_i) != len(pred_j):
-        raise ValidationError(
-            f"prediction lengths differ ({len(pred_i)} vs {len(pred_j)})"
-        )
-    ci, cj = pred_i.num_classes, pred_j.num_classes
-    codes = pred_i.values * cj + pred_j.values
-    P = np.bincount(codes, minlength=ci * cj).reshape(ci, cj) / len(pred_i)
-    return _conditional_entropy(P)
+    n = len(pred_i)
+    for pred in preds:
+        if len(pred) != n:
+            raise ValidationError(f"prediction lengths differ ({n} vs {len(pred)})")
+    ci = pred_i.num_classes
+    w = max([ci] + [pred.num_classes for pred in preds])
+    step = max(1, _COHESION_CELLS // (w * w))
+    row_codes = pred_i.values * w
+    out = np.zeros(len(preds))
+    for s in range(0, len(preds), step):
+        block = preds[s:s + step]
+        codes = np.array([pred.values for pred in block])
+        codes += (np.arange(len(block)) * (w * w))[:, None]
+        codes += row_codes
+        P = np.bincount(codes.ravel(), minlength=codes.shape[0] * w * w)
+        P = P.reshape(-1, w, w) / n
+        col = P.sum(axis=1)
+        # numpy sums the rows of a one-column table pairwise, not one by
+        # one as above: sum an unpadded one-class column the same way
+        for j, pred in enumerate(block):
+            if pred.num_classes == 1:
+                col[j, 0] = P[j, :ci, 0].sum()
+        out[s:s + step] = _conditional_entropy(P, col)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +419,8 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
 
     The per-model solves are farmed out to a thread pool but results are
     assembled in sorted id order, so the cache is identical for any thread
-    count.  Pair entropies cost microseconds each and run in this thread.
+    count.  Pair entropies take one ``cohesion_pair`` call per model, in
+    this thread.
     """
     threads = _check_int(threads, "threads")
     if threads < 1:
@@ -399,9 +443,7 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
             results = list(pool_exec.map(model_job, ids))
     wd, wt, converged = zip(*results)
     preds = [pool.target_predictions(mid) for mid in ids]
-    pair_h = np.zeros((len(ids), len(ids)))
-    for i, j in itertools.permutations(range(len(ids)), 2):
-        pair_h[i, j] = cohesion_pair(preds[i], preds[j])
+    pair_h = [cohesion_pair(pred, preds) for pred in preds]
     return PairwiseCache(ids=tuple(ids), wd=wd, wt=wt, converged=converged,
                          pair_h=pair_h)
 

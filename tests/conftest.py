@@ -15,7 +15,13 @@ import pytest
 from scipy.optimize import linprog
 
 from osborn import ComputationError, Coupling, ValidationError
-from osborn.data_io import LabelVector, ModelRecord, PoolManifest, PredictionVector
+from osborn.data_io import (
+    LabelVector,
+    ModelRecord,
+    PoolManifest,
+    PredictionVector,
+    _read_headed,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +143,43 @@ def write_rankings_loop(path, rows):
         for ids, alpha, acc in rows:
             acc_text = "" if acc is None else repr(float(acc))
             fh.write(f"{';'.join(ids)},{float(alpha)!r},{acc_text}\n")
+
+
+def read_features_loop(path):
+    """A feature file read one value at a time: the header and lines as
+    ``data_io._read_headed`` gives them, then each row split on commas and
+    each value parsed by ``float``, an error naming the file's line."""
+    d, rows = _read_headed(path, "feature", "d", "dimension")
+    out = np.empty((len(rows), d), dtype=np.float64)
+    for i, (lineno, row) in enumerate(rows):
+        parts = row.split(",")
+        if len(parts) != d:
+            raise ValidationError(
+                f"{path}:{lineno}: row has {len(parts)} values, expected {d}")
+        try:
+            out[i] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: non-numeric value") from exc
+    finite = np.isfinite(out)
+    if not finite.all():
+        lineno = rows[int(np.argmin(finite.all(axis=1)))][0]
+        raise ValidationError(f"{path}:{lineno}: non-finite feature value")
+    return out
+
+
+def cohesion_pair_loop(pred_i, pred_j):
+    """H(pred_i | pred_j) of one pair from its own ci x cj count table:
+    column sums by ``sum(axis=0)`` and one ``np.sum`` of the positive
+    cells' terms in row-major order.  It pins the bits of the row form;
+    ``cond_entropy_rows_given_cols`` is the independent scalar check."""
+    ci, cj = pred_i.num_classes, pred_j.num_classes
+    codes = pred_i.values * cj + pred_j.values
+    P = np.bincount(codes, minlength=ci * cj).reshape(ci, cj) / len(pred_i)
+    col = P.sum(axis=0)
+    mask = P > 0
+    cells = P[mask]
+    marg = np.broadcast_to(col[None, :], P.shape)[mask]
+    return float(np.sum(cells * np.log(marg / cells)))
 
 
 def assignment_cost_loop(C):

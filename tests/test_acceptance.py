@@ -238,7 +238,7 @@ def test_criterion_6_entropy_terms_match_joint_table_oracles():
         pi = PredictionVector(rng.integers(0, ci, n), ci)
         pj = PredictionVector(rng.integers(0, cj, n), cj)
         counts = joint_table_loop(np.eye(n) / n, pi.values, pj.values, ci, cj)
-        assert cohesion_pair(pi, pj) == pytest.approx(
+        assert cohesion_pair(pi, [pj])[0] == pytest.approx(
             cond_entropy_rows_given_cols(counts), abs=1e-12)
     # analytic anchors
     assert w_task(np.eye(3) / 3) \
@@ -248,10 +248,10 @@ def test_criterion_6_entropy_terms_match_joint_table_oracles():
     assert w_task(np.full((5, 5), 0.04)) \
         == pytest.approx(math.log(5.0), abs=1e-12)
     same = PredictionVector(np.array([0, 1, 2, 0]), 3)
-    assert cohesion_pair(same, same) == 0.0
+    assert cohesion_pair(same, [same])[0] == 0.0
     flip = PredictionVector(np.array([0, 1, 0, 1]), 2)
     const = PredictionVector(np.zeros(4, dtype=int), 2)
-    assert cohesion_pair(flip, const) == pytest.approx(
+    assert cohesion_pair(flip, [const])[0] == pytest.approx(
         math.log(2.0), abs=1e-12)
 
 

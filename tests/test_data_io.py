@@ -41,7 +41,7 @@ from osborn.ot_core import MarginalWeights, sinkhorn
 from osborn.selection import greedy_select
 from osborn.synth import SynthSpec, read_synth_spec
 
-from conftest import write_rankings_loop
+from conftest import read_features_loop, write_rankings_loop
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +298,78 @@ def test_feature_and_class_files_are_the_bytes_of_per_value_formatting(tmp_path)
     pv = PredictionVector(np.array([3, 0, 11, 2]), 12)
     write_predictions(pv, tmp_path / "p.csv")
     assert (tmp_path / "p.csv").read_bytes() == b"C=12\n3\n0\n11\n2\n"
+
+
+_EDGE_FEATURES = st.sampled_from([
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+    np.finfo(np.float64).max, -np.finfo(np.float64).max])
+_FEATURE_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                            _EDGE_FEATURES)
+# what one token or row of a written feature file may turn into: a named
+# row edit, or a token put in place of one value.  "\x1c" and "\x1f" are
+# spaces to numpy's reader but not to float().
+_FEATURE_EDITS = ("none", "trailing comma", "extra column", "missing column",
+                  "blank line", "1_0", "\u0661", "", '"1"', "#", "#1", "nan",
+                  "inf", "-inf", "\ufeff1", "1\x1c", "\x1f2", "1 2", "1,5")
+
+
+def _edit_features(rows, edit, r, c):
+    """``rows``, lists of tokens, with row ``r`` (token ``c``) edited."""
+    if edit == "blank line":
+        return rows[:r] + [[""]] + rows[r:]
+    row = list(rows[r])
+    if edit == "trailing comma":
+        row.append("")
+    elif edit == "extra column":
+        row.append("1")
+    elif edit == "missing column":
+        row.pop()
+    elif edit != "none":
+        row[c] = edit
+    return rows[:r] + [row] + rows[r + 1:]
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path).tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_features_reader_matches_the_row_loop(tmp_path_factory, data):
+    # numpy's reader must give the bits float() gives, or the row loop's
+    # own error, whatever one token or row of a written file turns into
+    n, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    X = np.array(data.draw(st.lists(_FEATURE_VALUES, min_size=n * d,
+                                    max_size=n * d))).reshape(n, d)
+    p = tmp_path_factory.mktemp("features") / "f.csv"
+    write_features(X, p)
+    head, *lines = p.read_text(encoding="utf-8").splitlines()
+    rows = _edit_features([line.split(",") for line in lines],
+                          data.draw(st.sampled_from(_FEATURE_EDITS)),
+                          data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1)))
+    bom = data.draw(st.sampled_from(["", "\ufeff"]))
+    p.write_text(bom + "\n".join([head] + [",".join(row) for row in rows]) + "\n",
+                 encoding="utf-8")
+    assert _outcome(read_features, p) == _outcome(read_features_loop, p)
+
+
+def test_written_features_are_parsed_by_numpy(tmp_path, monkeypatch):
+    # the one-call reader, not the row loop, reads what write_features writes
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        parsed.append(loadtxt(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    for shape in ((1, 1), (1, 3), (4, 1), (6, 5)):
+        p = tmp_path / "f.csv"
+        write_features(np.random.default_rng(9).normal(size=shape), p)
+        assert read_features(p) is parsed[-1]
 
 
 def test_write_features_rejects_non_matrix(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from osborn import metrics
 from osborn.data_io import LabelVector, PoolManifest, PredictionVector, TEConfig
 from osborn.errors import ValidationError
 from osborn.metrics import (
@@ -25,7 +26,8 @@ from osborn.ot_core import Coupling, MarginalWeights, cost_matrix, \
     median_positive_cost, sinkhorn
 from osborn.synth import SynthSpec, build_pool
 
-from conftest import cond_entropy_rows_given_cols, joint_table_loop
+from conftest import cohesion_pair_loop, cond_entropy_rows_given_cols, joint_table_loop, \
+    peak_ratio
 
 
 def _coupling_from_plan(plan):
@@ -146,10 +148,10 @@ def test_w_task_empty_table_is_zero():
 
 def test_cohesion_pair_zero_for_identical_and_functional_predictions():
     p = PredictionVector(np.array([0, 1, 2, 1, 0]), 3)
-    assert cohesion_pair(p, p) == 0.0
+    assert cohesion_pair(p, [p])[0] == 0.0
     # pred_i is a relabeling of pred_j: still fully determined
     q = PredictionVector((p.values + 1) % 3, 3)
-    assert cohesion_pair(q, p) == 0.0
+    assert cohesion_pair(q, [p])[0] == 0.0
 
 
 def test_cohesion_pair_matches_oracle_and_is_asymmetric():
@@ -162,7 +164,7 @@ def test_cohesion_pair_matches_oracle_and_is_asymmetric():
         pj = PredictionVector(rng.integers(0, cj, n), cj)
         counts = joint_table_loop(
             np.eye(n) / n, pi.values, pj.values, ci, cj)
-        assert cohesion_pair(pi, pj) == pytest.approx(
+        assert cohesion_pair(pi, [pj])[0] == pytest.approx(
             cond_entropy_rows_given_cols(counts), abs=1e-12)
 
 
@@ -170,8 +172,8 @@ def test_cohesion_pair_one_bit_case():
     # conditioning on a constant leaves the full marginal entropy
     pi = PredictionVector(np.array([0, 1, 0, 1]), 2)
     pj = PredictionVector(np.array([0, 0, 0, 0]), 2)
-    assert cohesion_pair(pi, pj) == pytest.approx(math.log(2.0), abs=1e-12)
-    assert cohesion_pair(pj, pi) == 0.0
+    assert cohesion_pair(pi, [pj])[0] == pytest.approx(math.log(2.0), abs=1e-12)
+    assert cohesion_pair(pj, [pi])[0] == 0.0
 
 
 @st.composite
@@ -186,14 +188,54 @@ def _prediction_pairs(draw):
 @given(_prediction_pairs())
 def test_cohesion_pair_lies_between_zero_and_log_classes(pair):
     pred_i, pred_j = pair
-    value = cohesion_pair(pred_i, pred_j)
+    value = cohesion_pair(pred_i, [pred_j])[0]
     assert -1e-12 <= value <= math.log(pred_i.num_classes) + 1e-12
 
 
 def test_cohesion_pair_length_mismatch():
     with pytest.raises(ValidationError, match="lengths differ"):
         cohesion_pair(PredictionVector(np.array([0]), 2),
-                      PredictionVector(np.array([0, 1]), 2))
+                      [PredictionVector(np.array([0, 1]), 2)])
+
+
+def _mixed_predictions(rng, n):
+    # class counts 2, 4 and 7 mixed, a constant predictor, and one-class
+    # predictors beside nine- and twelve-class ones (a one-column table)
+    preds = [PredictionVector(rng.integers(0, c, n), c)
+             for c in (2, 4, 7, 4, 2, 7, 9, 12, 9, 12)]
+    return preds + [PredictionVector(np.full(n, 3), 7),
+                    PredictionVector(np.zeros(n, dtype=np.int64), 1)]
+
+
+def test_cohesion_row_is_the_pair_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 60, 500):
+        preds = _mixed_predictions(rng, n)
+        for i, pred in enumerate(preds):
+            row = cohesion_pair(pred, preds)
+            assert row[i] == 0.0
+            want = np.array([cohesion_pair_loop(pred, other) for other in preds])
+            assert row.tobytes() == want.tobytes()
+            assert cohesion_pair(pred, []).shape == (0,)
+
+
+def test_cohesion_blocks_do_not_change_the_row(monkeypatch):
+    preds = _mixed_predictions(np.random.default_rng(12), 300)
+    whole = [cohesion_pair(pred, preds) for pred in preds]
+    # a budget below one table counts one table per bincount
+    monkeypatch.setattr(metrics, "_COHESION_CELLS", 1)
+    for pred, row in zip(preds, whole):
+        assert cohesion_pair(pred, preds).tobytes() == row.tobytes()
+
+
+def test_cohesion_row_memory_is_linear_in_models_and_samples():
+    m, n = 64, 4000
+    rng = np.random.default_rng(13)
+    preds = [PredictionVector(rng.integers(0, 4, n), 4) for _ in range(m)]
+    row, ratio = peak_ratio(lambda: cohesion_pair(preds[0], preds), m * n * 8)
+    assert row.shape == (m,) and row[0] == 0.0
+    # a table of codes for every pair of the pool would be m times this
+    assert ratio < 4
 
 
 def test_w_cohesion_sums_ordered_pairs():
@@ -379,12 +421,10 @@ def test_build_cache_matches_direct_term_computation():
         assert cache.wd[i] == coup.transport_cost
         assert cache.wt[i] == w_task(joint)
         assert cache.converged[i] == coup.converged
-    for a in pool.models:
-        for b in pool.models:
-            if a.model_id != b.model_id:
-                i, j = cache.positions((a.model_id, b.model_id))
-                assert cache.pair_h[i, j] == cohesion_pair(
-                    a.target_predictions, b.target_predictions)
+    pos = cache.positions(pool.model_ids())
+    preds = [rec.target_predictions for rec in pool.models]
+    for i, pred in zip(pos, preds):
+        assert np.array_equal(cache.pair_h[i, pos], cohesion_pair(pred, preds))
 
 
 def test_build_cache_thread_count_does_not_change_values():

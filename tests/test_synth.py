@@ -122,12 +122,12 @@ def test_same_group_models_emit_identical_predictions():
     assert np.array_equal(recs["m00"].target_predictions.values,
                           recs["m02"].target_predictions.values)
     assert cohesion_pair(recs["m00"].target_predictions,
-                         recs["m02"].target_predictions) == 0.0
+                         [recs["m02"].target_predictions])[0] == 0.0
     # independent streams disagree somewhere at 20% noise
     assert not np.array_equal(recs["m00"].target_predictions.values,
                               recs["m01"].target_predictions.values)
     assert cohesion_pair(recs["m00"].target_predictions,
-                         recs["m01"].target_predictions) > 0.0
+                         [recs["m01"].target_predictions])[0] > 0.0
 
 
 def test_quality_degrades_with_prediction_noise():
