@@ -300,12 +300,14 @@ def effective_terms(cache: PairwiseCache, config: TEConfig):
     standardized: ``(ids, a, H)`` with ``a[i] = lambda_d * wd + lambda_t * wt``
     for model i and ``H[i, j] = lambda_c * H(pred_i | pred_j)`` off a zero
     diagonal, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).  Every scorer
-    and selector reads these same numbers through ``subset_f``, which keeps
-    incremental gains and from-scratch scores consistent to rounding.
+    and selector reads these same numbers, which keeps incremental gains,
+    screened sums and ``subset_f``'s from-scratch scores consistent to
+    rounding.
 
     A weighted term that is not finite, or a total ``sum |a| + 2 sum |H|``
     that overflows, raises ``ComputationError``: that total bounds every
-    subset's f and every greedy gain, so below it all of them are finite.
+    subset's f, however it is summed, and every greedy gain, so below it all
+    of them are finite.
     """
     use = standardize_terms(cache) if config.standardize else cache
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,10 +11,13 @@ not submodular either.  Exhaustive search returns the optimum whenever the
 number of size-k subsets is within ``EXHAUSTIVE_BUDGET``.
 
 Every selector reads the terms as arrays, ``(ids, a, H)`` from
-``metrics.effective_terms``, so that f(S) = -(a[S].sum() + H[S][:, S].sum()),
-and sums subsets with ``metrics.subset_f``, the kernel ``osborn_score`` uses.
-All candidate enumeration and tie-breaking is lexicographic on model ids, so
-results are reproducible across runs.
+``metrics.effective_terms``, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).
+Greedy selection and the traces update marginal gains with rows of
+``H + H.T``.  Exhaustive selection sums every subset while it enumerates
+them, then re-scores the few that can win with ``metrics.subset_f``, the
+kernel ``osborn_score`` and ``score_all`` use, so the winner's f is that
+kernel's value.  All candidate enumeration and tie-breaking is
+lexicographic on model ids, so results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -67,15 +70,18 @@ def _check_k(k: int, m: int) -> int:
     return k
 
 
-def _combinations(m: int, k: int) -> np.ndarray:
-    """Every size-k subset of range(m) as one row, in lexicographic order.
+def _levels(m: int, k: int):
+    """The size-k subsets of range(m), built one member column at a time.
 
-    The table is built as ``(k, count)`` columns, one level per member: each
-    row of a level is repeated once per admissible next member (``np.repeat``)
-    and the new column counts up from the row's last member + 1 (a
-    ``cumsum``).  It holds the smallest unsigned dtype that fits ``m - 1``
-    and is returned as its transpose, an F-ordered ``(count, k)`` view whose
-    columns are contiguous.
+    Level j holds every admissible (j + 1)-member prefix as a ``(j + 1,
+    count)`` table of columns, rows in lexicographic order; the last level is
+    the full table.  The generator yields ``(cols, reps)`` per level:
+    ``reps`` says how many rows of this level each row of the previous one
+    becomes, so that anything carried per prefix follows it by
+    ``np.repeat(x, reps)``.  Level 0 comes from one row, the empty prefix,
+    and its ``reps`` is a single count.  Columns hold the smallest unsigned
+    dtype that fits ``m - 1``.  The budget is checked before any level is
+    built.
     """
     count = math.comb(m, k)
     if count > EXHAUSTIVE_BUDGET:
@@ -83,31 +89,49 @@ def _combinations(m: int, k: int) -> np.ndarray:
             f"exhaustive enumeration of C({m}, {k}) subsets exceeds the "
             f"budget of {EXHAUSTIVE_BUDGET}"
         )
-    dtype = np.min_scalar_type(m - 1)
-    cols = np.arange(m - k + 1, dtype=dtype)[None, :]
-    for j in range(1, k):
-        top = m - k + j  # the largest member column j may hold
-        last = cols[-1]
-        reps = top - last.astype(np.intp)  # next members last + 1 .. top
-        starts = np.cumsum(reps) - reps
-        nxt = np.empty((j + 1, int(reps.sum())), dtype=dtype)
-        for i in range(j):
-            nxt[i] = np.repeat(cols[i], reps)
-        # steps of 1 within a row's run, and from the previous run's end
-        # (top) to last + 1 at each run's start; unsigned arithmetic wraps
-        # modulo 2**bits and every true value lies in [0, m - 1], so the
-        # wrapped running sum is exact
-        step = np.ones(nxt.shape[1], dtype=dtype)
-        step[starts] = last + 1
-        step[starts[1:]] -= top
-        np.cumsum(step, dtype=dtype, out=nxt[j])
-        cols = nxt
+    cols = np.arange(m - k + 1, dtype=np.min_scalar_type(m - 1))[None, :]
+    reps = m - k + 1
+    for top in range(m - k + 1, m):  # the largest member the new column holds
+        yield cols, reps
+        cols, reps = _extend(cols, top)
+    yield cols, reps
+
+
+def _extend(cols: np.ndarray, top: int):
+    """``(next level, reps)`` for ``_levels``: each row of ``cols`` repeated
+    once per admissible next member (``np.repeat``), the new column counting
+    up from the row's last member + 1 to ``top`` (a ``cumsum``).  Its
+    temporaries are freed before ``_levels`` yields the level."""
+    j = cols.shape[0]
+    last = cols[-1]
+    reps = top - last.astype(np.intp)  # next members last + 1 .. top
+    starts = np.cumsum(reps) - reps
+    nxt = np.empty((j + 1, int(reps.sum())), dtype=cols.dtype)
+    for i in range(j):
+        nxt[i] = np.repeat(cols[i], reps)
+    # steps of 1 within a row's run, and from the previous run's end (top)
+    # to last + 1 at each run's start; unsigned arithmetic wraps modulo
+    # 2**bits and every true value lies in [0, m - 1], so the wrapped
+    # running sum is exact
+    step = np.ones(nxt.shape[1], dtype=cols.dtype)
+    step[starts] = last + 1
+    step[starts[1:]] -= top
+    np.cumsum(step, dtype=cols.dtype, out=nxt[j])
+    return nxt, reps
+
+
+def _combinations(m: int, k: int) -> np.ndarray:
+    """Every size-k subset of range(m) as one row, in lexicographic order:
+    the last level of ``_levels``, returned as its transpose, an F-ordered
+    ``(count, k)`` view whose columns are contiguous."""
+    for cols, _ in _levels(m, k):
+        pass
     return cols.T
 
 
-def _trace(ids, a, H, order) -> SelectionTrace:
-    """The trace of adding ``order`` (indices into ``ids``) one at a time."""
-    sym = H + H.T
+def _trace(ids, a, sym, order) -> SelectionTrace:
+    """The trace of adding ``order`` (indices into ``ids``) one at a time;
+    ``sym`` is ``H + H.T``."""
     gains = -a
     f_cum = 0.0
     steps = []
@@ -127,7 +151,7 @@ def marginal_gain(current, v, cache: PairwiseCache, config: TEConfig) -> float:
         raise ValidationError(f"model '{v}' is already in the ensemble")
     order = cache.positions(members + [v])
     ids, a, H = effective_terms(cache, config)
-    return _trace(ids, a, H, order).steps[-1].gain
+    return _trace(ids, a, H + H.T, order).steps[-1].gain
 
 
 def greedy_select(pool, k: int, cache: PairwiseCache,
@@ -148,7 +172,47 @@ def greedy_select(pool, k: int, cache: PairwiseCache,
         order.append(v)
         gains -= sym[v]
         gains[v] = -np.inf
-    return _trace(ids, a, H, order)
+    return _trace(ids, a, sym, order)
+
+
+def _screen(a, H, k: int):
+    """``(g, combos)``: the table of ``_combinations`` and, for each of its
+    rows, f summed while ``_levels`` builds it.  Each prefix carries its
+    partial sum (``_add_member``).  The values round differently from
+    ``subset_f``'s."""
+    Hflat = np.ravel(H)
+    g = np.zeros(1)  # the empty prefix
+    for cols, reps in _levels(len(a), k):
+        g = np.repeat(g, reps)
+        _add_member(g, cols, a, Hflat)
+    return g, cols.T
+
+
+def _add_member(g, cols, a, Hflat):
+    """Subtract in place from each row's partial sum ``g`` the terms of its
+    newest member v: ``a[v]``, then ``H[p, v]`` and ``H[v, p]`` for each
+    earlier member p.  Its buffers are freed before the next level is
+    built."""
+    m = len(a)
+    v = cols[-1]
+    terms = np.empty_like(g)
+    flat = np.empty(len(g), dtype=np.intp)
+    # every index is in range by construction, so each take skips numpy's
+    # check and writes into the reused buffer; v goes through ``flat`` so
+    # that no take converts a narrow column into a fresh intp array
+    np.copyto(flat, v)
+    g -= np.take(a, flat, out=terms, mode="clip")
+    for p in cols[:-1]:
+        np.multiply(p, m, out=flat, dtype=np.intp)
+        flat += v
+        g -= np.take(Hflat, flat, out=terms, mode="clip")
+        np.multiply(v, m, out=flat, dtype=np.intp)
+        flat += p
+        g -= np.take(Hflat, flat, out=terms, mode="clip")
+
+
+def _absmax(x) -> float:
+    return max(float(x.max()), -float(x.min()))
 
 
 def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig, *,
@@ -159,21 +223,46 @@ def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig, *,
     greedy_select beyond it.  ``terms``, the ``(ids, a, H)`` that
     ``effective_terms`` already gave for ``cache`` and ``config``, spares
     computing them again.
+
+    Every subset is screened as it is enumerated (``_screen``), and only
+    the near-best rows are scored by ``subset_f``.  The screened value g of
+    a row and its f from ``subset_f`` are two sums of the same n = k * k
+    terms (k member terms, k(k - 1) pair terms), each by a tree of
+    additions, so each lies within gamma_{n-1} S of the exact sum (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 4.2), where
+
+        gamma_n = n u / (1 - n u),  u = 2**-53,
+        S = k max|a| + k (k - 1) max|H|,
+
+    and S bounds the row's sum of absolute terms.  So |g - f| <= delta =
+    2 gamma_{n-1} S on every row, and every row whose f is the maximum has
+    g >= max(g) - 2 delta.  Those rows are scored in lexicographic order and
+    the first maximum of f wins, the row a full pass would pick.  delta is
+    computed with gamma_n: its excess of at least 4 u S on 2 delta covers
+    the rounding of delta itself and of the threshold.
     """
     ids, a, H = _terms(pool, cache, config) if terms is None else terms
-    combos = _combinations(len(ids), _check_k(k, len(ids)))
-    f = subset_f(a, H, combos)
-    best = int(np.argmax(f))
-    return tuple(ids[i] for i in combos[best]), float(f[best])
+    k = _check_k(k, len(ids))
+    g, combos = _screen(a, H, k)
+    n = k * k
+    gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+    # Python floats: the coefficients are tiny, so neither product overflows
+    delta = 2.0 * gamma * k * _absmax(a) + 2.0 * gamma * k * (k - 1) * _absmax(H)
+    rows = np.flatnonzero(g >= float(g.max()) - 2.0 * delta)
+    del g  # when every row ties, the full pass runs without it
+    near = combos if len(rows) == len(combos) else combos[rows]
+    f = subset_f(a, H, near)
+    best = int(np.argmax(f))  # first maximum: lexicographic tie-break
+    return tuple(ids[i] for i in near[best]), float(f[best])
 
 
 def exhaustive_trace(pool, k: int, cache: PairwiseCache,
                      config: TEConfig) -> SelectionTrace:
     """The exhaustive winner as a trace: its members in id order, each with
     its gain over the members before it."""
-    terms = _terms(pool, cache, config)
+    ids, a, H = terms = _terms(pool, cache, config)
     best, _ = exhaustive_select(pool, k, cache, config, terms=terms)
-    return _trace(*terms, cache.positions(best))
+    return _trace(ids, a, H + H.T, cache.positions(best))
 
 
 def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):

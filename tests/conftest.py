@@ -3,7 +3,9 @@
 The reference routines here deliberately use naive scalar loops (different
 code paths from the library's vectorized versions) so that agreement between
 the two is meaningful evidence rather than a tautology.  The transport
-oracle ``exact_ot`` solves the unregularized LP with scipy instead.
+oracle ``exact_ot`` solves the unregularized LP with scipy instead, and
+``exhaustive_select_full`` keeps the full-table exhaustive search, built
+from the library's table and kernel, as the reference for the screened one.
 """
 
 import itertools
@@ -22,6 +24,8 @@ from osborn.data_io import (
     PredictionVector,
     _read_headed,
 )
+from osborn.metrics import subset_f
+from osborn.selection import _combinations
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +270,17 @@ def subset_f_loop(a, H, rows):
             f -= float(H[i, j])
         out.append(f)
     return np.array(out)
+
+
+def exhaustive_select_full(ids, a, H, k):
+    """Exhaustive search over the full table: every size-k subset from
+    ``selection._combinations``, all of them summed by ``metrics.subset_f``,
+    and the first maximum.  ``(member ids, f)``, as ``exhaustive_select``
+    returns them; the reference for its screened search."""
+    combos = _combinations(len(ids), k)
+    f = subset_f(a, H, combos)
+    best = int(np.argmax(f))
+    return tuple(ids[i] for i in combos[best]), float(f[best])
 
 
 def peak_ratio(fn, nbytes):

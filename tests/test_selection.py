@@ -34,7 +34,7 @@ from osborn.selection import (
 )
 from osborn.synth import SynthSpec, build_pool
 
-from conftest import peak_ratio, subset_f_loop
+from conftest import exhaustive_select_full, peak_ratio, subset_f_loop
 
 
 def _cache(wd, wt, pair_h):
@@ -224,16 +224,18 @@ def test_greedy_validates_k_and_pool_agreement(tiny_pool):
 
 
 def test_exhaustive_agrees_with_direct_enumeration():
-    rng = np.random.default_rng(5)
+    # the first maximum over itertools' subsets, each scored by
+    # osborn_score, to the bit
     cfg = TEConfig(standardize=False)
     for trial in range(10):
         cache = _random_cache(np.random.default_rng(300 + trial), 6)
-        ids = list(cache.ids)
         cand, best_f = exhaustive_select(None, 3, cache, cfg)
-        ref = max(itertools.combinations(ids, 3),
+        ref = max(itertools.combinations(cache.ids, 3),
                   key=lambda c: _f(c, cache, cfg))
-        assert _f(cand, cache, cfg) == pytest.approx(best_f, abs=1e-12)
-        assert best_f == pytest.approx(_f(ref, cache, cfg), abs=1e-12)
+        assert cand == ref
+        assert best_f.hex() == _f(ref, cache, cfg).hex()
+        full = exhaustive_select_full(*effective_terms(cache, cfg), 3)
+        assert (cand, best_f.hex()) == (full[0], full[1].hex())
 
 
 def test_exhaustive_never_below_greedy():
@@ -298,6 +300,97 @@ def test_exhaustive_trace_gains_are_subset_f_differences(data, m, standardize,
         assert step.gain == pytest.approx(diff, abs=1e-12)
     _, best_f = exhaustive_select(None, k, cache, cfg)
     assert trace.steps[-1].f_cumulative == pytest.approx(best_f, abs=1e-12)
+
+
+def _draw_terms(data, m, kind):
+    """Member terms ``a`` and pair terms ``H`` (zero diagonal) of one kind:
+    mixed-sign floats over six decades, tenths (exact ties that rounding
+    splits differently in different summation orders), terms of +-2**53
+    beside small ones (sums whose rounding depends on the order, by whole
+    units), small integers (exact ties), all zeros, or floats whose largest
+    ``|a|`` and off-diagonal ``|H|`` are 1e307, with a finite total."""
+    def ints(shape, lo=-3, hi=3):
+        return data.draw(hnp.arrays(np.int64, shape, elements=st.integers(lo, hi)))
+
+    def floats(shape, scale):
+        unit = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+        return unit * scale
+
+    if kind == "zero":
+        a, H = np.zeros(m), np.zeros((m, m))
+    elif kind == "integer":
+        a, H = ints(m).astype(float), ints((m, m), -2, 2).astype(float)
+    elif kind == "tenths":
+        a, H = ints(m) / 10.0, ints((m, m), -2, 2) / 10.0
+    elif kind == "cancelling":
+        big = st.sampled_from([-2.0 ** 53, -1.0, 0.0, 0.5, 1.0, 2.0 ** 53])
+        a = data.draw(hnp.arrays(np.float64, m, elements=big))
+        H = data.draw(hnp.arrays(np.float64, (m, m), elements=big))
+    elif kind == "mixed":
+        a = floats(m, 10.0 ** ints(m))
+        H = floats((m, m), 10.0 ** ints((m, m)))
+    else:
+        a, H = floats(m, 1e305), floats((m, m), 1e305)
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        a[i] = data.draw(st.sampled_from([-1e307, 1e307]))
+        if i != j:
+            H[i, j] = data.draw(st.sampled_from([-1e307, 1e307]))
+    np.fill_diagonal(H, 0.0)
+    return a, H
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), m=st.integers(1, 9),
+       kind=st.sampled_from(["mixed", "tenths", "cancelling", "integer", "zero",
+                             "huge"]))
+def test_exhaustive_select_is_the_full_table_search(data, m, kind):
+    # the screened search returns the full-table search's winner and its f
+    # bits, ties included; the huge terms raise no overflow warning from the
+    # bound or the threshold (RuntimeWarning is an error in this suite)
+    a, H = _draw_terms(data, m, kind)
+    k = data.draw(st.sampled_from(sorted({1, min(2, m), max(m - 1, 1), m})))
+    ids = tuple(f"m{i}" for i in range(m))
+    cache = PairwiseCache(ids=ids, wd=a, wt=np.zeros(m), converged=[True] * m,
+                          pair_h=H)
+    cfg = TEConfig(standardize=False, lambda_d=1.0, lambda_t=0.0, lambda_c=1.0)
+    cand, f = exhaustive_select(None, k, cache, cfg)
+    full_ids, full_f = exhaustive_select_full(*effective_terms(cache, cfg), k)
+    assert cand == full_ids
+    assert f.hex() == full_f.hex()
+
+
+def test_exhaustive_select_when_the_screen_ranks_another_row_first():
+    # tenths whose screened sums put row 2 of C(4, 3) first, while the
+    # kernel's sums put row 0 first: the winner comes from the rows within
+    # 2 delta of the screened maximum, scored by the kernel
+    a = np.array([-0.2, -0.3, 0.0, 0.0])
+    H = np.array([[0.0, 0.1, -0.2, 0.0], [0.1, 0.0, 0.1, 0.2],
+                  [0.2, -0.2, 0.0, -0.2], [-0.2, 0.1, 0.2, 0.0]])
+    g, combos = selection._screen(a, H, 3)
+    f = subset_f(a, H, combos)
+    assert (int(np.argmax(g)), int(np.argmax(f))) == (2, 0)
+    ids = ("m0", "m1", "m2", "m3")
+    cand, best_f = exhaustive_select(None, 3, None, None, terms=(ids, a, H))
+    assert cand == ("m0", "m1", "m2")
+    assert best_f.hex() == exhaustive_select_full(ids, a, H, 3)[1].hex()
+
+
+def test_the_screen_scores_only_the_near_best_rows(monkeypatch):
+    # on continuous terms the exact kernel sees a handful of the C(32, 5) =
+    # 201,376 subsets, not all of them
+    seen = []
+
+    def counted(a, H, combos):
+        seen.append(len(combos))
+        return subset_f(a, H, combos)
+
+    cache = _random_cache(np.random.default_rng(8), 32)
+    cfg = TEConfig()
+    full_ids, full_f = exhaustive_select_full(*effective_terms(cache, cfg), 5)
+    monkeypatch.setattr(selection, "subset_f", counted)
+    cand, f = exhaustive_select(None, 5, cache, cfg)
+    assert 1 <= sum(seen) <= 10
+    assert (cand, f.hex()) == (full_ids, full_f.hex())
 
 
 def test_exhaustive_trace_computes_the_terms_once(monkeypatch):
@@ -377,12 +470,20 @@ def test_enumeration_memory_at_the_budget():
     # C(22, 11) = 705,432 subsets, near the budget: the table and the kernel
     # over it each peak well below one intp table
     m, k = 22, 11
-    nbytes = math.comb(m, k) * k * 8
+    count = math.comb(m, k)
+    nbytes = count * k * 8
     table, ratio = peak_ratio(lambda: _combinations(m, k), nbytes)
     assert ratio <= 0.75
     a, H = _mixed_terms(np.random.default_rng(1), m)
     _, ratio = peak_ratio(lambda: subset_f(a, H, table), nbytes)
     assert ratio <= 0.75
+    # exhaustive selection over the full table (the table, then subset_f
+    # over all of it) peaked at 24.76 MB on these terms; screening the rows
+    # may add at most one float64 vector of C(m, k) entries
+    ids = tuple(f"m{i:02d}" for i in range(m))
+    _, peak = peak_ratio(
+        lambda: exhaustive_select(None, k, None, None, terms=(ids, a, H)), 1)
+    assert peak <= 24.76e6 + 8 * count
 
 
 # ---------------------------------------------------------------------------
