@@ -226,8 +226,11 @@ def _log_kernel(Cr, epsilon, f, h, out):
 
 
 def _clipped_excess(Cr, f, h, out):
-    """``[f_i + h_j - C_ij]_+`` written into ``out``."""
-    np.add(f[:, None], h[None, :], out=out)
+    """``[f_i + h_j - C_ij]_+`` written into ``out``.  ``h`` is copied in
+    and ``f`` added along rows: one broadcast operand, not two, and the same
+    bits, since addition commutes."""
+    out[...] = h
+    out += f[:, None]
     out -= Cr
     return np.maximum(out, 0.0, out=out)
 

@@ -13,11 +13,16 @@ number of size-k subsets is within ``EXHAUSTIVE_BUDGET``.
 Every selector reads the terms as arrays, ``(ids, a, H)`` from
 ``metrics.effective_terms``, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).
 Greedy selection and the traces update marginal gains with rows of
-``H + H.T``.  Exhaustive selection sums every subset while it enumerates
-them, then re-scores the few that can win with ``metrics.subset_f``, the
-kernel ``osborn_score`` and ``score_all`` use, so the winner's f is that
-kernel's value.  All candidate enumeration and tie-breaking is
-lexicographic on model ids, so results are reproducible across runs.
+``H + H.T``.  Exhaustive selection is a branch and bound (Land & Doig
+1960): greedy's set is the incumbent, and the table of subsets, built one
+member column at a time, drops each prefix whose completion bound (a lower
+bound on the terms its remaining members must add, valid for terms of any
+sign) falls below the incumbent's f by more than a rounding margin.  It sums
+every surviving subset while it enumerates them, then re-scores the few
+that can win with ``metrics.subset_f``, the kernel ``osborn_score`` and
+``score_all`` use, so the winner's f is that kernel's value.  All candidate
+enumeration and tie-breaking is lexicographic on model ids, so results are
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -70,45 +75,42 @@ def _check_k(k: int, m: int) -> int:
     return k
 
 
-def _levels(m: int, k: int):
-    """The size-k subsets of range(m), built one member column at a time.
-
-    Level j holds every admissible (j + 1)-member prefix as a ``(j + 1,
-    count)`` table of columns, rows in lexicographic order; the last level is
-    the full table.  The generator yields ``(cols, reps)`` per level:
-    ``reps`` says how many rows of this level each row of the previous one
-    becomes, so that anything carried per prefix follows it by
-    ``np.repeat(x, reps)``.  Level 0 comes from one row, the empty prefix,
-    and its ``reps`` is a single count.  Columns hold the smallest unsigned
-    dtype that fits ``m - 1``.  The budget is checked before any level is
-    built.
-    """
-    count = math.comb(m, k)
-    if count > EXHAUSTIVE_BUDGET:
+def _check_budget(m: int, k: int) -> None:
+    if math.comb(m, k) > EXHAUSTIVE_BUDGET:
         raise ValidationError(
             f"exhaustive enumeration of C({m}, {k}) subsets exceeds the "
             f"budget of {EXHAUSTIVE_BUDGET}"
         )
-    cols = np.arange(m - k + 1, dtype=np.min_scalar_type(m - 1))[None, :]
-    reps = m - k + 1
-    for top in range(m - k + 1, m):  # the largest member the new column holds
-        yield cols, reps
-        cols, reps = _extend(cols, top)
-    yield cols, reps
 
 
-def _extend(cols: np.ndarray, top: int):
-    """``(next level, reps)`` for ``_levels``: each row of ``cols`` repeated
-    once per admissible next member (``np.repeat``), the new column counting
-    up from the row's last member + 1 to ``top`` (a ``cumsum``).  Its
-    temporaries are freed before ``_levels`` yields the level."""
+def _first_level(m: int, k: int) -> np.ndarray:
+    """Level 0 of the size-k subsets of range(m): every admissible first
+    member, 0 .. m - k, as a ``(1, m - k + 1)`` table of columns in the
+    smallest unsigned dtype that fits ``m - 1``.  The budget is checked
+    first, so no level is built for a table over it."""
+    _check_budget(m, k)
+    return np.arange(m - k + 1, dtype=np.min_scalar_type(m - 1))[None, :]
+
+
+def _extend(cols: np.ndarray, top: int, keep=None):
+    """``(next level, reps)``: each prefix row of ``cols``, a ``(j, count)``
+    table of columns in lexicographic order, repeated once per admissible
+    next member (``np.repeat``), the new column counting up from the row's
+    last member + 1 to ``top`` (a ``cumsum``).  ``reps`` says how many rows
+    each prefix becomes, so that anything carried per prefix follows it by
+    ``np.repeat(x, reps)``.  Where the boolean ``keep`` is False, a prefix
+    repeats no times: it and all its completions are dropped."""
     j = cols.shape[0]
     last = cols[-1]
     reps = top - last.astype(np.intp)  # next members last + 1 .. top
+    if keep is not None:
+        reps *= keep
     starts = np.cumsum(reps) - reps
     nxt = np.empty((j + 1, int(reps.sum())), dtype=cols.dtype)
     for i in range(j):
         nxt[i] = np.repeat(cols[i], reps)
+    if keep is not None:  # runs start only at kept prefixes
+        starts, last = starts[keep], last[keep]
     # steps of 1 within a row's run, and from the previous run's end (top)
     # to last + 1 at each run's start; unsigned arithmetic wraps modulo
     # 2**bits and every true value lies in [0, m - 1], so the wrapped
@@ -121,25 +123,28 @@ def _extend(cols: np.ndarray, top: int):
 
 
 def _combinations(m: int, k: int) -> np.ndarray:
-    """Every size-k subset of range(m) as one row, in lexicographic order:
-    the last level of ``_levels``, returned as its transpose, an F-ordered
-    ``(count, k)`` view whose columns are contiguous."""
-    for cols, _ in _levels(m, k):
-        pass
+    """Every size-k subset of range(m) as one row, in lexicographic order,
+    built one member column at a time (``_extend``) and returned as the
+    transpose of the last level, an F-ordered ``(count, k)`` view whose
+    columns are contiguous."""
+    cols = _first_level(m, k)
+    for top in range(m - k + 1, m):  # the largest member the new column holds
+        cols, _ = _extend(cols, top)
     return cols.T
 
 
-def _trace(ids, a, sym, order) -> SelectionTrace:
-    """The trace of adding ``order`` (indices into ``ids``) one at a time;
-    ``sym`` is ``H + H.T``."""
+def _trace(ids, a, H, order) -> SelectionTrace:
+    """The trace of adding ``order`` (indices into ``ids``) one at a time.
+    A member's gain is ``-a[v]`` less the rows ``(H + H.T)[u]`` of the
+    members u before it; only those k rows are formed."""
     gains = -a
     f_cum = 0.0
     steps = []
-    for v in order:
+    for v, row in zip(order, H[order] + H[:, order].T):
         f_cum += gains[v]
         steps.append(SelectionStep(chosen_id=ids[v], gain=float(gains[v]),
                                    f_cumulative=float(f_cum)))
-        gains = gains - sym[v]
+        gains = gains - row
     return SelectionTrace(steps=tuple(steps))
 
 
@@ -151,7 +156,21 @@ def marginal_gain(current, v, cache: PairwiseCache, config: TEConfig) -> float:
         raise ValidationError(f"model '{v}' is already in the ensemble")
     order = cache.positions(members + [v])
     ids, a, H = effective_terms(cache, config)
-    return _trace(ids, a, H + H.T, order).steps[-1].gain
+    return _trace(ids, a, H, order).steps[-1].gain
+
+
+def _greedy_order(a, sym, k: int) -> list:
+    """Greedy's k members (indices into ``a``) in the order it adds them:
+    each step takes the largest marginal gain, the smallest index on ties.
+    ``sym`` is ``H + H.T``; all gains move by one row of it per step."""
+    gains = -a
+    order = []
+    for _ in range(k):
+        v = int(np.argmax(gains))  # first maximum: smallest id wins ties
+        order.append(v)
+        gains -= sym[v]
+        gains[v] = -np.inf
+    return order
 
 
 def greedy_select(pool, k: int, cache: PairwiseCache,
@@ -164,28 +183,72 @@ def greedy_select(pool, k: int, cache: PairwiseCache,
     """
     ids, a, H = _terms(pool, cache, config)
     k = _check_k(k, len(ids))
-    sym = H + H.T
-    gains = -a
-    order = []
-    for _ in range(k):
-        v = int(np.argmax(gains))  # first maximum: smallest id wins ties
-        order.append(v)
-        gains -= sym[v]
-        gains[v] = -np.inf
-    return _trace(ids, a, sym, order)
+    return _trace(ids, a, H, _greedy_order(a, H + H.T, k))
 
 
-def _screen(a, H, k: int):
-    """``(g, combos)``: the table of ``_combinations`` and, for each of its
-    rows, f summed while ``_levels`` builds it.  Each prefix carries its
-    partial sum (``_add_member``).  The values round differently from
-    ``subset_f``'s."""
+def _completion_bound(a, sym, k: int):
+    """``(rowmin, tails)`` for the prune in ``exhaustive_select``:
+    ``rowmin[p]``, the smallest off-diagonal entry of row p of ``sym = H +
+    H.T``, and for r = 1 .. k - 1, ``tails[r][l]``, the sum of the r
+    smallest ``q[v] = a[v] + s[v] / 2`` over v > l, where s[v] sums the r -
+    1 smallest off-diagonal entries of row v.  T_1 is a suffix minimum of
+    ``a``; only k >= 3 partitions the rows.  ``sym``'s diagonal is
+    overwritten."""
+    m = len(a)
+    np.fill_diagonal(sym, np.inf)
+    tails = {1: np.minimum.accumulate(a[:0:-1])[::-1]}  # min of a[l + 1:]
+    if k < 3:
+        return sym.min(axis=1), tails
+    smallest = np.partition(sym, np.arange(k - 2), axis=1)[:, :k - 2]
+    s = np.cumsum(smallest, axis=1)  # s[:, r - 2]: the r - 1 smallest
+    after = np.arange(m) > np.arange(m)[:, None]  # after[l, v]: v > l
+    for r in range(2, k):
+        q = np.where(after[:m - r], a + 0.5 * s[:, r - 2], np.inf)
+        tails[r] = np.partition(q, r - 1, axis=1)[:, :r].sum(axis=1)
+    return smallest[:, 0], tails
+
+
+def _screen(a, H, k: int, bound=None):
+    """``(g, combos)``: a table of size-k subsets, built as ``_combinations``
+    builds it, and for each of its rows f summed while the table grows.
+    Each prefix carries its partial sum (``_add_member``).  The values
+    round differently from ``subset_f``'s.
+
+    ``bound``, ``(rowmin, tails, floor)`` from ``exhaustive_select``, drops
+    each prefix P before the next column is added when its completion bound
+    ``g(P) - r * sum(rowmin[P]) - tails[r][last(P)]`` (r members still to
+    add) lies below ``floor`` (``_kept``); each prefix carries its
+    ``rowmin`` sum like its g.  Without it ``combos`` is the full table."""
+    m = len(a)
     Hflat = np.ravel(H)
-    g = np.zeros(1)  # the empty prefix
-    for cols, reps in _levels(len(a), k):
-        g = np.repeat(g, reps)
+    cols = _first_level(m, k)
+    g = np.zeros(cols.shape[1])
+    low = np.zeros_like(g) if bound is not None else None
+    for r in range(k - 1, 0, -1):  # members still to add after this level's
         _add_member(g, cols, a, Hflat)
+        keep = None if bound is None else _kept(cols, g, low, r, *bound)
+        cols, reps = _extend(cols, m - r, keep)
+        del keep
+        g = np.repeat(g, reps)
+        # the last level needs no rowmin sums
+        low = np.repeat(low, reps) if low is not None and r > 1 else None
+    _add_member(g, cols, a, Hflat)
     return g, cols.T
+
+
+def _kept(cols, g, low, r, rowmin, tails, floor):
+    """The boolean mask of the prefixes whose completion bound is not below
+    ``floor`` (a NaN bound keeps its row), or None when every prefix is
+    kept; ``low`` first gains the newest member's ``rowmin``."""
+    last = cols[-1]
+    terms = np.empty_like(g)
+    # every index is in range by construction, as in ``_add_member``
+    low += np.take(rowmin, last, out=terms, mode="clip")
+    ub = np.multiply(low, -r)
+    ub += g
+    ub -= np.take(tails[r], last, out=terms, mode="clip")
+    drop = np.less(ub, floor)
+    return np.logical_not(drop, out=drop) if drop.any() else None
 
 
 def _add_member(g, cols, a, Hflat):
@@ -224,30 +287,71 @@ def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig, *,
     ``effective_terms`` already gave for ``cache`` and ``config``, spares
     computing them again.
 
-    Every subset is screened as it is enumerated (``_screen``), and only
-    the near-best rows are scored by ``subset_f``.  The screened value g of
-    a row and its f from ``subset_f`` are two sums of the same n = k * k
-    terms (k member terms, k(k - 1) pair terms), each by a tree of
-    additions, so each lies within gamma_{n-1} S of the exact sum (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, section 4.2), where
+    Rounding.  A row's screened value g (``_screen``) and its f from
+    ``subset_f`` are two sums of the same n = k * k terms (k member terms,
+    k(k - 1) pair terms), each by a tree of additions, so each lies within
+    gamma_{n-1} S of the exact sum (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 4.2), where
 
         gamma_n = n u / (1 - n u),  u = 2**-53,
         S = k max|a| + k (k - 1) max|H|,
 
     and S bounds the row's sum of absolute terms.  So |g - f| <= delta =
-    2 gamma_{n-1} S on every row, and every row whose f is the maximum has
-    g >= max(g) - 2 delta.  Those rows are scored in lexicographic order and
-    the first maximum of f wins, the row a full pass would pick.  delta is
-    computed with gamma_n: its excess of at least 4 u S on 2 delta covers
-    the rounding of delta itself and of the threshold.
+    2 gamma_{n-1} S on every row.  delta is computed with gamma_n: its
+    excess of at least 2 u S covers the rounding of delta itself and of the
+    threshold below.
+
+    Prune.  For 2 <= k < M (k = 1 has nothing to prune, k = M one
+    subset), greedy's set (``_greedy_order``), scored by ``subset_f``, is
+    the incumbent f_inc.  Before each column is added, ``_screen`` drops a
+    prefix P (last member l, r = k - |P| members still to add) when
+
+        ub(P) = g(P) - r sum_{p in P} rowmin[p] - T_r[l] < f_inc - margin.
+
+    rowmin[p] is the smallest off-diagonal entry of row p of H + H.T, and
+    T_r[l] the sum of the r smallest q[v] = a[v] + s[v] / 2 over v > l,
+    with s[v] the sum of the r - 1 smallest off-diagonal entries of row v
+    (``_completion_bound``).  For any completion C, r members above l,
+    f(P + C) = g(P) - sum_{p in P, v in C} (H + H.T)[p, v] - sum_{v in C}
+    (a[v] + sum_{w in C - v} (H + H.T)[v, w] / 2): each of p's r cross
+    terms is at least rowmin[p], and v's r - 1 partners within C add at
+    least s[v] / 2, so the last sum is at least T_r[l].  No step asks for a
+    sign, so ub(P) >= f(P + C) whatever the signs of the terms.
+
+    The computed ub is within gamma_n S of ub(P), less an absolute
+    k 2**-1074: each input term passes through at most n roundings (the
+    carried g through |P|**2 + 1, the rowmin sum through |P| + 3, T_r
+    through 2r), the terms' absolute sum is at most S, as for a row (|P|
+    (|P| - 1) + 2 r |P| + r (r - 1) = k (k - 1) pair terms of H), taking
+    the smallest computed entries can only raise the bound, and halving a
+    subnormal s[v] loses at most 2**-1075.  The kernel's f of a row at or
+    above the incumbent is at least f_inc, so its exact f is at least f_inc
+    - gamma_{n-1} S and the computed ub of each of its prefixes at least
+    f_inc - delta - k 2**-1074.  margin = 2 delta + k 2**-1074 keeps them
+    all, with delta to spare for rounding the threshold: every maximizer
+    survives, and the survivors stay in lexicographic order.
+
+    Re-scoring.  Every surviving row whose f is the maximum has g >= max(g)
+    - 2 delta; those rows are scored by ``subset_f`` in lexicographic order
+    and the first maximum of f wins, the row a full pass would pick.
     """
     ids, a, H = _terms(pool, cache, config) if terms is None else terms
-    k = _check_k(k, len(ids))
-    g, combos = _screen(a, H, k)
+    m = len(ids)
+    k = _check_k(k, m)
+    _check_budget(m, k)  # before greedy or any table
     n = k * k
     gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
     # Python floats: the coefficients are tiny, so neither product overflows
     delta = 2.0 * gamma * k * _absmax(a) + 2.0 * gamma * k * (k - 1) * _absmax(H)
+    bound = None
+    if 2 <= k < m:
+        sym = H + H.T
+        incumbent = np.sort(_greedy_order(a, sym, k))[None, :]
+        f_inc = float(subset_f(a, H, incumbent)[0])
+        floor = f_inc - (2.0 * delta + k * 2.0 ** -1074)
+        bound = (*_completion_bound(a, sym, k), floor)
+        del sym
+    g, combos = _screen(a, H, k, bound)
     rows = np.flatnonzero(g >= float(g.max()) - 2.0 * delta)
     del g  # when every row ties, the full pass runs without it
     near = combos if len(rows) == len(combos) else combos[rows]
@@ -262,7 +366,7 @@ def exhaustive_trace(pool, k: int, cache: PairwiseCache,
     its gain over the members before it."""
     ids, a, H = terms = _terms(pool, cache, config)
     best, _ = exhaustive_select(pool, k, cache, config, terms=terms)
-    return _trace(ids, a, H + H.T, cache.positions(best))
+    return _trace(ids, a, H, cache.positions(best))
 
 
 def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):

@@ -24,7 +24,7 @@ from osborn.data_io import (
     PredictionVector,
     _read_headed,
 )
-from osborn.metrics import subset_f
+from osborn.metrics import PairwiseCache, subset_f
 from osborn.selection import _combinations
 
 
@@ -281,6 +281,23 @@ def exhaustive_select_full(ids, a, H, k):
     f = subset_f(a, H, combos)
     best = int(np.argmax(f))
     return tuple(ids[i] for i in combos[best]), float(f[best])
+
+
+def wide_pool_cache(rng, m=32):
+    """A cache shaped like that of a generated pool whose models degrade with
+    their index: W_D, W_T and the cohesion entropies all rise with model
+    index, plus noise.  The trends are least-squares fits to the cache of a
+    32-model, 200-row pool with domain shift 0 .. 1.5 and prediction noise
+    0 .. 0.4 (the bench's ``wide-pool``)."""
+    i = np.arange(m, dtype=np.float64)
+    wd = 10.7 + 0.0027 * i ** 2 + rng.normal(0.0, 0.06, m)
+    wt = 0.05 + 0.05 * i + rng.normal(0.0, 0.06, m)
+    pair = (0.19 + 0.031 * (i[:, None] + i) - 0.00085 * i[:, None] * i
+            + rng.normal(0.0, 0.07, (m, m)))
+    pair = np.maximum(pair, 0.0)
+    np.fill_diagonal(pair, 0.0)
+    return PairwiseCache(ids=tuple(f"m{v:02d}" for v in range(m)), wd=wd, wt=wt,
+                         converged=[True] * m, pair_h=pair)
 
 
 def peak_ratio(fn, nbytes):

@@ -34,7 +34,7 @@ from osborn.selection import (
 )
 from osborn.synth import SynthSpec, build_pool
 
-from conftest import exhaustive_select_full, peak_ratio, subset_f_loop
+from conftest import exhaustive_select_full, peak_ratio, subset_f_loop, wide_pool_cache
 
 
 def _cache(wd, wt, pair_h):
@@ -307,8 +307,11 @@ def _draw_terms(data, m, kind):
     mixed-sign floats over six decades, tenths (exact ties that rounding
     splits differently in different summation orders), terms of +-2**53
     beside small ones (sums whose rounding depends on the order, by whole
-    units), small integers (exact ties), all zeros, or floats whose largest
-    ``|a|`` and off-diagonal ``|H|`` are 1e307, with a finite total."""
+    units), small integers (exact ties), all zeros, floats whose largest
+    ``|a|`` and off-diagonal ``|H|`` are 1e307, with a finite total, or a
+    trap for greedy: its first pick, the one model with ``a = 0``, costs 1
+    with every partner, while the others cost 1 or 1.1 and pair for 0 or
+    0.1, so for 2 <= k <= m - 1 every set without it is better."""
     def ints(shape, lo=-3, hi=3):
         return data.draw(hnp.arrays(np.int64, shape, elements=st.integers(lo, hi)))
 
@@ -326,6 +329,11 @@ def _draw_terms(data, m, kind):
         big = st.sampled_from([-2.0 ** 53, -1.0, 0.0, 0.5, 1.0, 2.0 ** 53])
         a = data.draw(hnp.arrays(np.float64, m, elements=big))
         H = data.draw(hnp.arrays(np.float64, (m, m), elements=big))
+    elif kind == "trap":
+        t = data.draw(st.integers(0, m - 1))
+        a, H = 1.0 + ints(m, 0, 1) / 10.0, ints((m, m), 0, 1) / 10.0
+        a[t] = 0.0
+        H[t, :] = H[:, t] = 1.0
     elif kind == "mixed":
         a = floats(m, 10.0 ** ints(m))
         H = floats((m, m), 10.0 ** ints((m, m)))
@@ -339,16 +347,17 @@ def _draw_terms(data, m, kind):
     return a, H
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(data=st.data(), m=st.integers(1, 9),
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(data=st.data(), m=st.integers(1, 10),
        kind=st.sampled_from(["mixed", "tenths", "cancelling", "integer", "zero",
-                             "huge"]))
+                             "huge", "trap"]))
 def test_exhaustive_select_is_the_full_table_search(data, m, kind):
-    # the screened search returns the full-table search's winner and its f
-    # bits, ties included; the huge terms raise no overflow warning from the
-    # bound or the threshold (RuntimeWarning is an error in this suite)
+    # the pruned and screened search returns the full-table search's winner
+    # and its f bits, ties included, also where greedy's incumbent is not
+    # optimal; the huge terms raise no overflow warning from the bounds or
+    # the thresholds (RuntimeWarning is an error in this suite)
     a, H = _draw_terms(data, m, kind)
-    k = data.draw(st.sampled_from(sorted({1, min(2, m), max(m - 1, 1), m})))
+    k = data.draw(st.integers(1, m))
     ids = tuple(f"m{i}" for i in range(m))
     cache = PairwiseCache(ids=ids, wd=a, wt=np.zeros(m), converged=[True] * m,
                           pair_h=H)
@@ -357,6 +366,63 @@ def test_exhaustive_select_is_the_full_table_search(data, m, kind):
     full_ids, full_f = exhaustive_select_full(*effective_terms(cache, cfg), k)
     assert cand == full_ids
     assert f.hex() == full_f.hex()
+    if kind == "trap" and 2 <= k < m:
+        greedy = greedy_select(None, k, cache, cfg).steps[-1].f_cumulative
+        assert greedy < full_f
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_the_completion_bound_is_above_every_completion(k):
+    # ub(P) = g(P) - r sum rowmin[P] - T_r[last(P)] >= f(P + C) for every
+    # prefix P and every completion C of r = k - |P| members above its last,
+    # on mixed-sign terms over six decades
+    rng = np.random.default_rng(60 + k)
+    m = 8
+    a, H = _mixed_terms(rng, m)
+    rowmin, tails = selection._completion_bound(a, H + H.T, k)
+    tol = 1e-9 * k * k * (np.abs(a).max() + np.abs(H).max())
+    for size in range(1, k):
+        r = k - size
+        for P in itertools.combinations(range(m - r), size):
+            rows = np.array([P + C for C in itertools.combinations(range(P[-1] + 1, m), r)])
+            ub = (subset_f(a, H, np.array([P]))[0] - r * rowmin[list(P)].sum()
+                  - tails[r][P[-1]])
+            assert ub >= subset_f(a, H, rows).max() - tol
+
+
+def test_exhaustive_checks_the_budget_before_greedy(monkeypatch):
+    # C(40, 20) is refused before the incumbent or any level is built
+    def refused(*args):
+        raise AssertionError("ran before the budget check")
+
+    monkeypatch.setattr(selection, "_greedy_order", refused)
+    monkeypatch.setattr(selection, "_extend", refused)
+    ids = tuple(f"m{i:02d}" for i in range(40))
+    with pytest.raises(ValidationError, match="budget"):
+        exhaustive_select(None, 20, None, None, terms=(ids, np.zeros(40), np.zeros((40, 40))))
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("seed", range(3))
+def test_exhaustive_select_on_a_wide_pool_builds_a_small_last_level(monkeypatch, seed,
+                                                                    standardize):
+    # terms rising with model index: the bound drops all but a few prefixes,
+    # so the last level holds at most 1 % of the C(32, 5) = 201,376 subsets
+    extend = selection._extend
+    rows = []
+
+    def counted(cols, top, keep=None):
+        nxt, reps = extend(cols, top, keep)
+        rows.append(nxt.shape[1])
+        return nxt, reps
+
+    cache = wide_pool_cache(np.random.default_rng(seed))
+    cfg = TEConfig(standardize=standardize)
+    full_ids, full_f = exhaustive_select_full(*effective_terms(cache, cfg), 5)
+    monkeypatch.setattr(selection, "_extend", counted)
+    cand, f = exhaustive_select(None, 5, cache, cfg)
+    assert rows[-1] <= math.comb(32, 5) // 100
+    assert (cand, f.hex()) == (full_ids, full_f.hex())
 
 
 def test_exhaustive_select_when_the_screen_ranks_another_row_first():
