@@ -300,9 +300,8 @@ def effective_terms(cache: PairwiseCache, config: TEConfig):
     standardized: ``(ids, a, H)`` with ``a[i] = lambda_d * wd + lambda_t * wt``
     for model i and ``H[i, j] = lambda_c * H(pred_i | pred_j)`` off a zero
     diagonal, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).  Every scorer
-    and selector reads these same numbers, which keeps incremental gains,
-    screened sums and ``subset_f``'s from-scratch scores consistent to
-    rounding.
+    and selector reads these same numbers, which keeps greedy's incremental
+    gains and ``subset_f``'s sums consistent to rounding.
 
     A weighted term that is not finite, or a total ``sum |a| + 2 sum |H|``
     that overflows, raises ``ComputationError``: that total bounds every
@@ -323,18 +322,15 @@ def effective_terms(cache: PairwiseCache, config: TEConfig):
 
 
 def subset_f(a, H, combos) -> np.ndarray:
-    """f of every row of ``combos`` (indices into ``a``).  Terms are
-    subtracted one member and one ordered pair at a time, in the order the
-    rows list them, so each value rounds the same way as a scalar loop over
-    the subset would.
+    """f of every row of ``combos`` (indices into ``a``), summed member by
+    member in the order the rows list them (``_add_member``), so each value
+    rounds the same way as a scalar loop over the subset would, and as the
+    sums ``selection.score_all`` and ``selection.exhaustive_select`` carry
+    while they enumerate.
 
-    ``combos`` may hold any integer dtype.  The kernel walks its columns,
-    which are contiguous in the F-ordered table ``selection._combinations``
-    returns: member terms by ``take`` from ``a``, pair terms by ``take`` from
-    the flattened ``H`` at ``i * m + j``, formed in one reused ``intp``
-    buffer (the product is taken in ``intp``, never in a narrow column
-    dtype).  Indices are bounds-checked once up front, so each ``take``
-    skips numpy's own check and writes into a reused buffer.
+    ``combos`` may hold any integer dtype but ``uint64``, whose sum with an
+    ``intp`` index numpy takes in float64; the kernel walks its columns.
+    Indices are bounds-checked once up front.
     """
     cols = np.asarray(combos).T
     m = H.shape[0]
@@ -342,15 +338,35 @@ def subset_f(a, H, combos) -> np.ndarray:
         raise ValidationError("combos index a model that does not exist")
     Hflat = np.ravel(H)
     f = np.zeros(cols.shape[1])
-    terms = np.empty_like(f)
-    for col in cols:
-        f -= np.take(a, col, out=terms, mode="clip")
-    flat = np.empty(cols.shape[1], dtype=np.intp)
-    for i, j in itertools.permutations(range(cols.shape[0]), 2):
-        np.multiply(cols[i], m, out=flat, dtype=np.intp)
-        flat += cols[j]
-        f -= np.take(Hflat, flat, out=terms, mode="clip")
+    for j in range(1, cols.shape[0] + 1):
+        _add_member(f, cols[:j], a, Hflat)
     return f
+
+
+def _add_member(g, cols, a, Hflat):
+    """Subtract in place from each row's partial sum ``g`` the terms of its
+    newest member v, the last of the columns ``cols``: ``a[v]``, then
+    ``H[p, v]`` and ``H[v, p]`` for each earlier member p.  Pair terms are
+    gathered from the flattened ``H`` at ``i * m + j``, formed in one reused
+    ``intp`` buffer (the product is taken in ``intp``, never in a narrow
+    column dtype).  Its buffers are freed before the caller goes on."""
+    m = len(a)
+    v = cols[-1]
+    terms = np.empty_like(g)
+    flat = np.empty(len(g), dtype=np.intp)
+    # every index is in range (the caller checks or builds it), so each
+    # take skips numpy's check and writes into the reused buffer; v goes
+    # through ``flat`` so that no take converts a narrow column into a fresh
+    # intp array
+    np.copyto(flat, v)
+    g -= np.take(a, flat, out=terms, mode="clip")
+    for p in cols[:-1]:
+        np.multiply(p, m, out=flat, dtype=np.intp)
+        flat += v
+        g -= np.take(Hflat, flat, out=terms, mode="clip")
+        np.multiply(v, m, out=flat, dtype=np.intp)
+        flat += p
+        g -= np.take(Hflat, flat, out=terms, mode="clip")
 
 
 def osborn_score(ensemble, cache: PairwiseCache, config: TEConfig) -> ScoreBreakdown:

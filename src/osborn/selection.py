@@ -13,16 +13,15 @@ number of size-k subsets is within ``EXHAUSTIVE_BUDGET``.
 Every selector reads the terms as arrays, ``(ids, a, H)`` from
 ``metrics.effective_terms``, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).
 Greedy selection and the traces update marginal gains with rows of
-``H + H.T``.  Exhaustive selection is a branch and bound (Land & Doig
-1960): greedy's set is the incumbent, and the table of subsets, built one
-member column at a time, drops each prefix whose completion bound (a lower
-bound on the terms its remaining members must add, valid for terms of any
-sign) falls below the incumbent's f by more than a rounding margin.  It sums
-every surviving subset while it enumerates them, then re-scores the few
-that can win with ``metrics.subset_f``, the kernel ``osborn_score`` and
-``score_all`` use, so the winner's f is that kernel's value.  All candidate
-enumeration and tie-breaking is lexicographic on model ids, so results are
-reproducible across runs.
+``H + H.T``.  ``score_all`` and exhaustive selection build a table of
+subsets one member column at a time, and each prefix carries its partial
+sum of f, so every row is summed in the order ``metrics.subset_f`` sums
+it, to the bit.  Exhaustive selection is a branch and bound (Land & Doig
+1960): greedy's set is the incumbent, and the table drops each prefix whose
+completion bound (a lower bound on the terms its remaining members must
+add, valid for terms of any sign) falls below the incumbent's f by more
+than a rounding margin.  All candidate enumeration and tie-breaking is
+lexicographic on model ids, so results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from .data_io import TEConfig, _check_int, write_table
 from .errors import ValidationError
-from .metrics import PairwiseCache, _members, effective_terms, subset_f
+from .metrics import PairwiseCache, _add_member, _members, effective_terms, subset_f
 
 EXHAUSTIVE_BUDGET = 10 ** 6
 
@@ -122,17 +121,6 @@ def _extend(cols: np.ndarray, top: int, keep=None):
     return nxt, reps
 
 
-def _combinations(m: int, k: int) -> np.ndarray:
-    """Every size-k subset of range(m) as one row, in lexicographic order,
-    built one member column at a time (``_extend``) and returned as the
-    transpose of the last level, an F-ordered ``(count, k)`` view whose
-    columns are contiguous."""
-    cols = _first_level(m, k)
-    for top in range(m - k + 1, m):  # the largest member the new column holds
-        cols, _ = _extend(cols, top)
-    return cols.T
-
-
 def _trace(ids, a, H, order) -> SelectionTrace:
     """The trace of adding ``order`` (indices into ``ids``) one at a time.
     A member's gain is ``-a[v]`` less the rows ``(H + H.T)[u]`` of the
@@ -208,17 +196,20 @@ def _completion_bound(a, sym, k: int):
     return smallest[:, 0], tails
 
 
-def _screen(a, H, k: int, bound=None):
-    """``(g, combos)``: a table of size-k subsets, built as ``_combinations``
-    builds it, and for each of its rows f summed while the table grows.
-    Each prefix carries its partial sum (``_add_member``).  The values
-    round differently from ``subset_f``'s.
+def _subset_sums(a, H, k: int, bound=None):
+    """``(f, combos)``: the size-k subsets of range(len(a)), rows in
+    lexicographic order, built one member column at a time (``_extend``)
+    and returned as the transpose of the last level, an F-ordered ``(count,
+    k)`` view whose columns are contiguous; and f of each row, summed while
+    the table grows.  Each prefix carries its partial sum, and each new
+    column subtracts its member's terms (``metrics._add_member``), so f is
+    ``subset_f``'s value to the bit.
 
     ``bound``, ``(rowmin, tails, floor)`` from ``exhaustive_select``, drops
     each prefix P before the next column is added when its completion bound
-    ``g(P) - r * sum(rowmin[P]) - tails[r][last(P)]`` (r members still to
+    ``f(P) - r * sum(rowmin[P]) - tails[r][last(P)]`` (r members still to
     add) lies below ``floor`` (``_kept``); each prefix carries its
-    ``rowmin`` sum like its g.  Without it ``combos`` is the full table."""
+    ``rowmin`` sum like its f.  Without it ``combos`` is the full table."""
     m = len(a)
     Hflat = np.ravel(H)
     cols = _first_level(m, k)
@@ -251,29 +242,6 @@ def _kept(cols, g, low, r, rowmin, tails, floor):
     return np.logical_not(drop, out=drop) if drop.any() else None
 
 
-def _add_member(g, cols, a, Hflat):
-    """Subtract in place from each row's partial sum ``g`` the terms of its
-    newest member v: ``a[v]``, then ``H[p, v]`` and ``H[v, p]`` for each
-    earlier member p.  Its buffers are freed before the next level is
-    built."""
-    m = len(a)
-    v = cols[-1]
-    terms = np.empty_like(g)
-    flat = np.empty(len(g), dtype=np.intp)
-    # every index is in range by construction, so each take skips numpy's
-    # check and writes into the reused buffer; v goes through ``flat`` so
-    # that no take converts a narrow column into a fresh intp array
-    np.copyto(flat, v)
-    g -= np.take(a, flat, out=terms, mode="clip")
-    for p in cols[:-1]:
-        np.multiply(p, m, out=flat, dtype=np.intp)
-        flat += v
-        g -= np.take(Hflat, flat, out=terms, mode="clip")
-        np.multiply(v, m, out=flat, dtype=np.intp)
-        flat += p
-        g -= np.take(Hflat, flat, out=terms, mode="clip")
-
-
 def _absmax(x) -> float:
     return max(float(x.max()), -float(x.min()))
 
@@ -287,77 +255,66 @@ def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig, *,
     ``effective_terms`` already gave for ``cache`` and ``config``, spares
     computing them again.
 
-    Rounding.  A row's screened value g (``_screen``) and its f from
-    ``subset_f`` are two sums of the same n = k * k terms (k member terms,
-    k(k - 1) pair terms), each by a tree of additions, so each lies within
-    gamma_{n-1} S of the exact sum (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, section 4.2), where
-
-        gamma_n = n u / (1 - n u),  u = 2**-53,
-        S = k max|a| + k (k - 1) max|H|,
-
-    and S bounds the row's sum of absolute terms.  So |g - f| <= delta =
-    2 gamma_{n-1} S on every row.  delta is computed with gamma_n: its
-    excess of at least 2 u S covers the rounding of delta itself and of the
-    threshold below.
-
     Prune.  For 2 <= k < M (k = 1 has nothing to prune, k = M one
     subset), greedy's set (``_greedy_order``), scored by ``subset_f``, is
-    the incumbent f_inc.  Before each column is added, ``_screen`` drops a
-    prefix P (last member l, r = k - |P| members still to add) when
+    the incumbent f_inc.  Before each column is added, ``_subset_sums``
+    drops a prefix P (last member l, r = k - |P| members still to add) when
 
-        ub(P) = g(P) - r sum_{p in P} rowmin[p] - T_r[l] < f_inc - margin.
+        ub(P) = f(P) - r sum_{p in P} rowmin[p] - T_r[l] < f_inc - margin.
 
     rowmin[p] is the smallest off-diagonal entry of row p of H + H.T, and
     T_r[l] the sum of the r smallest q[v] = a[v] + s[v] / 2 over v > l,
     with s[v] the sum of the r - 1 smallest off-diagonal entries of row v
     (``_completion_bound``).  For any completion C, r members above l,
-    f(P + C) = g(P) - sum_{p in P, v in C} (H + H.T)[p, v] - sum_{v in C}
+    f(P + C) = f(P) - sum_{p in P, v in C} (H + H.T)[p, v] - sum_{v in C}
     (a[v] + sum_{w in C - v} (H + H.T)[v, w] / 2): each of p's r cross
     terms is at least rowmin[p], and v's r - 1 partners within C add at
     least s[v] / 2, so the last sum is at least T_r[l].  No step asks for a
     sign, so ub(P) >= f(P + C) whatever the signs of the terms.
 
-    The computed ub is within gamma_n S of ub(P), less an absolute
-    k 2**-1074: each input term passes through at most n roundings (the
-    carried g through |P|**2 + 1, the rowmin sum through |P| + 3, T_r
-    through 2r), the terms' absolute sum is at most S, as for a row (|P|
-    (|P| - 1) + 2 r |P| + r (r - 1) = k (k - 1) pair terms of H), taking
-    the smallest computed entries can only raise the bound, and halving a
-    subnormal s[v] loses at most 2**-1075.  The kernel's f of a row at or
-    above the incumbent is at least f_inc, so its exact f is at least f_inc
-    - gamma_{n-1} S and the computed ub of each of its prefixes at least
-    f_inc - delta - k 2**-1074.  margin = 2 delta + k 2**-1074 keeps them
-    all, with delta to spare for rounding the threshold: every maximizer
-    survives, and the survivors stay in lexicographic order.
+    Rounding.  A row's f is the sum of n = k * k terms (k member terms,
+    k (k - 1) pair terms) subtracted one at a time, so the computed f lies
+    within gamma_{n-1} S of the exact sum (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, section 4.2), where
 
-    Re-scoring.  Every surviving row whose f is the maximum has g >= max(g)
-    - 2 delta; those rows are scored by ``subset_f`` in lexicographic order
-    and the first maximum of f wins, the row a full pass would pick.
+        gamma_n = n u / (1 - n u),  u = 2**-53,
+        S = k max|a| + k (k - 1) max|H|,
+
+    and S bounds the row's sum of absolute terms.  The computed ub is
+    within gamma_n S of ub(P), less an absolute k 2**-1074: each input term
+    passes through at most n roundings (the carried f through |P|**2 + 1,
+    the rowmin sum through |P| + 3, T_r through 2r), the terms' absolute
+    sum is at most S, as for a row (|P| (|P| - 1) + 2 r |P| + r (r - 1) =
+    k (k - 1) pair terms of H), taking the smallest computed entries can
+    only raise the bound, and halving a subnormal s[v] loses at most
+    2**-1075.  Every row is summed as ``subset_f`` sums the incumbent, so a
+    row whose computed f is at least f_inc has an exact f of at least f_inc
+    - gamma_{n-1} S, and each of its prefixes a computed ub of at least
+    f_inc - delta - k 2**-1074, where delta = 2 gamma_n S.  margin = 2
+    delta + k 2**-1074 keeps them all, with delta to spare for rounding
+    delta itself and the threshold: every maximizer survives, the survivors
+    stay in lexicographic order, and their first maximum is the full
+    table's, with the same f bits.
     """
     ids, a, H = _terms(pool, cache, config) if terms is None else terms
     m = len(ids)
     k = _check_k(k, m)
     _check_budget(m, k)  # before greedy or any table
-    n = k * k
-    gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
-    # Python floats: the coefficients are tiny, so neither product overflows
-    delta = 2.0 * gamma * k * _absmax(a) + 2.0 * gamma * k * (k - 1) * _absmax(H)
     bound = None
     if 2 <= k < m:
+        n = k * k
+        gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+        # Python floats: the coefficients are tiny, so neither product overflows
+        delta = 2.0 * gamma * k * _absmax(a) + 2.0 * gamma * k * (k - 1) * _absmax(H)
         sym = H + H.T
         incumbent = np.sort(_greedy_order(a, sym, k))[None, :]
         f_inc = float(subset_f(a, H, incumbent)[0])
         floor = f_inc - (2.0 * delta + k * 2.0 ** -1074)
         bound = (*_completion_bound(a, sym, k), floor)
         del sym
-    g, combos = _screen(a, H, k, bound)
-    rows = np.flatnonzero(g >= float(g.max()) - 2.0 * delta)
-    del g  # when every row ties, the full pass runs without it
-    near = combos if len(rows) == len(combos) else combos[rows]
-    f = subset_f(a, H, near)
+    f, combos = _subset_sums(a, H, k, bound)
     best = int(np.argmax(f))  # first maximum: lexicographic tie-break
-    return tuple(ids[i] for i in near[best]), float(f[best])
+    return tuple(ids[i] for i in combos[best]), float(f[best])
 
 
 def exhaustive_trace(pool, k: int, cache: PairwiseCache,
@@ -374,13 +331,14 @@ def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):
 
     ``ids`` are the sorted model ids; row r of ``combos`` holds the
     increasing indices into ``ids`` of subset r, rows in lexicographic
-    order; ``values[r]`` is that subset's osborn value (-f).  ``combos`` is
-    the F-ordered table of ``_combinations``, in the smallest unsigned dtype
-    that holds ``len(ids) - 1``.
+    order; ``values[r]`` is that subset's osborn value (-f), ``-subset_f``
+    of the row to the bit.  ``combos`` is the F-ordered table of
+    ``_subset_sums``, in the smallest unsigned dtype that holds
+    ``len(ids) - 1``.
     """
     ids, a, H = _terms(pool, cache, config)
-    combos = _combinations(len(ids), _check_k(k, len(ids)))
-    return ids, combos, -subset_f(a, H, combos)
+    f, combos = _subset_sums(a, H, _check_k(k, len(ids)))
+    return ids, combos, np.negative(f, out=f)
 
 
 # ---------------------------------------------------------------------------

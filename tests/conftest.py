@@ -4,8 +4,9 @@ The reference routines here deliberately use naive scalar loops (different
 code paths from the library's vectorized versions) so that agreement between
 the two is meaningful evidence rather than a tautology.  The transport
 oracle ``exact_ot`` solves the unregularized LP with scipy instead, and
-``exhaustive_select_full`` keeps the full-table exhaustive search, built
-from the library's table and kernel, as the reference for the screened one.
+``exhaustive_select_full`` keeps the full-table exhaustive search, over
+itertools' table with the library's kernel, as the reference for the
+pruned one.
 """
 
 import itertools
@@ -25,7 +26,6 @@ from osborn.data_io import (
     _read_headed,
 )
 from osborn.metrics import PairwiseCache, subset_f
-from osborn.selection import _combinations
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +259,28 @@ def newton_direction_dense(W, grad_rows, grad_cols, lam=None):
 
 
 def subset_f_loop(a, H, rows):
-    """f of each row of member indices by scalar subtraction: its members in
-    row order, then its ordered pairs in ``itertools.permutations`` order."""
+    """f of each row of member indices by scalar subtraction: each member in
+    row order, then its pairs with the members before it, ``H[p, v]`` and
+    ``H[v, p]`` for each earlier p in row order."""
     out = []
     for row in np.asarray(rows).tolist():
         f = 0.0
-        for i in row:
-            f -= float(a[i])
-        for i, j in itertools.permutations(row, 2):
-            f -= float(H[i, j])
+        for j, v in enumerate(row):
+            f -= float(a[v])
+            for p in row[:j]:
+                f -= float(H[p, v])
+                f -= float(H[v, p])
         out.append(f)
     return np.array(out)
 
 
 def exhaustive_select_full(ids, a, H, k):
     """Exhaustive search over the full table: every size-k subset from
-    ``selection._combinations``, all of them summed by ``metrics.subset_f``,
+    ``itertools.combinations``, all of them summed by ``metrics.subset_f``,
     and the first maximum.  ``(member ids, f)``, as ``exhaustive_select``
-    returns them; the reference for its screened search."""
-    combos = _combinations(len(ids), k)
+    returns them; the reference for its pruned search."""
+    rows = itertools.chain.from_iterable(itertools.combinations(range(len(ids)), k))
+    combos = np.fromiter(rows, dtype=np.intp).reshape(-1, k)
     f = subset_f(a, H, combos)
     best = int(np.argmax(f))
     return tuple(ids[i] for i in combos[best]), float(f[best])

@@ -24,7 +24,6 @@ from osborn.metrics import (
 )
 from osborn.selection import (
     EXHAUSTIVE_BUDGET,
-    _combinations,
     exhaustive_select,
     exhaustive_trace,
     greedy_select,
@@ -307,7 +306,9 @@ def _draw_terms(data, m, kind):
     mixed-sign floats over six decades, tenths (exact ties that rounding
     splits differently in different summation orders), terms of +-2**53
     beside small ones (sums whose rounding depends on the order, by whole
-    units), small integers (exact ties), all zeros, floats whose largest
+    units), small integers (exact ties), all zeros, small multiples of
+    2**-1074 (subnormal terms: every sum is exact and delta rounds to 0, but
+    halving an odd sum in the completion bound rounds), floats whose largest
     ``|a|`` and off-diagonal ``|H|`` are 1e307, with a finite total, or a
     trap for greedy: its first pick, the one model with ``a = 0``, costs 1
     with every partner, while the others cost 1 or 1.1 and pair for 0 or
@@ -325,6 +326,8 @@ def _draw_terms(data, m, kind):
         a, H = ints(m).astype(float), ints((m, m), -2, 2).astype(float)
     elif kind == "tenths":
         a, H = ints(m) / 10.0, ints((m, m), -2, 2) / 10.0
+    elif kind == "subnormal":
+        a, H = ints(m) * 2.0 ** -1074, ints((m, m)) * 2.0 ** -1074
     elif kind == "cancelling":
         big = st.sampled_from([-2.0 ** 53, -1.0, 0.0, 0.5, 1.0, 2.0 ** 53])
         a = data.draw(hnp.arrays(np.float64, m, elements=big))
@@ -350,9 +353,9 @@ def _draw_terms(data, m, kind):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(data=st.data(), m=st.integers(1, 10),
        kind=st.sampled_from(["mixed", "tenths", "cancelling", "integer", "zero",
-                             "huge", "trap"]))
+                             "subnormal", "huge", "trap"]))
 def test_exhaustive_select_is_the_full_table_search(data, m, kind):
-    # the pruned and screened search returns the full-table search's winner
+    # the pruned search returns the full-table search's winner
     # and its f bits, ties included, also where greedy's incumbent is not
     # optimal; the huge terms raise no overflow warning from the bounds or
     # the thresholds (RuntimeWarning is an error in this suite)
@@ -425,37 +428,22 @@ def test_exhaustive_select_on_a_wide_pool_builds_a_small_last_level(monkeypatch,
     assert (cand, f.hex()) == (full_ids, full_f.hex())
 
 
-def test_exhaustive_select_when_the_screen_ranks_another_row_first():
-    # tenths whose screened sums put row 2 of C(4, 3) first, while the
-    # kernel's sums put row 0 first: the winner comes from the rows within
-    # 2 delta of the screened maximum, scored by the kernel
-    a = np.array([-0.2, -0.3, 0.0, 0.0])
-    H = np.array([[0.0, 0.1, -0.2, 0.0], [0.1, 0.0, 0.1, 0.2],
-                  [0.2, -0.2, 0.0, -0.2], [-0.2, 0.1, 0.2, 0.0]])
-    g, combos = selection._screen(a, H, 3)
-    f = subset_f(a, H, combos)
-    assert (int(np.argmax(g)), int(np.argmax(f))) == (2, 0)
-    ids = ("m0", "m1", "m2", "m3")
-    cand, best_f = exhaustive_select(None, 3, None, None, terms=(ids, a, H))
-    assert cand == ("m0", "m1", "m2")
-    assert best_f.hex() == exhaustive_select_full(ids, a, H, 3)[1].hex()
-
-
-def test_the_screen_scores_only_the_near_best_rows(monkeypatch):
-    # on continuous terms the exact kernel sees a handful of the C(32, 5) =
-    # 201,376 subsets, not all of them
+@pytest.mark.parametrize("m,k", [(32, 5), (32, 1), (32, 32), (6, 2), (6, 5)])
+def test_exhaustive_select_scores_only_the_incumbent(monkeypatch, m, k):
+    # every row's f is carried through the enumeration; the kernel scores
+    # greedy's set alone, and only where there is something to prune
     seen = []
 
     def counted(a, H, combos):
         seen.append(len(combos))
         return subset_f(a, H, combos)
 
-    cache = _random_cache(np.random.default_rng(8), 32)
+    cache = _random_cache(np.random.default_rng(8), m)
     cfg = TEConfig()
-    full_ids, full_f = exhaustive_select_full(*effective_terms(cache, cfg), 5)
+    full_ids, full_f = exhaustive_select_full(*effective_terms(cache, cfg), k)
     monkeypatch.setattr(selection, "subset_f", counted)
-    cand, f = exhaustive_select(None, 5, cache, cfg)
-    assert 1 <= sum(seen) <= 10
+    cand, f = exhaustive_select(None, k, cache, cfg)
+    assert seen == ([1] if 2 <= k < m else [])
     assert (cand, f.hex()) == (full_ids, full_f.hex())
 
 
@@ -479,10 +467,18 @@ def test_exhaustive_trace_computes_the_terms_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _zero_cache(m):
+    ids = tuple(f"m{i:03d}" for i in range(m))
+    return PairwiseCache(ids=ids, wd=np.zeros(m), wt=np.zeros(m),
+                         converged=[True] * m, pair_h=np.zeros((m, m)))
+
+
 def test_combinations_are_itertools_combinations():
+    # score_all's table
     for m in range(1, 13):
+        cache = _zero_cache(m)
         for k in range(1, m + 1):
-            rows = _combinations(m, k)
+            _, rows, _ = score_all(None, k, cache, TEConfig())
             assert rows.dtype == np.uint8
             assert rows.tolist() == [list(c) for c in itertools.combinations(range(m), k)]
 
@@ -491,16 +487,22 @@ def test_combinations_are_itertools_combinations():
                                        (257, 1, np.uint16), (300, 1, np.uint16),
                                        (300, 2, np.uint16)])
 def test_combinations_widen_the_dtype_past_255(m, k, dtype):
-    rows = _combinations(m, k)
+    _, rows, _ = score_all(None, k, _zero_cache(m), TEConfig())
     assert rows.dtype == dtype
     assert rows.tolist() == [list(c) for c in itertools.combinations(range(m), k)]
 
 
-def test_combinations_check_the_budget_before_building():
+def test_combinations_check_the_budget_before_building(monkeypatch):
+    # score_all refuses C(40, 20) before any level is built or summed
+    def refused(*args):
+        raise AssertionError("ran before the budget check")
+
+    monkeypatch.setattr(selection, "_extend", refused)
+    monkeypatch.setattr(selection, "_add_member", refused)
     msg = (f"exhaustive enumeration of C(40, 20) subsets exceeds the budget "
            f"of {EXHAUSTIVE_BUDGET}")
     with pytest.raises(ValidationError, match=re.escape(msg)):
-        _combinations(40, 20)
+        score_all(None, 20, _zero_cache(40), TEConfig())
 
 
 def _mixed_terms(rng, m):
@@ -512,17 +514,37 @@ def _mixed_terms(rng, m):
     return a, H
 
 
+# tenths that round apart in two summation orders: summed member by member,
+# row 2 of C(4, 3) comes first; summed members first, then the ordered
+# pairs, row 0
+_TENTHS = (np.array([-0.2, -0.3, 0.0, 0.0]),
+           np.array([[0.0, 0.1, -0.2, 0.0], [0.1, 0.0, 0.1, 0.2],
+                     [0.2, -0.2, 0.0, -0.2], [-0.2, 0.1, 0.2, 0.0]]))
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_subset_f_is_the_scalar_loop_bit_for_bit(k):
+    # subset_f, the sums carried while the table is enumerated and
+    # score_all's values are one summation, the scalar loop's, to the bit
     rng = np.random.default_rng(40 + k)
-    m = 9
-    a, H = _mixed_terms(rng, m)
-    table = _combinations(m, k)
-    assert subset_f(a, H, table).tobytes() == subset_f_loop(a, H, table).tobytes()
-    # the C-ordered intp row that osborn_score passes
-    for _ in range(5):
-        row = np.sort(rng.choice(m, size=k, replace=False))[None, :]
-        assert subset_f(a, H, row).tobytes() == subset_f_loop(a, H, row).tobytes()
+    instances = [_mixed_terms(rng, 9)] + ([_TENTHS] if k <= 4 else [])
+    for a, H in instances:
+        m = len(a)
+        f = subset_f_loop(a, H, list(itertools.combinations(range(m), k)))
+        g, table = selection._subset_sums(a, H, k)
+        assert subset_f(a, H, table).tobytes() == f.tobytes()
+        assert g.tobytes() == f.tobytes()
+        ids = tuple(f"m{i}" for i in range(m))
+        cache = PairwiseCache(ids=ids, wd=a, wt=np.zeros(m), converged=[True] * m,
+                              pair_h=H)
+        cfg = TEConfig(standardize=False, lambda_d=1.0, lambda_t=0.0, lambda_c=1.0)
+        _, a_used, H_used = effective_terms(cache, cfg)
+        values = score_all(None, k, cache, cfg)[2]
+        assert values.tobytes() == (-subset_f(a_used, H_used, table)).tobytes()
+        # the C-ordered intp row that osborn_score passes
+        for _ in range(5):
+            row = np.sort(rng.choice(m, size=k, replace=False))[None, :]
+            assert subset_f(a, H, row).tobytes() == subset_f_loop(a, H, row).tobytes()
 
 
 def test_subset_f_rejects_indices_outside_the_terms():
@@ -533,20 +555,24 @@ def test_subset_f_rejects_indices_outside_the_terms():
 
 
 def test_enumeration_memory_at_the_budget():
-    # C(22, 11) = 705,432 subsets, near the budget: the table and the kernel
-    # over it each peak well below one intp table
+    # C(22, 11) = 705,432 subsets, near the budget: score_all (the table and
+    # its sums) and the kernel over that table each peak well below one intp
+    # table
     m, k = 22, 11
     count = math.comb(m, k)
     nbytes = count * k * 8
-    table, ratio = peak_ratio(lambda: _combinations(m, k), nbytes)
-    assert ratio <= 0.75
     a, H = _mixed_terms(np.random.default_rng(1), m)
+    ids = tuple(f"m{i:02d}" for i in range(m))
+    cache = PairwiseCache(ids=ids, wd=a, wt=np.zeros(m), converged=[True] * m,
+                          pair_h=H)
+    cfg = TEConfig(standardize=False, lambda_d=1.0, lambda_t=0.0, lambda_c=1.0)
+    (_, table, _), ratio = peak_ratio(lambda: score_all(None, k, cache, cfg), nbytes)
+    assert ratio <= 0.75
     _, ratio = peak_ratio(lambda: subset_f(a, H, table), nbytes)
     assert ratio <= 0.75
-    # exhaustive selection over the full table (the table, then subset_f
-    # over all of it) peaked at 24.76 MB on these terms; screening the rows
-    # may add at most one float64 vector of C(m, k) entries
-    ids = tuple(f"m{i:02d}" for i in range(m))
+    # exhaustive selection builds at most the full table and its sums: the
+    # bound is a full-table kernel pass on these terms (24.76 MB) plus one
+    # float64 vector of C(m, k) entries for the prune's carried sums
     _, peak = peak_ratio(
         lambda: exhaustive_select(None, k, None, None, terms=(ids, a, H)), 1)
     assert peak <= 24.76e6 + 8 * count
