@@ -328,14 +328,17 @@ def subset_f(a, H, combos) -> np.ndarray:
     sums ``selection.score_all`` and ``selection.exhaustive_select`` carry
     while they enumerate.
 
-    ``combos`` may hold any integer dtype but ``uint64``, whose sum with an
-    ``intp`` index numpy takes in float64; the kernel walks its columns.
-    Indices are bounds-checked once up front.
+    ``combos`` may hold any integer dtype; the kernel walks its columns.
+    Indices are bounds-checked once up front, and a ``uint64`` table is then
+    converted to ``intp``, since numpy takes the sum of ``uint64`` and
+    ``intp`` in float64.
     """
     cols = np.asarray(combos).T
     m = H.shape[0]
     if cols.size and (cols.min() < 0 or cols.max() >= m):
         raise ValidationError("combos index a model that does not exist")
+    if cols.dtype == np.uint64:
+        cols = cols.astype(np.intp)
     Hflat = np.ravel(H)
     f = np.zeros(cols.shape[1])
     for j in range(1, cols.shape[0] + 1):

@@ -9,7 +9,11 @@ Two routes to a transport plan:
 * ``sinkhorn_frobenius`` -- squared-Frobenius regularization, solved at
   every size by globalized semismooth Newton steps on its smooth dual in
   the potentials (Blondel, Seguy & Rolet 2018; Lorenz, Manns & Meyer 2021),
-  each on the plan's sparse support
+  each on the plan's sparse support, with every dual evaluation read on a
+  screened set of cells that can carry mass (Alaya et al. 2019): a cell
+  whose slack ``C - f - h`` at a reference point is at least ``delta`` has
+  zero excess while the potentials drift by at most ``delta / 2``; a set
+  over its cap falls back to a dense evaluation with the same bits
 
 Both regularized duals have the Hessian ``[[diag(r), W], [W^T, diag(c)]]``
 and take their Newton steps from one ``_newton_direction``; they differ only
@@ -42,6 +46,22 @@ BACKTRACK_STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625)
 FROBENIUS_SHIFT = 10.0
 # step lengths one Frobenius Armijo search tries before the solve stops
 ARMIJO_TRIALS = 30
+# a Frobenius dual evaluation reads only the cells whose slack C - f - h at a
+# reference point is below this factor times epsilon.  On the frobenius-solve
+# bench pool (12 solves of 300 x 300, 70 iterations) 0.25 keeps 355-2,256 of
+# the 90,000 cells a set and rebuilds it 2.4 times a solve; 1/16 keeps
+# 303-1,348 for 2.7 rebuilds, while at 1/2 some sets and at 1 every set is
+# over the cap below, and the solves take 1.5-1.6 times as long
+SCREEN_SLACK = 0.25
+# a set of candidate (or positive) cells that is not smaller than this share
+# of the cells is not kept, and the evaluation reads the n x m work buffer
+# instead: a cell kept takes three 8-byte values (row, column, cost or
+# excess), so a set at the cap takes 3/32 of the cost matrix's bytes, and a
+# solve holds at most two sets and a 1-byte mask beside its work buffer
+SCREEN_MAX_SHARE = 1.0 / 32.0
+# the rounding of C - f - h, relative to the potentials' size, that the
+# screen's drift margin must cover
+SCREEN_ROUNDING = 2.0 ** -40
 # iterations in a row that make no progress before a solve stops: entropic
 # iterations near tol that do not lower the best residual so far, or
 # accepted Frobenius steps that do not lower the dual value.  Below a
@@ -235,23 +255,97 @@ def _clipped_excess(Cr, f, h, out):
     return np.maximum(out, 0.0, out=out)
 
 
-def _frobenius_dual(x, Cr, b, g, epsilon, buf):
+def _cells(mask, values):
+    """The rows, columns and ``values`` of the cells ``mask`` marks, in
+    row-major order, or ``None`` when they are not fewer than
+    ``SCREEN_MAX_SHARE`` of the cells."""
+    if not np.count_nonzero(mask) < SCREEN_MAX_SHARE * mask.size:
+        return None
+    I, J = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    return I, J, values[I, J]
+
+
+def _candidates(Cr, x, delta, buf):
+    """The cells that can carry mass near the potentials ``x = (f, h)``, from
+    ``buf`` holding ``C - f``: those whose slack ``C_ij - f_i - h_j`` is
+    below ``delta``, as rows, columns and costs (``_cells``).  ``None`` when
+    they are too many, or when ``delta`` is within ``SCREEN_ROUNDING`` of
+    the potentials' size."""
+    if not 4.0 * SCREEN_ROUNDING * np.abs(x).max() < delta:
+        return None
+    return _cells(buf < x[buf.shape[0]:] + delta, Cr)
+
+
+class _Screen:
+    """The candidate cells of a Frobenius solve's dual evaluations
+    (``sinkhorn_frobenius`` states the rule): ``_candidates`` at the
+    reference potentials ``ref`` (none yet while ``ref`` is ``None``;
+    ``cells`` is ``None`` for a dense evaluation), rebuilt at ``x`` once
+    the drift from ``ref``, plus ``SCREEN_ROUNDING`` times the potentials'
+    size for the rounding it must cover, exceeds ``delta / 2``.  Without a
+    set the drift only decides when to look for one again."""
+
+    def __init__(self, delta, ref=None, cells=None):
+        self.delta, self.ref, self.cells = delta, ref, cells
+
+    def cells_at(self, x, Cr, buf):
+        nr = buf.shape[0]
+        if self.ref is not None:
+            d = x - self.ref
+            drift = d[:nr].max() + d[nr:].max()
+            if self.cells is not None:
+                drift += SCREEN_ROUNDING * (np.abs(x).max() + np.abs(self.ref).max())
+            if drift <= self.delta / 2.0:
+                return self.cells
+        np.subtract(Cr, x[:nr, None], out=buf)
+        self.ref, self.cells = x, _candidates(Cr, x, self.delta, buf)
+        return self.cells
+
+
+def _frobenius_dual(x, Cr, b, g, epsilon, buf, screen):
     """Value and gradient of the squared-Frobenius dual at the potentials
-    ``x = (f, h)``: ``-(f.b + h.g) + sum(Z * Z) / (4 epsilon)`` with
-    ``Z = [f_i + h_j - C_ij]_+``, and the marginal defect of the plan
-    ``Z / (2 epsilon)``.  ``Z`` is formed in the n x m buffer ``buf`` and
-    read three times (one dot product, two matrix-vector products); no
-    other n x m array is allocated, and ``buf`` is left holding ``Z``.
+    ``x = (f, h)``: ``-(f.b + h.g) + sum(Z * Z) / (4 epsilon)`` with ``Z =
+    [f_i + h_j - C_ij]_+``, and the marginal defect of the plan ``Z / (2
+    epsilon)``, with the cells ``(I, J, z)`` it summed, ``z`` their ``Z``.
+    With candidates from ``screen`` those are the candidates (every other
+    cell's ``Z`` is exactly zero) and ``buf`` is untouched.  Without, ``Z``
+    is formed in the n x m buffer ``buf`` and its positive cells are taken,
+    or, when they are too many (``_cells``), ``None`` is returned and
+    ``buf`` is left holding ``Z``.  Every route forms each ``Z_ij`` with the
+    same bits and adds the same terms in the same order (each row and each
+    column in index order, as ``np.bincount`` does, then the rows' sums of
+    squares), so the route changes no bit of the result.
     """
     nr, mc = buf.shape
     f, h = x[:nr], x[nr:]
-    Z = _clipped_excess(Cr, f, h, buf)
-    value = float(np.vdot(Z, Z)) / (4.0 * epsilon) - float(f @ b + h @ g)
-    grad = np.concatenate([Z @ np.ones(mc), np.ones(nr) @ Z])
+    cells = screen.cells_at(x, Cr, buf)
+    if cells is not None:
+        I, J, cost = cells
+        z = f[I]
+        z += h[J]
+        z -= cost
+        cells = I, J, np.maximum(z, 0.0, out=z)
+    else:
+        Z = _clipped_excess(Cr, f, h, buf)
+        cells = _cells(Z > 0, Z)
+    if cells is None:
+        rows, sq = np.zeros(nr), np.zeros(nr)
+        for col in Z.T:
+            rows += col
+            sq += col * col
+        cols = Z.sum(axis=0)  # numpy adds the rows of a row-major array in turn
+    else:
+        I, J, z = cells
+        rows = np.bincount(I, weights=z, minlength=nr)
+        sq = np.bincount(I, weights=z * z, minlength=nr)
+        cols = np.bincount(J, weights=z, minlength=mc)
+    value = float(sq.sum()) / (4.0 * epsilon) - float(f @ b + h @ g)
+    # np.bincount over no cells counts in integers
+    grad = np.concatenate([rows, cols], dtype=np.float64)
     grad /= 2.0 * epsilon
     grad[:nr] -= b
     grad[nr:] -= g
-    return value, grad
+    return value, grad, cells
 
 
 def _residual(P, b, g) -> float:
@@ -448,8 +542,9 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     epsilon)`` with ``W`` the plan's 0/1 support and ``r``, ``c`` its row
     and column counts.  The start ``f_i = min_j C_ij + 2 epsilon b_i``,
     ``h_j = min_i (C_ij - f_i)`` puts every row and column on the support's
-    edge.  Each step reads the support in one pass and takes the shared
-    ``_newton_direction`` through O(nnz) ``np.bincount`` products with
+    edge.  Each step takes the support from the last accepted evaluation
+    and the shared ``_newton_direction`` through O(nnz) ``np.bincount``
+    products with
     ``W``, its diagonal shifted by ``_tikhonov`` plus ``FROBENIUS_SHIFT``
     (adapted step by step) times the residual, a Levenberg-Marquardt term
     that keeps the step of a column with little or no support finite.  An
@@ -461,25 +556,49 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
     that leave the dual value where it was (a ``tol`` below the rounding
     floor).  ``iterations_used`` counts the start plus the Newton steps, at
     most ``max_iters``; ``converged`` means the returned plan's residual is
-    at most ``tol``.  Every dual evaluation writes ``[f + h - C]_+`` into one
-    n x m work buffer (``_frobenius_dual``), and the plan is built in it and
-    returned.  Unlike the entropic route the plan can be exactly sparse.
+    at most ``tol``.  Unlike the entropic route the plan can be exactly
+    sparse.
+
+    Dual evaluations (``_frobenius_dual``) read a screened candidate set of
+    cells (after the safe screening of Alaya et al. 2019), not the n x m
+    matrix.  One sweep at reference potentials ``(f0, h0)`` keeps the cells
+    whose slack ``C - f0 - h0`` is below ``delta = SCREEN_SLACK *
+    epsilon``; at the start the work buffer already holds ``C - f0``, so
+    that is one comparison with ``h0 + delta``.  While an evaluation's
+    drift ``max(f - f0) + max(h - h0)`` is at most ``delta / 2`` every
+    other cell has ``f_i + h_j - C_ij <= -delta / 2``, so its excess is
+    exactly zero (the margin also covers rounding, ``SCREEN_ROUNDING``) and
+    the value, the gradient and the next step's support come from the
+    candidates alone; a larger drift rebuilds the set where the evaluation
+    is.  A set of ``SCREEN_MAX_SHARE`` of the cells or more (a flat cost
+    makes every cell a candidate) is not kept, and until the next rebuild
+    the evaluations form ``[f + h - C]_+`` in one n x m work buffer
+    instead.  Both routes give the same bits, so the screen changes no
+    iterate.  The plan is written into that buffer from the last accepted
+    evaluation's cells (or formed there, when they were too many to keep)
+    and returned.
     """
     epsilon, max_iters, tol = _validate_settings(epsilon, max_iters, tol)
     C = _validate_problem(cost, marginals)
     rows, cols, b, g, Cr = _reduce(C, marginals)
     nr, mc = Cr.shape
-    buf = np.empty_like(Cr)
+    buf = np.empty(Cr.shape)  # row-major, as the dense route's sums assume
     f = Cr.min(axis=1) + 2.0 * epsilon * b
     x = np.concatenate([f, np.subtract(Cr, f[:, None], out=buf).min(axis=0)])
-    value, grad = _frobenius_dual(x, Cr, b, g, epsilon, buf)
+    delta = SCREEN_SLACK * epsilon
+    screen = _Screen(delta, x, _candidates(Cr, x, delta, buf))
+    value, grad, support = _frobenius_dual(x, Cr, b, g, epsilon, buf, screen)
     res = float(np.abs(grad).max())
     iters = 1
     shift = FROBENIUS_SHIFT
     stalled = 0  # accepted steps in a row that did not lower the value
     while res > tol and iters < max_iters and stalled < STALL_STEPS:
         iters += 1
-        I, J = np.divmod(np.flatnonzero(buf.ravel() > 0), mc)
+        if support is None:  # buf holds Z at x
+            I, J = np.divmod(np.flatnonzero(buf.ravel() > 0), mc)
+        else:
+            on = support[2] > 0
+            I, J = support[0][on], support[1][on]
         r, c = np.bincount(I, minlength=nr), np.bincount(J, minlength=mc)
         scaled = 2.0 * epsilon * grad  # the Hessian above is over 2 epsilon
 
@@ -497,7 +616,7 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
             break
         alpha = 1.0
         for _ in range(ARMIJO_TRIALS):
-            trial = _frobenius_dual(x + alpha * d, Cr, b, g, epsilon, buf)
+            trial = _frobenius_dual(x + alpha * d, Cr, b, g, epsilon, buf, screen)
             if (trial[0] <= value + 1e-4 * alpha * slope
                     or np.abs(trial[1]).max() <= tol):
                 break
@@ -508,11 +627,17 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
             break
         stalled = stalled + 1 if trial[0] >= value else 0
         x = x + alpha * d
-        value, grad = trial
+        value, grad, support = trial
         res = float(np.abs(grad).max())
         shift = shift / 2.0 if alpha == 1.0 else shift * 2.0
-    P = _clipped_excess(Cr, x[:nr], x[nr:], buf)
-    P /= 2.0 * epsilon
-    if not np.all(np.isfinite(P)):
+    if support is None:
+        P = values = _clipped_excess(Cr, x[:nr], x[nr:], buf)
+        P /= 2.0 * epsilon
+    else:
+        values = support[2] / (2.0 * epsilon)
+        P = buf
+        P.fill(0.0)
+        P[support[0], support[1]] = values
+    if not np.all(np.isfinite(values)):
         raise ComputationError("frobenius solver produced non-finite plan entries")
     return _coupling(C, P, rows, cols, iters, marginals, tol)

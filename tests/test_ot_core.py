@@ -679,15 +679,15 @@ def test_frobenius_converges_at_pool_scale_in_a_few_newton_steps():
     assert ratio <= 1.5
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(n=st.integers(1, 40), m=st.integers(1, 40),
-       seed=st.integers(0, 2**32 - 1),
-       eps_mult=_log_uniform(1e-2, 1.0), tol=_log_uniform(1e-17, 1e-6),
-       max_iters=st.integers(1, 200), zero_mass=st.booleans(),
-       flat_cost=st.booleans())
-def test_frobenius_properties_on_random_instances(n, m, seed, eps_mult, tol,
-                                                  max_iters, zero_mass,
-                                                  flat_cost):
+_frobenius_cases = given(
+    n=st.integers(1, 40), m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+    eps_mult=_log_uniform(1e-2, 1.0), tol=_log_uniform(1e-17, 1e-6),
+    max_iters=st.integers(1, 200), zero_mass=st.booleans(),
+    flat_cost=st.booleans())
+
+
+def _frobenius_instance(n, m, seed, zero_mass, flat_cost):
+    """The cost and unnormalized marginal weights of one random instance."""
     rng = np.random.default_rng(seed)
     if flat_cost:
         C = np.full((n, m), float(rng.choice([0.0, rng.uniform(0.1, 3.0)])))
@@ -701,6 +701,15 @@ def test_frobenius_properties_on_random_instances(n, m, seed, eps_mult, tol,
         # about a third of the entries lose their mass; one always keeps it
         b[1:][rng.random(n - 1) < 0.3] = 0.0
         g[1:][rng.random(m - 1) < 0.3] = 0.0
+    return C, b, g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@_frobenius_cases
+def test_frobenius_properties_on_random_instances(n, m, seed, eps_mult, tol,
+                                                  max_iters, zero_mass,
+                                                  flat_cost):
+    C, b, g = _frobenius_instance(n, m, seed, zero_mass, flat_cost)
     try:
         marg = MarginalWeights(b / b.sum(), g / g.sum())
         coup = sinkhorn_frobenius(C, marg, eps_mult * median_positive_cost(C),
@@ -714,36 +723,59 @@ def test_frobenius_properties_on_random_instances(n, m, seed, eps_mult, tol,
         assert _residual(coup, marg) <= tol
 
 
-def test_frobenius_dual_matches_the_dense_formula():
-    # random potentials put cells on both sides of the clip at zero
+def _excess(buf, cells):
+    """The clipped excess ``Z`` a dual evaluation read: ``buf`` when it read
+    every cell, else its candidate cells' ``z`` scattered into zeros."""
+    if cells is None:
+        return buf
+    Z = np.zeros_like(buf)
+    Z[cells[0], cells[1]] = cells[2]
+    return Z
+
+
+def test_frobenius_dual_matches_the_dense_formula(monkeypatch):
+    # random potentials put cells on both sides of the clip at zero; each
+    # point is evaluated dense (a 63-cell problem's candidates are over the
+    # cap) and screened (the cap lifted), and the second point drifts far
+    # enough from the first to rebuild the candidate set
     rng = np.random.default_rng(21)
     n, m, eps = 7, 9, 0.3
     C = rng.uniform(0.0, 4.0, size=(n, m))
     b = rng.dirichlet(np.ones(n))
     g = rng.dirichlet(np.ones(m))
-    x = rng.uniform(0.0, 2.5, size=n + m)
-    f, h = x[:n], x[n:]
-    Z = np.maximum(f[:, None] + h[None, :] - C, 0.0)
-    assert 0 < np.count_nonzero(Z) < Z.size
-    ref_value = -(f @ b + h @ g) + (Z ** 2).sum() / (4.0 * eps)
-    P = Z / (2.0 * eps)
-    ref_grad = np.concatenate([P.sum(axis=1) - b, P.sum(axis=0) - g])
-    buf = np.full((n, m), np.nan)
-    value, grad = _frobenius_dual(x, C, b, g, eps, buf)
-    assert value == pytest.approx(ref_value, rel=1e-12)
-    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12,
-                               atol=1e-12 * np.abs(ref_grad).max())
-    np.testing.assert_allclose(buf, Z, rtol=1e-12, atol=0.0)
-    # the value is C^1 (piecewise quadratic), so central differences of
-    # step 1e-6 match the gradient to far better than 1e-6
-    step = 1e-6
-    fd = np.empty_like(x)
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = step
-        fd[k] = (_frobenius_dual(x + e, C, b, g, eps, buf)[0]
-                 - _frobenius_dual(x - e, C, b, g, eps, buf)[0]) / (2.0 * step)
-    np.testing.assert_allclose(fd, grad, rtol=0.0, atol=1e-6)
+    x0 = rng.uniform(0.0, 2.5, size=n + m)
+    x1 = x0 + np.concatenate([np.full(n, 0.1), np.full(m, -0.05)])
+    for share in (ot_core.SCREEN_MAX_SHARE, 1.0):
+        monkeypatch.setattr(ot_core, "SCREEN_MAX_SHARE", share)
+        screen = ot_core._Screen(ot_core.SCREEN_SLACK * eps)
+        for x in (x0, x1):
+            f, h = x[:n], x[n:]
+            Z = np.maximum(f[:, None] + h[None, :] - C, 0.0)
+            assert 0 < np.count_nonzero(Z) < Z.size
+            ref_value = -(f @ b + h @ g) + (Z ** 2).sum() / (4.0 * eps)
+            P = Z / (2.0 * eps)
+            ref_grad = np.concatenate([P.sum(axis=1) - b, P.sum(axis=0) - g])
+            buf = np.full((n, m), np.nan)
+            value, grad, cells = _frobenius_dual(x, C, b, g, eps, buf, screen)
+            assert screen.ref is x
+            assert (cells is None) == (share < 1.0)
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref_grad).max())
+            np.testing.assert_allclose(_excess(buf, cells), Z, rtol=1e-12, atol=0.0)
+            # the value is C^1 (piecewise quadratic), so central differences
+            # of step 1e-6 match the gradient to far better than 1e-6; the
+            # steps stay within the screen's drift bound
+            step = 1e-6
+            fd = np.empty_like(x)
+            for k in range(x.size):
+                e = np.zeros_like(x)
+                e[k] = step
+                fd[k] = (_frobenius_dual(x + e, C, b, g, eps, buf, screen)[0]
+                         - _frobenius_dual(x - e, C, b, g, eps, buf, screen)[0]
+                         ) / (2.0 * step)
+            np.testing.assert_allclose(fd, grad, rtol=0.0, atol=1e-6)
+            assert screen.ref is x
 
 
 def test_frobenius_solve_holds_one_work_buffer_and_returns_its_own_plan():
@@ -779,22 +811,72 @@ def test_frobenius_newton_steps_take_few_dual_evaluations(monkeypatch):
     # the two 600 x 600 pool solves at the default config take 40 dual
     # evaluations between them; without the Levenberg-Marquardt shift the
     # Armijo searches shorten steps into empty columns over and over, and
-    # the solves take about 650
-    calls = []
-    dual = ot_core._frobenius_dual
-    monkeypatch.setattr(ot_core, "_frobenius_dual",
-                        lambda *args: calls.append(1) or dual(*args))
+    # the solves take about 650.  The evaluations read screened candidate
+    # cells, so the full n x m sweeps, candidate rebuilds (8 here), dense
+    # evaluations (none) and one final plan a solve, are fewer than the
+    # evaluations, each of which used to sweep
+    calls, sweeps = [], []
+    for name in ("_frobenius_dual", "_candidates", "_clipped_excess"):
+        fn = getattr(ot_core, name)
+        log = calls if name == "_frobenius_dual" else sweeps
+        monkeypatch.setattr(ot_core, name,
+                            lambda *args, fn=fn, log=log: log.append(1) or fn(*args))
     spec = SynthSpec(num_models=2, feature_dim=8, source_classes=4,
                      target_classes=4, samples=600, domain_shift=(0.0, 1.5),
                      prediction_noise=(0.0, 0.4), seed=7)
     cfg = TEConfig()
     marg = MarginalWeights.uniform(600, 600)
-    for rec in build_pool(spec).manifest.models:
+    models = build_pool(spec).manifest.models
+    for rec in models:
         C = cost_matrix(rec.source_features, rec.target_features)
         out = sinkhorn_frobenius(C, marg, cfg.epsilon * median_positive_cost(C),
                                  cfg.max_iters, cfg.convergence_tol)
         assert out.converged
     assert len(calls) <= 60
+    assert len(sweeps) + len(models) < len(calls)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@_frobenius_cases
+def test_frobenius_screened_solve_matches_the_dense_solve(n, m, seed, eps_mult,
+                                                          tol, max_iters,
+                                                          zero_mass, flat_cost):
+    # the instances of test_frobenius_properties_on_random_instances, solved
+    # with the candidate cap lifted (screened wherever that is exact) and at
+    # 0 (every evaluation dense): both routes add the same terms in the same
+    # order, so the steps and the plan are the same to the bit
+    C, b, g = _frobenius_instance(n, m, seed, zero_mass, flat_cost)
+    try:
+        marg = MarginalWeights(b / b.sum(), g / g.sum())
+    except ValidationError:
+        return
+    eps = eps_mult * median_positive_cost(C)
+    solves = []
+    for share in (1.0, 0.0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot_core, "SCREEN_MAX_SHARE", share)
+            solves.append(sinkhorn_frobenius(C, marg, eps, max_iters, tol))
+    screened, dense = solves
+    assert screened.iterations_used == dense.iterations_used
+    assert screened.converged == dense.converged
+    assert screened.plan.tobytes() == dense.plan.tobytes()
+
+
+def test_frobenius_flat_cost_evaluates_densely_within_one_buffer():
+    # a flat cost puts every cell within the screen's slack, so the set is
+    # over the cap and the solve evaluates densely in its work buffer; a
+    # set of all 360,000 cells would lift the peak to about ten times the
+    # cost matrix
+    C = np.full((600, 600), 1.7)
+    marg = MarginalWeights.uniform(600, 600)
+    cfg = TEConfig()
+    out, ratio = peak_ratio(
+        lambda: sinkhorn_frobenius(C, marg, cfg.epsilon * median_positive_cost(C),
+                                   cfg.max_iters, cfg.convergence_tol),
+        C.nbytes)
+    assert out.converged
+    assert _residual(out, marg) <= cfg.convergence_tol
+    assert ratio <= 1.5
 
 
 def test_frobenius_stops_at_the_last_accepted_step_when_armijo_fails(monkeypatch):

@@ -554,6 +554,18 @@ def test_subset_f_rejects_indices_outside_the_terms():
             subset_f(a, H, np.array(bad))
 
 
+def test_subset_f_takes_uint64_indices():
+    # numpy adds a uint64 column to an intp index in float64, which it will
+    # not cast back; the checked table is taken as intp instead
+    a, H = _mixed_terms(np.random.default_rng(0), 4)
+    rows = [[0, 1], [1, 3], [0, 2]]
+    want = subset_f(a, H, np.array(rows, dtype=np.intp))
+    got = subset_f(a, H, np.array(rows, dtype=np.uint64))
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValidationError, match="does not exist"):
+        subset_f(a, H, np.array([[0, 4]], dtype=np.uint64))
+
+
 def test_enumeration_memory_at_the_budget():
     # C(22, 11) = 705,432 subsets, near the budget: score_all (the table and
     # its sums) and the kernel over that table each peak well below one intp
