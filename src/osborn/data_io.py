@@ -3,7 +3,10 @@
 All text formats are plain CSV-like files with deterministic field order so
 that repeated runs produce byte-identical artifacts.  Reals are rendered with
 ``repr`` (shortest round-tripping form), which preserves the exact float64
-value across a write/read cycle.
+value across a write/read cycle.  Every input is opened and decoded once,
+by ``_read_text``; a label or prediction file in the form osborn writes
+(``_CLASS_TEXT``) is then parsed by one numpy call, and every other text
+is split into numbered lines for a row loop.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 import numbers
 import operator
 import os
+import re
 import zlib
 from dataclasses import dataclass, fields
 
@@ -233,17 +237,31 @@ class PoolPredictions:
 # ---------------------------------------------------------------------------
 
 
+def _read_text(path, kind: str) -> str:
+    """The whole text of a text input, in one open and decode: a leading
+    UTF-8 byte-order mark dropped and every line end read as ``\\n``.  Every
+    file osborn reads is opened here.  A file that cannot be read or decoded
+    raises ``ValidationError`` naming its ``kind``."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {kind} file '{path}': {exc}") from exc
+
+
+def _numbered_lines(text: str):
+    """Every non-blank line of ``text`` as a ``(line number, stripped text)``
+    pair, numbered from 1.  Split on ``\\n`` alone, as iterating the file
+    would split it; ``str.splitlines`` would also split on characters such
+    as ``\\x1c`` and ``\\u2028``, which ``strip`` takes for spaces."""
+    return [(n, s) for n, s in enumerate(map(str.strip, text.split("\n")), start=1) if s]
+
+
 def read_lines(path, kind: str):
     """Every non-blank line of a text input as a ``(line number, stripped
     text)`` pair, numbered as the file is, so that an error can name the
-    file's own line.  A leading UTF-8 byte-order mark is dropped.  A file
-    that cannot be read or decoded raises ``ValidationError`` naming its
-    ``kind``."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return [(n, s) for n, s in enumerate(map(str.strip, fh), start=1) if s]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {kind} file '{path}': {exc}") from exc
+    file's own line (see ``_read_text``)."""
+    return _numbered_lines(_read_text(path, kind))
 
 
 def _parse_bool(text: str) -> bool:
@@ -428,11 +446,10 @@ def write_config(cfg: TEConfig, path):
 # ---------------------------------------------------------------------------
 
 
-def _read_headed(path, kind: str, key: str, noun: str):
-    """Read a file whose first line is ``<key>=<int>`` (at least 1) and at
-    least one row follows; returns the int and the ``(line number, text)``
-    rows after it."""
-    lines = read_lines(path, kind)
+def _read_headed(path, lines, kind: str, key: str, noun: str):
+    """Split the numbered ``lines`` of ``path``, whose first must be
+    ``<key>=<int>`` (at least 1) and after which at least one row must
+    follow; returns the int and the ``(line number, text)`` rows after it."""
     if not lines or not lines[0][1].startswith(f"{key}="):
         raise ValidationError(f"{path}: first line must be '{key}=<int>'")
     head = lines[0][1]
@@ -460,7 +477,8 @@ def read_features(path) -> np.ndarray:
     ``_NUMPY_ONLY_SPACES`` for a space: the loop alone decides what is
     accepted and which line an error names.  Where both accept a value,
     both give the same float64."""
-    d, rows = _read_headed(path, "feature", "d", "dimension")
+    d, rows = _read_headed(path, read_lines(path, "feature"), "feature", "d",
+                           "dimension")
     texts = [row for _, row in rows]
     joined = "".join(texts)
     out = None
@@ -495,18 +513,40 @@ def write_features(features: np.ndarray, path):
     write_table(path, X, header=f"d={X.shape[1]}")
 
 
+# a class file as osborn writes it: a header of at most 18 digits, so
+# that C < 10**18 < 2**63, then rows of ASCII digits, one per line, the
+# first right after the header
+_CLASS_TEXT = re.compile(r"C=([0-9]{1,18})\n([0-9][0-9\n]*)")
+
+
 def _read_class_file(path, kind: str, cls):
     """Read a ``C=<int>`` header then one class per row into ``cls``, a
-    ``LabelVector`` or ``PredictionVector``.  A row that is not an integer
-    in ``[0, C)`` raises ``ValidationError`` naming its line; the rows are
-    searched for it only once the whole file has failed."""
-    num_classes, rows = _read_headed(path, kind, "C", "class-count")
+    ``LabelVector`` or ``PredictionVector``.
+
+    A text that is ``_CLASS_TEXT`` is parsed by one ``np.fromstring``
+    call, which reads each row as ``int`` would and skips blank lines as
+    the row loop does; a body of blank lines alone, which it would read as
+    one 0, does not match.  It saturates a value wider than int64 at the
+    int64 maximum, which is then at least C and fails the range check.
+    Any other text, and one whose classes fail the range check, goes to
+    the row loop, one ``int`` per row, which alone decides what is
+    accepted: a row that is not an integer in ``[0, C)`` raises
+    ``ValidationError`` naming its line."""
+    text = _read_text(path, kind)
+    form = _CLASS_TEXT.fullmatch(text)
+    if form:
+        try:
+            return cls(np.fromstring(form[2], dtype=np.int64, sep="\n"), int(form[1]))
+        except ValidationError:
+            pass
+    num_classes, rows = _read_headed(path, _numbered_lines(text), kind, "C",
+                                     "class-count")
     try:
         return cls(np.array([int(x) for _, x in rows], dtype=np.int64), num_classes)
     except (ValueError, OverflowError, ValidationError) as exc:
-        for lineno, text in rows:
+        for lineno, row in rows:
             try:
-                value = int(text)
+                value = int(row)
             except ValueError:
                 raise ValidationError(
                     f"{path}:{lineno}: non-integer {kind} value") from exc
@@ -563,11 +603,9 @@ def _read_manifest(manifest_path):
     pair per model, in manifest order, with every path resolved against the
     manifest's directory and every id checked and unique.
     """
+    text = _read_text(manifest_path, "manifest")
     try:
-        with open(manifest_path, "r", encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read manifest '{manifest_path}': {exc}") from exc
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest '{manifest_path}' is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -420,8 +420,9 @@ def _newton_cg_step(Kt, u, v, Kv, b, g, res, tol):
     cancels), so the step is the shared ``_newton_direction`` through ``P y
     = u (Kt (v y))``, ``P^T z = v (Kt^T (u z))`` and one pass over ``Kt``
     for ``(P * P)^T z``.  Backtracks on the residual, each trial's from two
-    matrix-vector products.  Returns ``(u, v, Kt v, res, ok)``; ``ok`` is
-    false when no trial lowered the residual."""
+    matrix-vector products; a trial that overflows is rejected without a
+    warning.  Returns ``(u, v, Kt v, res, ok)``; ``ok`` is false when no
+    trial lowered the residual."""
     r = u * Kv
     c = v * (Kt.T @ u)
     dx, dy = _newton_direction(
@@ -431,12 +432,16 @@ def _newton_cg_step(Kt, u, v, Kv, b, g, res, tol):
     if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
         return u, v, Kv, res, False
     for alpha in BACKTRACK_STEPS:
-        u_try = u * np.exp(alpha * dx)
-        v_try = v * np.exp(alpha * dy)
-        Kv_try = Kt @ v_try
-        res_try = max(float(np.abs(u_try * Kv_try - b).max()),
-                      float(np.abs(v_try * (Kt.T @ u_try) - g).max()))
-        if res_try < res:
+        # a long step can overflow a scaling, and inf * 0 is NaN; the
+        # trial is then rejected by its residuals, which are not both finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_try = u * np.exp(alpha * dx)
+            v_try = v * np.exp(alpha * dy)
+            Kv_try = Kt @ v_try
+            res_rows = float(np.abs(u_try * Kv_try - b).max())
+            res_cols = float(np.abs(v_try * (Kt.T @ u_try) - g).max())
+        res_try = max(res_rows, res_cols)
+        if np.isfinite(res_rows + res_cols) and res_try < res:
             return u_try, v_try, Kv_try, res_try, True
     return u, v, Kv, res, False
 

@@ -149,11 +149,21 @@ def write_rankings_loop(path, rows):
             fh.write(f"{';'.join(ids)},{float(alpha)!r},{acc_text}\n")
 
 
+def numbered_lines_loop(path):
+    """Every non-blank line of a text file as a ``(line number, stripped
+    text)`` pair, the file iterated line by line after universal-newline
+    translation, a leading byte-order mark dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return [(n, s) for n, s in enumerate(map(str.strip, fh), start=1) if s]
+
+
 def read_features_loop(path):
-    """A feature file read one value at a time: the header and lines as
-    ``data_io._read_headed`` gives them, then each row split on commas and
-    each value parsed by ``float``, an error naming the file's line."""
-    d, rows = _read_headed(path, "feature", "d", "dimension")
+    """A feature file read one value at a time: the lines as
+    ``numbered_lines_loop`` gives them, split as ``data_io._read_headed``
+    splits them, then each row split on commas and each value parsed by
+    ``float``, an error naming the file's line."""
+    d, rows = _read_headed(path, numbered_lines_loop(path), "feature", "d",
+                           "dimension")
     out = np.empty((len(rows), d), dtype=np.float64)
     for i, (lineno, row) in enumerate(rows):
         parts = row.split(",")
@@ -169,6 +179,32 @@ def read_features_loop(path):
         lineno = rows[int(np.argmin(finite.all(axis=1)))][0]
         raise ValidationError(f"{path}:{lineno}: non-finite feature value")
     return out
+
+
+def read_class_file_loop(path, kind, cls):
+    """A label or prediction file read one row at a time: the lines as
+    ``numbered_lines_loop`` gives them, split as ``data_io._read_headed``
+    splits them, then one ``int`` per row into a Python list, each value
+    checked against ``[0, C)`` in file order, an error naming the file's
+    line.  ``kind`` is ``"label"`` or ``"prediction"`` and ``cls`` the
+    vector type."""
+    num_classes, rows = _read_headed(path, numbered_lines_loop(path), kind, "C",
+                                     "class-count")
+    values = []
+    for lineno, row in rows:
+        try:
+            value = int(row)
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: non-integer {kind} value") from None
+        if not 0 <= value < num_classes:
+            raise ValidationError(f"{path}:{lineno}: {kind}s must lie in "
+                                  f"[0, {num_classes}), got {value}")
+        values.append(value)
+    try:
+        array = np.array(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return cls(array, num_classes)
 
 
 def cohesion_pair_loop(pred_i, pred_j):

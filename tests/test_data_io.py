@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osborn import data_io
 from osborn.data_io import (
     LabelVector,
     ModelRecord,
@@ -39,9 +40,9 @@ from osborn.errors import ValidationError
 from osborn.metrics import build_pairwise_cache
 from osborn.ot_core import MarginalWeights, sinkhorn
 from osborn.selection import greedy_select
-from osborn.synth import SynthSpec, read_synth_spec
+from osborn.synth import SynthSpec, generate, read_synth_spec
 
-from conftest import read_features_loop, write_rankings_loop
+from conftest import read_class_file_loop, read_features_loop, write_rankings_loop
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +248,18 @@ def test_key_value_files_reject_a_repeated_key(tmp_path, reader, text):
 
 
 def test_undecodable_text_input_is_a_validation_error(tmp_path):
-    p = tmp_path / "f.csv"
-    p.write_bytes(b"d=1\n\xff\xfe\n")
-    with pytest.raises(ValidationError, match="cannot read feature file"):
-        read_features(p)
+    # a feature file, a label file and a manifest that are not UTF-8 are
+    # bad inputs, not tracebacks
+    for name, body, reader, msg in (
+        ("f.csv", b"d=1\n\xff\xfe\n", read_features, "cannot read feature file"),
+        ("l.csv", b"C=2\n0\n\xff\xfe\n", read_labels, "cannot read label file"),
+        ("pool.json", b'{"models": "\xff\xfe"}', load_pool_predictions,
+         "cannot read manifest file"),
+    ):
+        p = tmp_path / name
+        p.write_bytes(body)
+        with pytest.raises(ValidationError, match=msg):
+            reader(p)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +411,105 @@ def test_label_reader_rejects_malformed(tmp_path, text, msg):
     p.write_text(text)
     with pytest.raises(ValidationError, match=msg):
         read_labels(p)
+
+
+# what the header or one row of a written class file may turn into: a
+# named edit, or a text put in place of the header or of one row
+_CLASS_HEADER_EDITS = ("none", "C= 4", "C=+4", "C=04", "C=0", "C=x", "C=",
+                       "C=99999999999999999999999", "C=4 ", " C=4")
+_CLASS_ROW_EDITS = ("none", "no rows", "blank rows", "blank line", "+3", " 3", "3 ",
+                    "3_0", "\u0663", "-1", "0.5", "", "3,", "12",
+                    "99999999999999999999999", "9223372036854775807",
+                    "9223372036854775808", "0000000000000000000000001",
+                    "\x1c3", "3\u2028")
+
+
+def _edit_class_rows(rows, edit, r):
+    """``rows``, the row texts of a class file, with row ``r`` edited."""
+    if edit == "no rows":
+        return []
+    if edit == "blank rows":
+        return ["", ""]
+    if edit == "blank line":
+        return rows[:r] + [""] + rows[r:]
+    if edit == "none":
+        return rows
+    return rows[:r] + [edit] + rows[r + 1:]
+
+
+def _class_outcome(reader, path):
+    try:
+        vec = reader(path)
+        return vec.values.dtype, vec.values.tobytes(), vec.num_classes
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _assert_class_readers_match_the_loop(path):
+    for reader, kind, cls in ((read_labels, "label", LabelVector),
+                              (read_predictions, "prediction", PredictionVector)):
+        assert _class_outcome(reader, path) == _class_outcome(
+            lambda p: read_class_file_loop(p, kind, cls), path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_class_file_readers_match_the_row_loop(tmp_path_factory, data):
+    # the one-call route must give the row loop's array, or its exact
+    # message, whatever the header or one row of a written file turns into,
+    # with any line end and with or without a byte-order mark
+    n, c = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    values = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    p = tmp_path_factory.mktemp("classes") / "l.csv"
+    write_labels(LabelVector(values, c), p)
+    head, *rows = p.read_text(encoding="utf-8").splitlines()
+    header = data.draw(st.sampled_from(_CLASS_HEADER_EDITS))
+    rows = _edit_class_rows(rows, data.draw(st.sampled_from(_CLASS_ROW_EDITS)),
+                            data.draw(st.integers(0, n - 1)))
+    eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = data.draw(st.sampled_from(["", "\ufeff"]))
+    end = data.draw(st.sampled_from(["", eol, eol + eol]))
+    lines = [head if header == "none" else header] + rows
+    p.write_bytes((bom + eol.join(lines) + end).encode("utf-8"))
+    _assert_class_readers_match_the_loop(p)
+
+
+@pytest.mark.parametrize("text", [
+    "C=99999999999999999999999\n0\n99999999999999999999999\n",
+    "C=99999999999999999999999\n99999999999999999999999\n",
+    "C=9223372036854775807\n9223372036854775806\n",
+    "C=999999999999999999\n999999999999999998\n1\n",
+    "C=3\n0000000000000000000000002\n1",
+], ids=["wide value in wide range", "wide value only", "int64 maximum",
+        "18 digits", "wide leading zeros"])
+def test_class_file_values_at_the_width_of_int64(tmp_path, text):
+    # np.fromstring saturates a value wider than int64; such a file reads
+    # as the row loop reads it, never as the saturated value
+    p = tmp_path / "l.csv"
+    p.write_text(text)
+    _assert_class_readers_match_the_loop(p)
+
+
+def test_pool_predictions_load_without_numbering_lines(tmp_path, monkeypatch):
+    # the manifest and the class files osborn writes take the one-call
+    # route: none of them is split into numbered lines
+    spec = SynthSpec(num_models=3, feature_dim=3, source_classes=3, target_classes=3,
+                     samples=24, domain_shift=(0.0, 0.5, 1.0),
+                     prediction_noise=(0.0, 0.2, 0.4), seed=2)
+    pool = generate(spec, tmp_path / "pool")
+
+    def refuse(text):
+        raise AssertionError("a written pool file was split into numbered lines")
+
+    monkeypatch.setattr(data_io, "_numbered_lines", refuse)
+    preds = load_pool_predictions(tmp_path / "pool" / "pool.json")
+    assert preds.model_ids() == pool.manifest.model_ids()
+    assert np.array_equal(preds.target_labels.values, pool.manifest.target_labels.values)
+    for rec in pool.manifest.models:
+        got = preds.target_predictions(rec.model_id)
+        assert got.values.dtype == np.int64
+        assert np.array_equal(got.values, rec.target_predictions.values)
+        assert got.num_classes == rec.target_predictions.num_classes
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ private function is read; every private or constant name a docstring cites
 is defined; every name the benchmark's tracer wraps exists and, but one,
 is called by the pipeline; every export is reached outside the tests;
 every dataclass is declared ``frozen=True``; only ``data_io`` writes
-files; the package imports exactly the third-party modules
-``pyproject.toml`` declares; and the CLI loads no scipy."""
+files, and every file is read in its one text reader; the package
+imports exactly the third-party modules ``pyproject.toml`` declares; and
+the CLI loads no scipy."""
 
 import ast
 import importlib.util
@@ -276,6 +277,44 @@ def test_only_data_io_writes_files(path):
               for node in _file_writes(tree)
               if not (path.name == "synth.py" and "pool.json" in ast.unparse(node))]
     assert not writes, "files written outside data_io: " + ", ".join(writes)
+
+
+# calls that read a file other than through open(): pathlib's and numpy's
+# path readers, and json's, numpy's or pickle's load
+_FILE_READERS = ("read_text", "read_bytes", "fromfile", "genfromtxt", "load", "memmap")
+
+
+def _file_reads(tree):
+    """Every call that opens or loads a file for reading: ``open`` or
+    ``fdopen`` with no mode or a read-only constant one, and each of
+    ``_FILE_READERS``.  ``np.loadtxt`` is not counted: ``read_features``
+    hands it decoded lines, not a path."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in _FILE_READERS:
+            yield node
+        elif name in ("open", "fdopen"):
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is None or (isinstance(mode, ast.Constant)
+                                and set(mode.value) <= set("rbt")):
+                yield node
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_file_is_read_by_the_data_io_text_reader(path):
+    # every input is opened in data_io._read_text, so that one place drops
+    # a byte-order mark and turns an unreadable or undecodable file into a
+    # ValidationError
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for top in tree.body if path.name == "data_io.py"
+              and getattr(top, "name", None) == "_read_text" for node in ast.walk(top)}
+    reads = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for node in _file_reads(tree) if id(node) not in inside]
+    assert not reads, "files read outside data_io._read_text: " + ", ".join(reads)
+    assert (path.name == "data_io.py") == bool(inside), "data_io._read_text is gone"
 
 
 def _declared_dependencies():

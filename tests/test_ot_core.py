@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -468,6 +469,27 @@ def test_sinkhorn_keeps_scaling_while_it_would_reach_tol_sooner(monkeypatch):
                    cfg.max_iters, cfg.convergence_tol)
     assert out.converged
     assert calls == []
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_newton_trial_that_overflows_is_rejected_without_a_warning(monkeypatch, sign):
+    # a step of +-1e4 overflows one scaling of every trial, the shortest
+    # too (exp(625)), and the other underflows, so inf * 0 makes the
+    # residual NaN: each trial is rejected, and nothing warns
+    rng = np.random.default_rng(0)
+    Kt = rng.uniform(0.1, 1.0, (4, 3))
+    u, v = np.ones(4), np.ones(3)
+    b, g = np.full(4, 0.25), np.full(3, 1.0 / 3.0)
+    Kv = Kt @ v
+    res = float(np.abs(Kv - b).max())
+    monkeypatch.setattr(ot_core, "_newton_direction",
+                        lambda *args: (np.full(4, sign * 1e4), np.full(3, -sign * 1e4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u_out, v_out, Kv_out, res_out, ok = ot_core._newton_cg_step(
+            Kt, u, v, Kv, b, g, res, 1e-9)
+    assert ok is False
+    assert u_out is u and v_out is v and Kv_out is Kv and res_out == res
 
 
 def _log_uniform(lo, hi):
