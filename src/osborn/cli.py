@@ -147,7 +147,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, alpha, accuracy = data_io.read_scores(args.rankings)
+    _, alpha, accuracy = data_io.read_scores(args.rankings, ensembles=False)
     report = evaluation.evaluate(alpha, accuracy)
     evaluation.write_report(report, args.out)
     return 0

@@ -5,8 +5,11 @@ that repeated runs produce byte-identical artifacts.  Reals are rendered with
 ``repr`` (shortest round-tripping form), which preserves the exact float64
 value across a write/read cycle.  Every input is opened and decoded once,
 by ``_read_text``; a label or prediction file in the form osborn writes
-(``_CLASS_TEXT``) is then parsed by one numpy call, and every other text
-is split into numbered lines for a row loop.
+(``_CLASS_TEXT``) is then parsed by one numpy call, a rankings file in
+blocks of whole lines (``read_scores``), and every other text is split
+into numbered lines for a row loop.  Each text form has one reader, and
+its row loop alone decides what is accepted and which line an error
+names.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import operator
 import os
 import re
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -48,17 +53,21 @@ def write_table(path, rows, header=None):
     """Write ``rows`` as comma-separated lines, each field rendered by
     ``_format_field``, after the ``header`` line if one is given.  A 2-d
     numpy array of rows is rendered all by ``format_real`` (a float dtype)
-    or all by ``str``, as ``_format_field`` would, with no per-value check."""
-    fmt = _format_field
-    if isinstance(rows, np.ndarray):
-        fmt = str
-        if rows.dtype.kind == "f":
-            # as Python floats, which repr renders as format_real does
-            fmt, rows = repr, rows.astype(np.float64, copy=False)
-        rows = rows.tolist()
-    head = "" if header is None else header + "\n"
+    or all by ``str``, as ``_format_field`` would, with no per-value check.
+    ``rows`` may also be an iterator of text blocks, each a run of whole
+    lines already rendered by that rule; they are written one at a time,
+    so a long table is never held at once."""
+    if not isinstance(rows, Iterator):
+        fmt = _format_field
+        if isinstance(rows, np.ndarray):
+            fmt = str
+            if rows.dtype.kind == "f":
+                # as Python floats, which repr renders as format_real does
+                fmt, rows = repr, rows.astype(np.float64, copy=False)
+            rows = rows.tolist()
+        rows = ("".join([",".join(map(fmt, row)) + "\n" for row in rows]),)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + "".join([",".join(map(fmt, row)) + "\n" for row in rows]))
+        fh.writelines(chain(() if header is None else (header + "\n",), rows))
 
 
 def substream_seed(seed: int, *tags: str) -> int:
@@ -249,12 +258,13 @@ def _read_text(path, kind: str) -> str:
         raise ValidationError(f"cannot read {kind} file '{path}': {exc}") from exc
 
 
-def _numbered_lines(text: str):
+def _numbered_lines(text: str, first: int = 1):
     """Every non-blank line of ``text`` as a ``(line number, stripped text)``
-    pair, numbered from 1.  Split on ``\\n`` alone, as iterating the file
-    would split it; ``str.splitlines`` would also split on characters such
-    as ``\\x1c`` and ``\\u2028``, which ``strip`` takes for spaces."""
-    return [(n, s) for n, s in enumerate(map(str.strip, text.split("\n")), start=1) if s]
+    pair, numbered from ``first``.  Split on ``\\n`` alone, as iterating the
+    file would split it; ``str.splitlines`` would also split on characters
+    such as ``\\x1c`` and ``\\u2028``, which ``strip`` takes for spaces."""
+    return [(n, s) for n, s in enumerate(map(str.strip, text.split("\n")), start=first)
+            if s]
 
 
 def read_lines(path, kind: str):
@@ -741,6 +751,14 @@ def _ranking_column(values, name: str, n: int, bad, rule: str) -> np.ndarray:
     return v
 
 
+# a rankings file is written _BLOCK_ROWS rows and read about _BLOCK_CHARS
+# characters at a time, so neither side's memory grows with its row count
+_BLOCK_ROWS = 1 << 14
+_BLOCK_CHARS = 1 << 19
+
+_SCORES_HEADER = "ensemble,alpha,accuracy"
+
+
 def write_scores(ids, combos, alpha, accuracy, path):
     """Write a rankings file: an ``ensemble,alpha,accuracy`` row per row of
     ``combos``.
@@ -751,7 +769,10 @@ def write_scores(ids, combos, alpha, accuracy, path):
     NaN.  A non-finite alpha or an accuracy outside [0, 1] raises
     ``ValidationError`` naming its row r, as do a bad or repeated model id
     and a row of ``combos`` that repeats a member or indexes no id; nothing
-    is written then.
+    is written then.  Every row is checked before the first is written;
+    the rows are then rendered ``_BLOCK_ROWS`` at a time, each block by
+    whole-column ``repr`` and ``join`` calls, into the bytes that
+    ``write_table`` would give row by row.
     """
     for mid in ids:
         _check_model_id(mid)
@@ -768,33 +789,72 @@ def write_scores(ids, combos, alpha, accuracy, path):
     alpha = _ranking_column(alpha, "alpha", n, lambda a: ~np.isfinite(a), "must be finite")
     acc = np.full(n, np.nan) if accuracy is None else _ranking_column(
         accuracy, "accuracy", n, lambda a: (a < 0.0) | (a > 1.0), "must lie in [0, 1]")
-    names = np.asarray(ids, dtype=object)[combos]
-    table = np.empty((n, 3), dtype=object)
-    table[:, 0] = names[:, 0] + (";" + names[:, 1:]).sum(axis=1, initial="")
-    table[:, 1] = list(map(format_real, alpha.tolist()))
-    table[:, 2] = ""
-    known = ~np.isnan(acc)
-    table[known, 2] = list(map(format_real, acc[known].tolist()))
-    write_table(path, table, header="ensemble,alpha,accuracy")
+    names = np.asarray(ids, dtype=object)
+
+    def blocks():
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            ensembles = map(";".join, zip(*(names[c].tolist() for c in combos[rows].T)))
+            text = "\n".join(map(",".join, zip(ensembles, map(repr, alpha[rows].tolist()),
+                                               map(repr, acc[rows].tolist())))) + "\n"
+            # a NaN accuracy is an empty field; ",nan\n" can only end a row
+            # there, since an alpha is finite and an id holds no comma
+            yield text.replace(",nan\n", ",\n")
+
+    write_table(path, blocks(), header=_SCORES_HEADER)
 
 
-def read_scores(path):
-    """Read a rankings file into ``(ensembles, alpha, accuracy)``.
+def _score_block(lines, ensembles: bool):
+    """The ``(ensembles, alpha, accuracy)`` of ``lines``, the rows of one
+    block, parsed by whole-block calls, or None where any row is not in
+    the form ``write_scores`` writes or fails any check: not three fields,
+    a member count that differs between rows, a member that is empty,
+    repeated in its row or no model id, a non-finite alpha, or an accuracy
+    that is not empty and not in [0, 1].  ``ensembles`` False leaves the
+    id tuples unbuilt (None)."""
+    if set(map(str.count, lines, repeat(","))) != {2}:
+        return None
+    fields = ",".join(lines).split(",")
+    ens, alpha_text, acc_text = fields[0::3], fields[1::3], fields[2::3]
+    sizes = set(map(str.count, ens, repeat(";")))
+    if len(sizes) != 1:
+        return None
+    k = sizes.pop() + 1
+    members = ";".join(ens).split(";")
+    distinct = set(members)
+    try:
+        for mid in distinct:
+            _check_model_id(mid)
+        alpha = np.fromiter(map(float, alpha_text), np.float64, len(ens))
+        known = np.fromiter(map(bool, acc_text), bool, len(ens))
+        accuracy = np.full(len(ens), np.nan)
+        accuracy[known] = np.fromiter(map(float, compress(acc_text, known.tolist())),
+                                      np.float64)
+    except (ValidationError, ValueError):
+        return None
+    kept = accuracy[known]
+    if not (np.isfinite(alpha).all() and ((kept >= 0.0) & (kept <= 1.0)).all()):
+        return None
+    if k > 1:
+        index = dict(zip(distinct, range(len(distinct))))
+        codes = np.sort(np.fromiter(map(index.__getitem__, members), np.intp,
+                                    len(members)).reshape(-1, k), axis=1)
+        if (codes[:, 1:] == codes[:, :-1]).any():
+            return None
+    return (list(zip(*[iter(members)] * k)) if ensembles else None), alpha, accuracy
 
-    ``ensembles`` is a list of id tuples; ``alpha`` and ``accuracy`` are
-    float64 arrays, with NaN for an empty accuracy field.  A row that breaks
-    a rule ``write_scores`` keeps, or whose ensemble field has an empty or
-    repeated member or a member that is no model id, raises
-    ``ValidationError`` naming its line.
-    """
-    lines = read_lines(path, "rankings")
-    if not lines or lines[0][1] != "ensemble,alpha,accuracy":
-        raise ValidationError(f"{path}: expected header 'ensemble,alpha,accuracy'")
-    ensembles = []
-    alpha = np.empty(len(lines) - 1)
-    accuracy = np.empty(len(lines) - 1)
+
+def _score_rows(path, lines, ensembles: bool):
+    """The ``(ensembles, alpha, accuracy)`` of the numbered ``lines`` of
+    rankings file ``path``, one row at a time: this loop alone decides
+    what is accepted, and a row that breaks a rule raises
+    ``ValidationError`` naming its line.  ``ensembles`` False leaves the
+    id tuples unbuilt (None)."""
+    out = []
+    alpha = np.empty(len(lines))
+    accuracy = np.empty(len(lines))
     checked = set()
-    for row, (lineno, line) in enumerate(lines[1:]):
+    for row, (lineno, line) in enumerate(lines):
         parts = line.split(",")
         if len(parts) != 3:
             raise ValidationError(f"{path}:{lineno}: expected 3 fields")
@@ -823,5 +883,48 @@ def read_scores(path):
             raise ValidationError(
                 f"{path}:{lineno}: accuracy must lie in [0, 1], got {acc}")
         accuracy[row] = acc
-        ensembles.append(ids)
-    return ensembles, alpha, accuracy
+        out.append(ids)
+    return (out if ensembles else None), alpha, accuracy
+
+
+def read_scores(path, ensembles: bool = True):
+    """Read a rankings file into ``(ensembles, alpha, accuracy)``.
+
+    ``ensembles`` is a list of id tuples, or None when the ``ensembles``
+    argument is False; ``alpha`` and ``accuracy`` are float64 arrays, with
+    NaN for an empty accuracy field.  A row that breaks a rule
+    ``write_scores`` keeps, or whose ensemble field has an empty or
+    repeated member or a member that is no model id, raises
+    ``ValidationError`` naming its line.
+
+    The text is read once, by ``_read_text``.  After a first line that is
+    exactly the header, the rows are taken in blocks of about
+    ``_BLOCK_CHARS`` characters, whole lines each; ``_score_block`` parses
+    a block in the form ``write_scores`` writes, and any other block goes
+    to the row loop, ``_score_rows``, which alone decides what is accepted
+    and which line an error names.  A text whose first line is not exactly
+    the header goes to the row loop whole.
+    """
+    text = _read_text(path, "rankings")
+    head = _SCORES_HEADER + "\n"
+    if not text.startswith(head):
+        lines = _numbered_lines(text)
+        if not lines or lines[0][1] != _SCORES_HEADER:
+            raise ValidationError(f"{path}: expected header '{_SCORES_HEADER}'")
+        return _score_rows(path, lines[1:], ensembles)
+    out, alpha, accuracy = [], [np.empty(0)], [np.empty(0)]
+    pos, lineno, stop = len(head), 2, len(text) - text.endswith("\n")
+    # what is left at stop is at most one blank line, which holds no row
+    while pos < stop:
+        end = text.find("\n", min(pos + _BLOCK_CHARS, stop), stop)
+        end = stop if end < 0 else end
+        block = text[pos:end]
+        lines = block.split("\n")
+        part = _score_block(lines, ensembles) or _score_rows(
+            path, _numbered_lines(block, lineno), ensembles)
+        if ensembles:
+            out += part[0]
+        alpha.append(part[1])
+        accuracy.append(part[2])
+        pos, lineno = end + 1, lineno + len(lines)
+    return (out if ensembles else None), np.concatenate(alpha), np.concatenate(accuracy)

@@ -23,6 +23,7 @@ from osborn.data_io import (
     ModelRecord,
     PoolManifest,
     PredictionVector,
+    _check_model_id,
     _read_headed,
 )
 from osborn.metrics import PairwiseCache, subset_f
@@ -205,6 +206,48 @@ def read_class_file_loop(path, kind, cls):
     except OverflowError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return cls(array, num_classes)
+
+
+def read_scores_loop(path):
+    """A rankings file read one row at a time: the lines as
+    ``numbered_lines_loop`` gives them, the first the header, then each row
+    split on commas and its ensemble on semicolons, every member checked by
+    the model-id rule and each real parsed by ``float``, in file order, an
+    error naming the file's line.  ``(ensembles, alpha, accuracy)`` as
+    ``read_scores`` returns them."""
+    lines = numbered_lines_loop(path)
+    if not lines or lines[0][1] != "ensemble,alpha,accuracy":
+        raise ValidationError(f"{path}: expected header 'ensemble,alpha,accuracy'")
+    ensembles, alpha, accuracy = [], [], []
+    for lineno, line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValidationError(f"{path}:{lineno}: expected 3 fields")
+        ids = tuple(parts[0].split(";"))
+        if "" in ids:
+            raise ValidationError(f"{path}:{lineno}: empty ensemble member in '{parts[0]}'")
+        if len(set(ids)) != len(ids):
+            raise ValidationError(f"{path}:{lineno}: repeated model id in '{parts[0]}'")
+        for mid in ids:
+            try:
+                _check_model_id(mid)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        try:
+            a = float(parts[1])
+            acc = math.nan if parts[2] == "" else float(parts[2])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: non-numeric field") from None
+        if not math.isfinite(a):
+            raise ValidationError(f"{path}:{lineno}: alpha must be finite, got {parts[1]}")
+        if parts[2] != "" and not 0.0 <= acc <= 1.0:
+            raise ValidationError(
+                f"{path}:{lineno}: accuracy must lie in [0, 1], got {acc}")
+        ensembles.append(ids)
+        alpha.append(a)
+        accuracy.append(acc)
+    return (ensembles, np.array(alpha, dtype=np.float64),
+            np.array(accuracy, dtype=np.float64))
 
 
 def cohesion_pair_loop(pred_i, pred_j):

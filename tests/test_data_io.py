@@ -42,7 +42,13 @@ from osborn.ot_core import MarginalWeights, sinkhorn
 from osborn.selection import greedy_select
 from osborn.synth import SynthSpec, generate, read_synth_spec
 
-from conftest import read_class_file_loop, read_features_loop, write_rankings_loop
+from conftest import (
+    peak_ratio,
+    read_class_file_loop,
+    read_features_loop,
+    read_scores_loop,
+    write_rankings_loop,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -931,3 +937,211 @@ def test_scores_reader_rejects_malformed(tmp_path, text, msg):
     p.write_text(text)
     with pytest.raises(ValidationError, match=msg):
         read_scores(p)
+
+
+def _scores_outcome(path, **kwargs):
+    """What ``read_scores`` gives for ``path``: its ensembles and the bytes
+    of its arrays, or its error message."""
+    try:
+        ensembles, alpha, accuracy = read_scores(path, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return ensembles, alpha.dtype, alpha.tobytes(), accuracy.dtype, accuracy.tobytes()
+
+
+def _assert_scores_reader_matches_the_loop(path):
+    try:
+        ensembles, alpha, accuracy = read_scores_loop(path)
+        want = ensembles, alpha.dtype, alpha.tobytes(), accuracy.dtype, accuracy.tobytes()
+    except ValidationError as exc:
+        want = str(exc)
+    assert _scores_outcome(path) == want
+    bare = _scores_outcome(path, ensembles=False)
+    assert bare == (want if isinstance(want, str) else (None, *want[1:]))
+
+
+# what one field of a written rankings row may turn into
+_SCORE_FIELD_EDITS = {
+    "ensemble": ("", "{0};", ";{0}", "{0};;{0}x", "{0};{0}", " {0}", "{0}\t", "{0};x\t",
+                 "{0};zz", "{1}", "{1}\x1c"),
+    "alpha": ("nan", "inf", "-inf", "1e999", "x", "", " 1.5", "1_0", "-0.0", "١.5"),
+    "accuracy": ("nan", "NaN", " nan", "-nan", "", " ", "1.5", "-0.0", "0.5 ", "1_0",
+                 "0.5\x1c", "٠.5", "inf"),
+}
+# what a whole row may turn into: a blank line before it, outer
+# whitespace, or two rows of 2 and 4 fields, 3 fields a row on average
+_SCORE_LINE_EDITS = ("blank line before", "blank line after", "spaces around",
+                     "2 then 4 fields", "1 field")
+
+
+def _edit_score_rows(rows, edit, r):
+    """``rows``, the row texts of a rankings file, with row ``r`` edited by
+    ``edit``: a line edit, or ``(field, text)``, where ``{0}`` stands for
+    the row's ensemble and ``{1}`` for its first member."""
+    if edit == "none":
+        return rows
+    row = rows[r]
+    # a row an earlier edit left with other than 3 fields is cut or padded
+    ens, alpha, acc = (row.split(",") + ["", ""])[:3]
+    if edit == "blank line before":
+        new = ["", row]
+    elif edit == "blank line after":
+        new = [row, ""]
+    elif edit == "spaces around":
+        new = [" \t" + row + "  "]
+    elif edit == "2 then 4 fields":
+        new = [f"{ens},{alpha}", f"{ens},{alpha},{acc},{acc}"]
+    elif edit == "1 field":
+        new = [ens]
+    else:
+        field, text = edit
+        text = text.format(ens, ens.split(";")[0])
+        new = [",".join(text if name == field else value for name, value in
+                        zip(("ensemble", "alpha", "accuracy"), (ens, alpha, acc)))]
+    return rows[:r] + new + rows[r + 1:]
+
+
+_SCORE_EDITS = st.one_of(
+    st.sampled_from(("none",) + _SCORE_LINE_EDITS),
+    st.sampled_from(sorted(_SCORE_FIELD_EDITS)).flatmap(
+        lambda field: st.tuples(st.just(field), st.sampled_from(_SCORE_FIELD_EDITS[field]))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rankings_reader_matches_the_row_loop(tmp_path_factory, data):
+    # the block route must give the row loop's arrays, or its exact message
+    # and line, whatever one row of a written file turns into, with any
+    # line end, with or without a byte-order mark
+    ids = [f"m{i}" for i in range(5)]
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 6))
+    combos = np.array([data.draw(st.permutations(range(5)))[:k] for _ in range(n)])
+    alpha = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
+    accuracy = data.draw(st.one_of(
+        st.none(), st.lists(_ACCURACY, min_size=n, max_size=n).map(np.array)))
+    p = tmp_path_factory.mktemp("rankings") / "r.csv"
+    write_scores(ids, combos, alpha, accuracy, p)
+    head, *rows = p.read_text(encoding="utf-8").splitlines()
+    for _ in range(data.draw(st.integers(1, 2))):
+        rows = _edit_score_rows(rows, data.draw(_SCORE_EDITS) if rows else "none",
+                                data.draw(st.integers(0, len(rows) - 1)))
+    eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = data.draw(st.sampled_from(["", "﻿"]))
+    end = data.draw(st.sampled_from(["", eol, eol + eol]))
+    p.write_bytes((bom + eol.join([head] + rows) + end).encode("utf-8"))
+    _assert_scores_reader_matches_the_loop(p)
+
+
+@pytest.mark.parametrize("text", [
+    "ensemble,alpha,accuracy",
+    "ensemble,alpha,accuracy\n",
+    "ensemble,alpha,accuracy\n\n",
+    "\nensemble,alpha,accuracy\na,1.0,0.5\n",
+    " ensemble,alpha,accuracy \na,1.0,0.5\n",
+    "ensemble,alpha,accuracy\na,1.0,0.5",
+    "ensemble,alpha,accuracy\na,1.0,0.5\nb;c,2.0,\n",
+], ids=["header only", "header line", "blank row", "blank first line", "spaced header",
+        "no final line end", "ragged"])
+def test_rankings_reader_reads_what_the_loop_reads(tmp_path, text):
+    p = tmp_path / "r.csv"
+    p.write_text(text)
+    _assert_scores_reader_matches_the_loop(p)
+
+
+def _rankings_table(n, seed=0):
+    """``(ids, combos, alpha, accuracy)`` of ``n`` rankings rows over 20
+    ids, 3 members a row, alpha spread over many decades, accuracy NaN in
+    about a quarter of the rows."""
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"m{i:02d}" for i in range(20))
+    combos = np.argsort(rng.random((n, 20)), axis=1)[:, :3].astype(np.uint8)
+    alpha = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
+    accuracy = rng.random(n)
+    accuracy[rng.random(n) < 0.25] = np.nan
+    return ids, combos, alpha, accuracy
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("with_accuracy", [True, False])
+def test_rankings_round_trip_at_the_block_size(tmp_path, offset, with_accuracy):
+    # one row short of a block, a whole block and one row over, with and
+    # without accuracy: the bytes of the row loop, read back exactly
+    n = data_io._BLOCK_ROWS + offset
+    ids, combos, alpha, accuracy = _rankings_table(n)
+    accuracy = accuracy if with_accuracy else None
+    write_scores(ids, combos, alpha, accuracy, tmp_path / "blocks.csv")
+    write_rankings_loop(tmp_path / "loop.csv", [
+        (tuple(ids[i] for i in row), a, None if accuracy is None or math.isnan(c) else c)
+        for row, a, c in zip(combos.tolist(), alpha.tolist(),
+                             [math.nan] * n if accuracy is None else accuracy.tolist())])
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+    ensembles, back_alpha, back_acc = read_scores(tmp_path / "blocks.csv")
+    assert ensembles == [tuple(ids[i] for i in row) for row in combos.tolist()]
+    assert back_alpha.tobytes() == alpha.tobytes()
+    expected = np.full(n, np.nan) if accuracy is None else accuracy
+    assert np.array_equal(back_acc, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1, 2])
+def test_rankings_reader_blocks_split_at_whole_lines(tmp_path, shift):
+    # a line end just before, at and after the reader's block boundary:
+    # each block ends at a whole line, and the result is the row loop's
+    p = tmp_path / "r.csv"
+    ids, combos, alpha, accuracy = _rankings_table(3 * data_io._BLOCK_CHARS // 40)
+    write_scores(ids, combos, alpha, accuracy, p)
+    text = p.read_text(encoding="utf-8")
+    body = len("ensemble,alpha,accuracy\n")
+    cut = text.index("\n", body + data_io._BLOCK_CHARS - 60)
+    # lengthen the row ending at cut so that its line end falls at shift
+    # past the boundary
+    pad = body + data_io._BLOCK_CHARS + shift - cut
+    start = text.rindex("\n", 0, cut) + 1
+    ens, rest = text[start:cut].split(",", 1)
+    text = text[:start] + ens + "," + " " * pad + rest + text[cut:]
+    assert text.index("\n", start) == body + data_io._BLOCK_CHARS + shift
+    p.write_text(text, encoding="utf-8")
+    _assert_scores_reader_matches_the_loop(p)
+    assert read_scores(p)[1].shape[0] == combos.shape[0]
+
+
+@pytest.mark.parametrize("bad,msg", [
+    ("m00;m01,1.0", "expected 3 fields"),
+    ("m00;m00,1.0,0.5", "repeated model id in 'm00;m00'"),
+    ("m00,1.0,nan", r"accuracy must lie in \[0, 1\], got nan"),
+    ("m00,inf,0.5", "alpha must be finite, got inf"),
+])
+def test_rankings_reader_names_a_bad_row_in_a_later_block(tmp_path, bad, msg):
+    # the bad row lies in the third block the reader takes: its message
+    # and line are the row loop's, blank lines counted
+    p = tmp_path / "r.csv"
+    ids, combos, alpha, accuracy = _rankings_table(3 * data_io._BLOCK_CHARS // 30)
+    write_scores(ids, combos, alpha, accuracy, p)
+    lines = p.read_text(encoding="utf-8").split("\n")
+    r = len(lines) - 20
+    assert sum(map(len, lines[:r])) > 2 * data_io._BLOCK_CHARS
+    lines[r] = bad
+    lines.insert(5, "")
+    p.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValidationError, match=rf"r\.csv:{r + 2}: {msg}"):
+        read_scores(p)
+    _assert_scores_reader_matches_the_loop(p)
+
+
+def test_rankings_memory_is_bounded_by_the_returned_arrays(tmp_path):
+    # 200,000 rows written and read back peak at a small multiple of the
+    # two float64 columns read_scores returns: the text is rendered and
+    # parsed a block at a time, and eval's call builds no id tuples
+    n = 200_000
+    ids, combos, alpha, accuracy = _rankings_table(n)
+    p = tmp_path / "r.csv"
+    nbytes = 2 * 8 * n
+    # a render of the whole table at once peaks at about 30 times the
+    # arrays, a row loop over the whole file at about 19
+    _, ratio = peak_ratio(lambda: write_scores(ids, combos, alpha, accuracy, p), nbytes)
+    assert ratio <= 4.0, ratio
+    (_, back_alpha, _), ratio = peak_ratio(lambda: read_scores(p, ensembles=False), nbytes)
+    assert back_alpha.tobytes() == alpha.tobytes()
+    # decoding holds the file's bytes and its text at once, each about 3
+    # times the arrays here
+    assert ratio <= 8.0, ratio

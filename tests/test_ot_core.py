@@ -423,15 +423,48 @@ def test_sinkhorn_converges_at_pool_scale_without_a_newton_finish():
     assert out.iterations_used <= 17
 
 
-def _pool_scale_cost():
-    """The 1500 x 1500 cost matrix of the shift-1.5 model of a 4-model pool
-    (seed 7, d = 16)."""
-    spec = SynthSpec(num_models=4, feature_dim=16, source_classes=4,
-                     target_classes=4, samples=1500,
+def _pool_scale_cost(independent=False, seed=7):
+    """The 1500 x 1500 cost matrix (d = 16) of the shift-1.5 model of a
+    4-model pool drawn by ``seed``.  ``independent`` draws the source and
+    target clouds apart instead: 4 class means from 3 N(0, I), each
+    sample's class uniform and its noise N(0, I), and the target shifted
+    by 0.5 in every coordinate, so no source sample has a target twin and
+    the plan is far from a matching."""
+    n, d = 1500, 16
+    if independent:
+        rng = np.random.default_rng(seed)
+        means = 3.0 * rng.standard_normal((4, d))
+        source_classes, target_classes = rng.integers(0, 4, n), rng.integers(0, 4, n)
+        source = means[source_classes] + rng.standard_normal((n, d))
+        target = means[target_classes] + rng.standard_normal((n, d)) + 0.5
+        return cost_matrix(source, target)
+    spec = SynthSpec(num_models=4, feature_dim=d, source_classes=4,
+                     target_classes=4, samples=n,
                      domain_shift=(0.0, 0.5, 1.0, 1.5),
-                     prediction_noise=(0.0, 0.4 / 3, 0.8 / 3, 0.4), seed=7)
+                     prediction_noise=(0.0, 0.4 / 3, 0.8 / 3, 0.4), seed=seed)
     rec = build_pool(spec).manifest.models[3]
     return cost_matrix(rec.source_features, rec.target_features)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sinkhorn_converges_at_pool_scale_on_independent_draws(seed):
+    # source and target drawn apart: at the default config these solves
+    # take 116-368 iterations where the synth pools' take about 8, and a
+    # Newton trial on seed 0 overflows, which must be rejected without a
+    # RuntimeWarning; the plan is still the only n x m array beside the
+    # cost matrix
+    C = _pool_scale_cost(independent=True, seed=seed)
+    marg = MarginalWeights.uniform(*C.shape)
+    cfg = TEConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, ratio = peak_ratio(
+            lambda: sinkhorn(C, marg, cfg.epsilon * median_positive_cost(C),
+                             cfg.max_iters, cfg.convergence_tol),
+            C.nbytes)
+    assert out.converged
+    assert _residual(out, marg) <= cfg.convergence_tol
+    assert ratio <= 1.5, ratio
 
 
 def test_sinkhorn_converges_at_small_epsilon_at_pool_scale():
