@@ -41,12 +41,12 @@ def format_real(x) -> str:
 
 def _format_field(x) -> str:
     """One table field: a float by ``format_real``, a tuple of model ids
-    joined by ``;``, ``None`` as an empty field, anything else by ``str``."""
+    joined by ``;``, anything else by ``str``."""
     if isinstance(x, (float, np.floating)):
         return format_real(x)
     if isinstance(x, tuple):
         return ";".join(x)
-    return "" if x is None else str(x)
+    return str(x)
 
 
 def write_table(path, rows, header=None):

@@ -7,8 +7,8 @@ pair terms, which can only lower the gain) and non-increasing (every member
 lowers f).  The (1 - 1/e) bound of Nemhauser, Wolsey & Fisher needs a
 non-decreasing f, so it does not apply: greedy forward selection is a
 heuristic.  With standardized terms, pair entries can be negative and f is
-not submodular either.  Exhaustive search returns the optimum whenever the
-number of size-k subsets is within ``EXHAUSTIVE_BUDGET``.
+not submodular either.  Exhaustive search returns the optimum whenever no
+level of its subset table holds more than ``EXHAUSTIVE_BUDGET`` rows.
 
 Every selector reads the terms as arrays, ``(ids, a, H)`` from
 ``metrics.effective_terms``, so that f(S) = -(a[S].sum() + H[S][:, S].sum()).
@@ -26,7 +26,6 @@ lexicographic on model ids, so results are reproducible across runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,23 +73,6 @@ def _check_k(k: int, m: int) -> int:
     return k
 
 
-def _check_budget(m: int, k: int) -> None:
-    if math.comb(m, k) > EXHAUSTIVE_BUDGET:
-        raise ValidationError(
-            f"exhaustive enumeration of C({m}, {k}) subsets exceeds the "
-            f"budget of {EXHAUSTIVE_BUDGET}"
-        )
-
-
-def _first_level(m: int, k: int) -> np.ndarray:
-    """Level 0 of the size-k subsets of range(m): every admissible first
-    member, 0 .. m - k, as a ``(1, m - k + 1)`` table of columns in the
-    smallest unsigned dtype that fits ``m - 1``.  The budget is checked
-    first, so no level is built for a table over it."""
-    _check_budget(m, k)
-    return np.arange(m - k + 1, dtype=np.min_scalar_type(m - 1))[None, :]
-
-
 def _extend(cols: np.ndarray, top: int, keep=None):
     """``(next level, reps)``: each prefix row of ``cols``, a ``(j, count)``
     table of columns in lexicographic order, repeated once per admissible
@@ -98,14 +80,22 @@ def _extend(cols: np.ndarray, top: int, keep=None):
     last member + 1 to ``top`` (a ``cumsum``).  ``reps`` says how many rows
     each prefix becomes, so that anything carried per prefix follows it by
     ``np.repeat(x, reps)``.  Where the boolean ``keep`` is False, a prefix
-    repeats no times: it and all its completions are dropped."""
+    repeats no times: it and all its completions are dropped.  A next level
+    of more than ``EXHAUSTIVE_BUDGET`` rows raises ``ValidationError``
+    before it is allocated."""
     j = cols.shape[0]
     last = cols[-1]
     reps = top - last.astype(np.intp)  # next members last + 1 .. top
     if keep is not None:
         reps *= keep
+    count = int(reps.sum())
+    if count > EXHAUSTIVE_BUDGET:
+        raise ValidationError(
+            f"the subset table's level of member {j + 1} would hold {count} "
+            f"rows, over the budget of {EXHAUSTIVE_BUDGET} rows a level"
+        )
     starts = np.cumsum(reps) - reps
-    nxt = np.empty((j + 1, int(reps.sum())), dtype=cols.dtype)
+    nxt = np.empty((j + 1, count), dtype=cols.dtype)
     for i in range(j):
         nxt[i] = np.repeat(cols[i], reps)
     if keep is not None:  # runs start only at kept prefixes
@@ -201,9 +191,11 @@ def _subset_sums(a, H, k: int, bound=None):
     lexicographic order, built one member column at a time (``_extend``)
     and returned as the transpose of the last level, an F-ordered ``(count,
     k)`` view whose columns are contiguous; and f of each row, summed while
-    the table grows.  Each prefix carries its partial sum, and each new
-    column subtracts its member's terms (``metrics._add_member``), so f is
-    ``subset_f``'s value to the bit.
+    the table grows.  The first level holds every first member, 0 .. m - k,
+    in the smallest unsigned dtype that fits ``m - 1``; ``_extend`` refuses
+    a later level over ``EXHAUSTIVE_BUDGET`` rows.  Each prefix carries its
+    partial sum, and each new column subtracts its member's terms
+    (``metrics._add_member``), so f is ``subset_f``'s value to the bit.
 
     ``bound``, ``(rowmin, tails, floor)`` from ``exhaustive_select``, drops
     each prefix P before the next column is added when its completion bound
@@ -212,7 +204,7 @@ def _subset_sums(a, H, k: int, bound=None):
     ``rowmin`` sum like its f.  Without it ``combos`` is the full table."""
     m = len(a)
     Hflat = np.ravel(H)
-    cols = _first_level(m, k)
+    cols = np.arange(m - k + 1, dtype=np.min_scalar_type(m - 1))[None, :]
     g = np.zeros(cols.shape[1])
     low = np.zeros_like(g) if bound is not None else None
     for r in range(k - 1, 0, -1):  # members still to add after this level's
@@ -250,8 +242,9 @@ def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig, *,
                       terms=None):
     """True argmax of f over all subsets of size k (lexicographic tie-break).
 
-    Returns (member ids, f_value).  Guarded by an enumeration budget; use
-    greedy_select beyond it.  ``terms``, the ``(ids, a, H)`` that
+    Returns (member ids, f_value).  Refused with ``ValidationError`` when a
+    level of the pruned table would hold more than ``EXHAUSTIVE_BUDGET``
+    rows; use greedy_select then.  ``terms``, the ``(ids, a, H)`` that
     ``effective_terms`` already gave for ``cache`` and ``config``, spares
     computing them again.
 
@@ -299,7 +292,6 @@ def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig, *,
     ids, a, H = _terms(pool, cache, config) if terms is None else terms
     m = len(ids)
     k = _check_k(k, m)
-    _check_budget(m, k)  # before greedy or any table
     bound = None
     if 2 <= k < m:
         n = k * k
@@ -334,7 +326,8 @@ def score_all(pool, k: int, cache: PairwiseCache, config: TEConfig):
     order; ``values[r]`` is that subset's osborn value (-f), ``-subset_f``
     of the row to the bit.  ``combos`` is the F-ordered table of
     ``_subset_sums``, in the smallest unsigned dtype that holds
-    ``len(ids) - 1``.
+    ``len(ids) - 1``.  Exactly the tables of more than
+    ``EXHAUSTIVE_BUDGET`` rows are refused: the last level is the largest.
     """
     ids, a, H = _terms(pool, cache, config)
     f, combos = _subset_sums(a, H, _check_k(k, len(ids)))

@@ -364,6 +364,30 @@ def test_select_exhaustive_trace_ends_at_the_exhaustive_value(tmp_path, pool_dir
     assert float(lines[-2].split(",")[3]) == pytest.approx(best_f, abs=1e-12)
 
 
+def test_select_exhaustive_at_the_paper_pool_size(tmp_path):
+    # 140 models, as the paper's 28 source datasets x 5 architectures:
+    # C(140, 5) = 416,965,528 subsets, which the pruned search never
+    # builds; the whole test takes about 0.7 s on a 2-core box
+    m = 140
+    spec = tmp_path / "pool.spec"
+    spec.write_text(
+        f"num_models = {m}\nfeature_dim = 4\nsource_classes = 3\n"
+        "target_classes = 3\nsamples = 24\nseed = 1\n"
+        f"domain_shift = {';'.join(repr(1.5 * r / (m - 1)) for r in range(m))}\n"
+        f"prediction_noise = {';'.join(repr(0.4 * r / (m - 1)) for r in range(m))}\n")
+    pool = tmp_path / "pool" / "pool.json"
+    cache = tmp_path / "cache.csv"
+    assert cli.main(["synth", "--spec", str(spec), "--out", str(pool.parent)]) == 0
+    assert cli.main(["pairwise", "--pool", str(pool), "--out", str(cache)]) == 0
+    final = {}
+    for strategy in ("greedy", "exhaustive"):
+        out = tmp_path / f"{strategy}.csv"
+        assert cli.main(["select", "--pool", str(pool), "--cache", str(cache),
+                         "--k", "5", "--strategy", strategy, "--out", str(out)]) == 0
+        final[strategy] = float(out.read_text().splitlines()[-2].split(",")[3])
+    assert final["exhaustive"] >= final["greedy"]
+
+
 def test_module_runs_as_script(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "osborn.cli", "--help"],

@@ -393,16 +393,27 @@ def test_the_completion_bound_is_above_every_completion(k):
             assert ub >= subset_f(a, H, rows).max() - tol
 
 
-def test_exhaustive_checks_the_budget_before_greedy(monkeypatch):
-    # C(40, 20) is refused before the incumbent or any level is built
-    def refused(*args):
-        raise AssertionError("ran before the budget check")
+def _refused(fn, member, rows):
+    """Run ``fn()``, which must be refused for a level of ``rows`` rows at
+    ``member``, under tracemalloc; the peak rise of traced memory."""
+    msg = (f"level of member {member} would hold {rows} rows, over the budget "
+           f"of {EXHAUSTIVE_BUDGET} rows a level")
 
-    monkeypatch.setattr(selection, "_greedy_order", refused)
-    monkeypatch.setattr(selection, "_extend", refused)
-    ids = tuple(f"m{i:02d}" for i in range(40))
-    with pytest.raises(ValidationError, match="budget"):
-        exhaustive_select(None, 20, None, None, terms=(ids, np.zeros(40), np.zeros((40, 40))))
+    def run():
+        with pytest.raises(ValidationError, match=re.escape(msg)):
+            fn()
+
+    return peak_ratio(run, 1)[1]
+
+
+def test_exhaustive_refuses_a_level_over_the_budget():
+    # an all-zero (140, 5) cache prunes nothing: level 4 would hold
+    # C(139, 4) = 14,891,626 rows and is refused before it is allocated, so
+    # the peak stays within 64 bytes a row of level 3, C(138, 3) = 428,536
+    # rows (19.0 MB measured)
+    peak = _refused(lambda: exhaustive_select(None, 5, _zero_cache(140), TEConfig()),
+                    4, math.comb(139, 4))
+    assert peak <= 64 * math.comb(138, 3)
 
 
 @pytest.mark.parametrize("standardize", [True, False])
@@ -425,6 +436,25 @@ def test_exhaustive_select_on_a_wide_pool_builds_a_small_last_level(monkeypatch,
     monkeypatch.setattr(selection, "_extend", counted)
     cand, f = exhaustive_select(None, 5, cache, cfg)
     assert rows[-1] <= math.comb(32, 5) // 100
+    assert (cand, f.hex()) == (full_ids, full_f.hex())
+
+
+@pytest.mark.parametrize("kind", ["uniform", "mixed"])
+def test_exhaustive_select_at_the_paper_pool_size(kind):
+    # 140 models, as the paper's 28 source datasets x 5 architectures: the
+    # winner and its f bits are those of the full C(140, 3) = 447,580-row
+    # table, on non-negative terms and on mixed-sign ones
+    rng = np.random.default_rng(140)
+    m = 140
+    if kind == "uniform":
+        cache, cfg = _random_cache(rng, m), TEConfig()
+    else:
+        a, H = _mixed_terms(rng, m)
+        cache = PairwiseCache(ids=tuple(f"m{i:03d}" for i in range(m)), wd=a,
+                              wt=np.zeros(m), converged=[True] * m, pair_h=H)
+        cfg = TEConfig(standardize=False, lambda_d=1.0, lambda_t=0.0, lambda_c=1.0)
+    full_ids, full_f = exhaustive_select_full(*effective_terms(cache, cfg), 3)
+    cand, f = exhaustive_select(None, 3, cache, cfg)
     assert (cand, f.hex()) == (full_ids, full_f.hex())
 
 
@@ -492,17 +522,29 @@ def test_combinations_widen_the_dtype_past_255(m, k, dtype):
     assert rows.tolist() == [list(c) for c in itertools.combinations(range(m), k)]
 
 
-def test_combinations_check_the_budget_before_building(monkeypatch):
-    # score_all refuses C(40, 20) before any level is built or summed
-    def refused(*args):
-        raise AssertionError("ran before the budget check")
+def test_score_all_refuses_a_table_over_the_budget():
+    # the full table's last level, C(M, k) rows, is its largest: C(23, 11) =
+    # 1,352,078 is refused at member 11, after level 10, C(22, 10) = 646,646
+    # rows (24.4 MB measured); C(22, 11) is accepted, as
+    # test_enumeration_memory_at_the_budget checks
+    assert math.comb(22, 11) <= EXHAUSTIVE_BUDGET < math.comb(23, 11)
+    peak = _refused(lambda: score_all(None, 11, _zero_cache(23), TEConfig()),
+                    11, math.comb(23, 11))
+    assert peak <= 64 * math.comb(22, 10)
 
-    monkeypatch.setattr(selection, "_extend", refused)
-    monkeypatch.setattr(selection, "_add_member", refused)
-    msg = (f"exhaustive enumeration of C(40, 20) subsets exceeds the budget "
-           f"of {EXHAUSTIVE_BUDGET}")
-    with pytest.raises(ValidationError, match=re.escape(msg)):
-        score_all(None, 20, _zero_cache(40), TEConfig())
+
+def test_score_all_refuses_exactly_the_tables_over_the_budget(monkeypatch):
+    # with a budget of 30 rows a level, every (m, k) up to m = 10 is refused
+    # exactly when C(m, k) > 30
+    monkeypatch.setattr(selection, "EXHAUSTIVE_BUDGET", 30)
+    for m in range(1, 11):
+        cache = _zero_cache(m)
+        for k in range(1, m + 1):
+            if math.comb(m, k) > 30:
+                with pytest.raises(ValidationError, match="budget of 30 rows"):
+                    score_all(None, k, cache, TEConfig())
+            else:
+                assert len(score_all(None, k, cache, TEConfig())[1]) == math.comb(m, k)
 
 
 def _mixed_terms(rng, m):
