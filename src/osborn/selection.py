@@ -18,9 +18,10 @@ subsets one member column at a time, and each prefix carries its partial
 sum of f, so every row is summed in the order ``metrics.subset_f`` sums
 it, to the bit.  Exhaustive selection is a branch and bound (Land & Doig
 1960): greedy's set is the incumbent, and the table drops each prefix whose
-completion bound (a lower bound on the terms its remaining members must
-add, valid for terms of any sign) falls below the incumbent's f by more
-than a rounding margin.  All candidate enumeration and tie-breaking is
+completion bound (the prefix's own cross terms with each candidate, from
+rows of ``H + H.T``, plus the smallest pairs each candidate could form;
+valid for terms of any sign) falls below the incumbent's f by more than a
+rounding margin.  All candidate enumeration and tie-breaking is
 lexicographic on model ids, so results are reproducible across runs.
 """
 
@@ -35,6 +36,8 @@ from .errors import ValidationError
 from .metrics import PairwiseCache, _add_member, _members, effective_terms, subset_f
 
 EXHAUSTIVE_BUDGET = 10 ** 6
+# completion bound entries that ``_kept`` forms at once, 8 bytes each
+_BOUND_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -164,26 +167,16 @@ def greedy_select(pool, k: int, cache: PairwiseCache,
     return _trace(ids, a, H, _greedy_order(a, H + H.T, k))
 
 
-def _completion_bound(a, sym, k: int):
-    """``(rowmin, tails)`` for the prune in ``exhaustive_select``:
-    ``rowmin[p]``, the smallest off-diagonal entry of row p of ``sym = H +
-    H.T``, and for r = 1 .. k - 1, ``tails[r][l]``, the sum of the r
-    smallest ``q[v] = a[v] + s[v] / 2`` over v > l, where s[v] sums the r -
-    1 smallest off-diagonal entries of row v.  T_1 is a suffix minimum of
-    ``a``; only k >= 3 partitions the rows.  ``sym``'s diagonal is
-    overwritten."""
-    m = len(a)
+def _completion_bound(sym, k: int):
+    """``s``, the ``(m, k - 1)`` table for the prune in
+    ``exhaustive_select``: ``s[v, r - 1]`` is the sum of the r - 1 smallest
+    off-diagonal entries of row v of ``sym = H + H.T`` (0 for r = 1).
+    ``sym``'s diagonal is overwritten with inf."""
     np.fill_diagonal(sym, np.inf)
-    tails = {1: np.minimum.accumulate(a[:0:-1])[::-1]}  # min of a[l + 1:]
-    if k < 3:
-        return sym.min(axis=1), tails
+    s = np.zeros((len(sym), k - 1))
     smallest = np.partition(sym, np.arange(k - 2), axis=1)[:, :k - 2]
-    s = np.cumsum(smallest, axis=1)  # s[:, r - 2]: the r - 1 smallest
-    after = np.arange(m) > np.arange(m)[:, None]  # after[l, v]: v > l
-    for r in range(2, k):
-        q = np.where(after[:m - r], a + 0.5 * s[:, r - 2], np.inf)
-        tails[r] = np.partition(q, r - 1, axis=1)[:, :r].sum(axis=1)
-    return smallest[:, 0], tails
+    np.cumsum(smallest, axis=1, out=s[:, 1:])
+    return s
 
 
 def _subset_sums(a, H, k: int, bound=None):
@@ -197,40 +190,42 @@ def _subset_sums(a, H, k: int, bound=None):
     partial sum, and each new column subtracts its member's terms
     (``metrics._add_member``), so f is ``subset_f``'s value to the bit.
 
-    ``bound``, ``(rowmin, tails, floor)`` from ``exhaustive_select``, drops
-    each prefix P before the next column is added when its completion bound
-    ``f(P) - r * sum(rowmin[P]) - tails[r][last(P)]`` (r members still to
-    add) lies below ``floor`` (``_kept``); each prefix carries its
-    ``rowmin`` sum like its f.  Without it ``combos`` is the full table."""
+    ``bound``, ``(sym, s, floor)`` from ``exhaustive_select``, drops each
+    prefix P before the next column is added when its completion bound
+    (``_kept``, with r members still to add) lies below ``floor``.  Without
+    it ``combos`` is the full table."""
     m = len(a)
     Hflat = np.ravel(H)
     cols = np.arange(m - k + 1, dtype=np.min_scalar_type(m - 1))[None, :]
     g = np.zeros(cols.shape[1])
-    low = np.zeros_like(g) if bound is not None else None
     for r in range(k - 1, 0, -1):  # members still to add after this level's
         _add_member(g, cols, a, Hflat)
-        keep = None if bound is None else _kept(cols, g, low, r, *bound)
+        keep = None if bound is None else _kept(cols, g, a, r, *bound)
         cols, reps = _extend(cols, m - r, keep)
         del keep
         g = np.repeat(g, reps)
-        # the last level needs no rowmin sums
-        low = np.repeat(low, reps) if low is not None and r > 1 else None
     _add_member(g, cols, a, Hflat)
     return g, cols.T
 
 
-def _kept(cols, g, low, r, rowmin, tails, floor):
-    """The boolean mask of the prefixes whose completion bound is not below
-    ``floor`` (a NaN bound keeps its row), or None when every prefix is
-    kept; ``low`` first gains the newest member's ``rowmin``."""
-    last = cols[-1]
-    terms = np.empty_like(g)
-    # every index is in range by construction, as in ``_add_member``
-    low += np.take(rowmin, last, out=terms, mode="clip")
-    ub = np.multiply(low, -r)
-    ub += g
-    ub -= np.take(tails[r], last, out=terms, mode="clip")
-    drop = np.less(ub, floor)
+def _kept(cols, g, a, r, sym, s, floor):
+    """The boolean mask of the prefixes P, the rows of ``cols`` with
+    partial sums ``g``, whose bound ``g - (sum of the r smallest q_P[v])``
+    is not below ``floor`` (a NaN bound keeps its row), or None when every
+    prefix is kept.  q_P (``exhaustive_select``) is formed a block of
+    ``_BOUND_CELLS`` entries at a time, never for a whole level."""
+    m = len(a)
+    c = a + 0.5 * s[:, r - 1]
+    low = np.empty_like(g)
+    step = max(1, _BOUND_CELLS // m)
+    for start in range(0, len(g), step):
+        block = cols[:, start:start + step]
+        q = sym[block[0]] + c
+        for p in block[1:]:
+            q += sym[p]
+        q[block[-1][:, None] >= np.arange(m)] = np.inf  # only v > last(P)
+        low[start:start + step] = np.partition(q, r - 1, axis=1)[:, :r].sum(axis=1)
+    drop = np.less(g - low, floor)
     return np.logical_not(drop, out=drop) if drop.any() else None
 
 
@@ -253,17 +248,17 @@ def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig, *,
     the incumbent f_inc.  Before each column is added, ``_subset_sums``
     drops a prefix P (last member l, r = k - |P| members still to add) when
 
-        ub(P) = f(P) - r sum_{p in P} rowmin[p] - T_r[l] < f_inc - margin.
+        ub(P) = f(P) - (sum of the r smallest q_P[v], v > l) < f_inc - margin,
+        q_P[v] = a[v] + sum_{p in P} (H + H.T)[p, v] + s[v, r - 1] / 2,
 
-    rowmin[p] is the smallest off-diagonal entry of row p of H + H.T, and
-    T_r[l] the sum of the r smallest q[v] = a[v] + s[v] / 2 over v > l,
-    with s[v] the sum of the r - 1 smallest off-diagonal entries of row v
-    (``_completion_bound``).  For any completion C, r members above l,
-    f(P + C) = f(P) - sum_{p in P, v in C} (H + H.T)[p, v] - sum_{v in C}
-    (a[v] + sum_{w in C - v} (H + H.T)[v, w] / 2): each of p's r cross
-    terms is at least rowmin[p], and v's r - 1 partners within C add at
-    least s[v] / 2, so the last sum is at least T_r[l].  No step asks for a
-    sign, so ub(P) >= f(P + C) whatever the signs of the terms.
+    with s[v, r - 1] the sum of the r - 1 smallest off-diagonal entries of
+    row v of H + H.T (``_completion_bound``).  For any completion C, r
+    members above l, f(P + C) = f(P) - sum_{v in C} (a[v] + sum_{p in P}
+    (H + H.T)[p, v] + sum_{w in C - v} (H + H.T)[v, w] / 2): the cross
+    terms are P's own, and v's r - 1 partners within C add at least
+    s[v, r - 1] / 2, so the last sum is at least that of q_P over C, and so
+    at least that of the r smallest q_P[v].  No step asks for a sign, so
+    ub(P) >= f(P + C) whatever the signs of the terms.
 
     Rounding.  A row's f is the sum of n = k * k terms (k member terms,
     k (k - 1) pair terms) subtracted one at a time, so the computed f lies
@@ -275,11 +270,13 @@ def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig, *,
 
     and S bounds the row's sum of absolute terms.  The computed ub is
     within gamma_n S of ub(P), less an absolute k 2**-1074: each input term
-    passes through at most n roundings (the carried f through |P|**2 + 1,
-    the rowmin sum through |P| + 3, T_r through 2r), the terms' absolute
-    sum is at most S, as for a row (|P| (|P| - 1) + 2 r |P| + r (r - 1) =
-    k (k - 1) pair terms of H), taking the smallest computed entries can
-    only raise the bound, and halving a subnormal s[v] loses at most
+    passes through at most n roundings (the carried f through |P|**2 + 1;
+    a[v] and a cross term through k + 1: one for a + s / 2 or H + H.T, the
+    |P| additions that form q_P[v], r - 1 in the sum of r entries and the
+    final subtraction; a term of s through k + r), the terms' absolute sum
+    is at most S, as for a row (|P| (|P| - 1) + 2 r |P| + r (r - 1) = k (k
+    - 1) pair terms of H), taking the smallest computed entries can only
+    raise the bound, and halving a subnormal s[v, r - 1] loses at most
     2**-1075.  Every row is summed as ``subset_f`` sums the incumbent, so a
     row whose computed f is at least f_inc has an exact f of at least f_inc
     - gamma_{n-1} S, and each of its prefixes a computed ub of at least
@@ -302,8 +299,7 @@ def exhaustive_select(pool, k: int, cache: PairwiseCache, config: TEConfig, *,
         incumbent = np.sort(_greedy_order(a, sym, k))[None, :]
         f_inc = float(subset_f(a, H, incumbent)[0])
         floor = f_inc - (2.0 * delta + k * 2.0 ** -1074)
-        bound = (*_completion_bound(a, sym, k), floor)
-        del sym
+        bound = (sym, _completion_bound(sym, k), floor)
     f, combos = _subset_sums(a, H, k, bound)
     best = int(np.argmax(f))  # first maximum: lexicographic tie-break
     return tuple(ids[i] for i in combos[best]), float(f[best])
