@@ -771,8 +771,9 @@ def write_scores(ids, combos, alpha, accuracy, path):
     and a row of ``combos`` that repeats a member or indexes no id; nothing
     is written then.  Every row is checked before the first is written;
     the rows are then rendered ``_BLOCK_ROWS`` at a time, each block by
-    whole-column ``repr`` and ``join`` calls, into the bytes that
-    ``write_table`` would give row by row.
+    whole-column ``repr`` and ``join`` calls (each distinct accuracy is
+    rendered once), into the bytes that ``write_table`` would give row by
+    row.
     """
     for mid in ids:
         _check_model_id(mid)
@@ -795,11 +796,14 @@ def write_scores(ids, combos, alpha, accuracy, path):
         for start in range(0, n, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
             ensembles = map(";".join, zip(*(names[c].tolist() for c in combos[rows].T)))
-            text = "\n".join(map(",".join, zip(ensembles, map(repr, alpha[rows].tolist()),
-                                               map(repr, acc[rows].tolist())))) + "\n"
-            # a NaN accuracy is an empty field; ",nan\n" can only end a row
-            # there, since an alpha is finite and an id holds no comma
-            yield text.replace(",nan\n", ",\n")
+            # accuracies repeat (hits / samples), so each distinct one is
+            # rendered once, told apart by its bits so that 0.0 and -0.0
+            # keep their own repr; a NaN accuracy is an empty field
+            bits, code = np.unique(acc[rows].view(np.uint64), return_inverse=True)
+            text = np.array(["" if a != a else repr(a) for a in bits.view(np.float64).tolist()],
+                            dtype=object)
+            yield "\n".join(map(",".join, zip(ensembles, map(repr, alpha[rows].tolist()),
+                                              text[code].tolist()))) + "\n"
 
     write_table(path, blocks(), header=_SCORES_HEADER)
 

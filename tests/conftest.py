@@ -89,6 +89,21 @@ def kendall_tau_b_loop(xs, ys):
     return (conc - disc) / denom
 
 
+def net_concordance_loop(xs, ys):
+    """Each item's sum over all items j of sgn(x_i - x_j) * sgn(y_i - y_j)."""
+    def sgn(d):
+        return (d > 0) - (d < 0)
+
+    return [sum(sgn(xi - xj) * sgn(yi - yj) for xj, yj in zip(xs, ys))
+            for xi, yi in zip(xs, ys)]
+
+
+def earlier_smaller_loop(values):
+    """For each position p, the number of earlier positions holding a
+    smaller value."""
+    return [sum(1 for q in values[:p] if q < v) for p, v in enumerate(values)]
+
+
 def count_tie_pairs(vals):
     n = len(vals)
     ties = 0

@@ -1083,6 +1083,23 @@ def test_rankings_round_trip_at_the_block_size(tmp_path, offset, with_accuracy):
     assert np.array_equal(back_acc, expected, equal_nan=True)
 
 
+def test_rankings_render_repeated_accuracies_by_their_own_repr(tmp_path):
+    # accuracies repeat across rows and blocks; 0.0 and -0.0 compare equal
+    # but keep their own repr, and a NaN accuracy is an empty field
+    n = data_io._BLOCK_ROWS + 7
+    ids, combos, alpha, _ = _rankings_table(n)
+    values = [0.25, -0.0, 0.0, math.nan, 1.0, 0.1 + 0.2, 0.3]
+    accuracy = np.array(values)[np.arange(n) % len(values)]
+    write_scores(ids, combos, alpha, accuracy, tmp_path / "blocks.csv")
+    write_rankings_loop(tmp_path / "loop.csv", [
+        (tuple(ids[i] for i in row), a, None if math.isnan(c) else c)
+        for row, a, c in zip(combos.tolist(), alpha.tolist(), accuracy.tolist())])
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+    rendered = ["0.25", "-0.0", "0.0", "", "1.0", "0.30000000000000004", "0.3"]
+    rows = (tmp_path / "blocks.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == [rendered[i % 7] for i in range(n)]
+
+
 @pytest.mark.parametrize("shift", [-1, 0, 1, 2])
 def test_rankings_reader_blocks_split_at_whole_lines(tmp_path, shift):
     # a line end just before, at and after the reader's block boundary:

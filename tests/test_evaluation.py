@@ -15,6 +15,8 @@ from osborn.errors import ComputationError, ValidationError
 from osborn.evaluation import (
     CorrelationReport,
     _average_ranks,
+    _earlier_smaller,
+    _net_concordance,
     evaluate,
     kendall_tau,
     majority_vote_accuracy,
@@ -24,8 +26,10 @@ from osborn.evaluation import (
 )
 
 from conftest import (
+    earlier_smaller_loop,
     kendall_tau_b_loop,
     majority_vote_loop,
+    net_concordance_loop,
     pearson_loop,
     peak_ratio,
     weighted_kendall_loop,
@@ -282,6 +286,51 @@ def test_kendall_and_average_ranks_equal_scipy_bit_for_bit(pairs):
     if abs(abs(ref) - 1.0) < 1e-12:
         ref = math.copysign(1.0, ref)
     assert kendall_tau(x, y) == min(1.0, max(-1.0, ref))
+
+
+_RANK = st.integers(min_value=0, max_value=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_RANK, _RANK), min_size=1, max_size=80))
+def test_net_concordance_matches_the_pair_loop(pairs):
+    # few values on both sides: pairs tied in x only, in y only and in both
+    # reach every tie term of the one-count identity, which untied alphas
+    # (the bench pools') never do
+    x = [p[0] for p in pairs]
+    y = [p[1] for p in pairs]
+    rx, ry = (np.unique(v, return_inverse=True)[1].astype(np.int64) for v in (x, y))
+    assert _net_concordance(rx, ry).tolist() == net_concordance_loop(x, y)
+
+
+@pytest.mark.parametrize("x_values, y_values", [(100, 3), (3, 100), (40, 40)])
+def test_net_concordance_over_many_cells_matches_the_pair_loop(x_values, y_values):
+    # hundreds of cells, each y value shared by many of them: the cells'
+    # (ry, rx) order must keep rx order within each y value
+    rng = np.random.default_rng(x_values)
+    x = rng.integers(0, x_values, 400).tolist()
+    y = rng.integers(0, y_values, 400).tolist()
+    rx, ry = (np.unique(v, return_inverse=True)[1].astype(np.int64) for v in (x, y))
+    assert _net_concordance(rx, ry).tolist() == net_concordance_loop(x, y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=100))
+def test_earlier_smaller_matches_the_loop(values):
+    assert _earlier_smaller(np.array(values)).tolist() == earlier_smaller_loop(values)
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 3, 4, 7, 8, 255, 256, 2**16 - 1, 2**16,
+                                 2**31 - 1])
+def test_earlier_smaller_at_a_maximum_of_one_level_more_or_less(top):
+    # a largest value of 2^j - 1 fills j bit levels and 2^j opens one more;
+    # the largest value sits first, last and between repeats of itself
+    rng = np.random.default_rng(top % 1000)
+    values = rng.integers(0, top + 1, 60)
+    values[[0, 30, 31, 59]] = top
+    assert _earlier_smaller(values).tolist() == earlier_smaller_loop(values.tolist())
+    assert _earlier_smaller(np.full(9, top)).tolist() == [0] * 9
+    assert _earlier_smaller(np.array([top])).tolist() == [0]
 
 
 def test_kendall_rejects_constant_input():
