@@ -10,6 +10,12 @@ Typical flow::
     osborn eval     --rankings rankings.csv --out report.csv
 
 Exit codes: 0 success, 1 bad input or usage, 2 numerical failure.
+
+Every subcommand is one entry of ``_COMMANDS``: its name, help line,
+argument builder and handler.  ``main`` builds the parser of the one
+subcommand its first argument names; ``--help``, a missing command and an
+unknown one get ``build_parser()``, which builds all of them.  Help texts
+and usage errors are the same either way.
 """
 
 from __future__ import annotations
@@ -56,22 +62,14 @@ def _resolve_config(args) -> data_io.TEConfig:
     return dataclasses.replace(cfg, **overrides)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="osborn",
-        description="Transferability estimation and ensemble selection "
-                    "for pools of pre-trained models.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pairwise", help="compute and cache per-model and "
-                                        "per-pair terms for a pool")
+def _pairwise_arguments(p):
     p.add_argument("--pool", required=True, help="pool manifest (JSON)")
     _add_config_flags(p, epsilon=True, regularizer=True, seed=True)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="cache CSV to write")
 
-    p = sub.add_parser("select", help="pick an ensemble of size k")
+
+def _select_arguments(p):
     p.add_argument("--pool", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -79,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, weights=True, standardize=True)
     p.add_argument("--out", required=True, help="selection trace CSV to write")
 
-    p = sub.add_parser("score", help="score every size-k ensemble")
+
+def _score_arguments(p):
     p.add_argument("--pool", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -91,16 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "against the pool's target labels")
     p.add_argument("--out", required=True, help="rankings CSV to write")
 
-    p = sub.add_parser("eval", help="correlation report of proxy scores against accuracy")
+
+def _eval_arguments(p):
     p.add_argument("--rankings", required=True, help="rankings CSV with accuracy")
     p.add_argument("--out", required=True, help="report CSV to write")
 
-    p = sub.add_parser("synth", help="generate a synthetic pool directory")
+
+def _synth_arguments(p):
     p.add_argument("--spec", required=True, help="pool spec file")
     p.add_argument("--seed", type=int, help="override the spec's seed")
     p.add_argument("--out", required=True, help="directory to write the pool into")
-
-    return parser
 
 
 def _warn_unconverged(cache) -> None:
@@ -161,17 +160,50 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# every subcommand by name: its help line, the function that adds its
+# arguments and its handler, in the order --help lists them
 _COMMANDS = {
-    "pairwise": cmd_pairwise,
-    "select": cmd_select,
-    "score": cmd_score,
-    "eval": cmd_eval,
-    "synth": cmd_synth,
+    "pairwise": ("compute and cache per-model and per-pair terms for a pool",
+                 _pairwise_arguments, cmd_pairwise),
+    "select": ("pick an ensemble of size k", _select_arguments, cmd_select),
+    "score": ("score every size-k ensemble", _score_arguments, cmd_score),
+    "eval": ("correlation report of proxy scores against accuracy",
+             _eval_arguments, cmd_eval),
+    "synth": ("generate a synthetic pool directory", _synth_arguments, cmd_synth),
 }
 
 
+def _parser(names) -> argparse.ArgumentParser:
+    """The ``osborn`` parser with a subparser for each of ``names``, keys
+    of ``_COMMANDS``.  A parser for fewer than all of them still names
+    every command in its usage line, which an error such as an
+    unrecognized argument prints.  The full parser keeps argparse's default
+    name for the command, which its errors for a missing or unknown command
+    print."""
+    parser = argparse.ArgumentParser(
+        prog="osborn",
+        description="Transferability estimation and ensemble selection "
+                    "for pools of pre-trained models.",
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) < len(_COMMANDS) else None)
+    for name in names:
+        text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=text))
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``osborn`` parser with every subcommand."""
+    return _parser(list(_COMMANDS))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names a subcommand first builds that subparser alone;
+    # --help, a missing command and an unknown one get the full parser
+    parser = _parser(argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -179,7 +211,7 @@ def main(argv=None) -> int:
         # are input problems here
         return 0 if not exc.code else 1
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

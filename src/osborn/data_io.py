@@ -6,10 +6,11 @@ that repeated runs produce byte-identical artifacts.  Reals are rendered with
 value across a write/read cycle.  Every input is opened and decoded once,
 by ``_read_text``; a label or prediction file in the form osborn writes
 (``_CLASS_TEXT``) is then parsed by one numpy call, a rankings file in
-blocks of whole lines (``read_scores``), and every other text is split
-into numbered lines for a row loop.  Each text form has one reader, and
-its row loop alone decides what is accepted and which line an error
-names.
+blocks of whole lines (``read_scores``), a cache file in the form
+``metrics.write_cache`` writes in one block (``metrics.read_cache``), and
+every other text is split into numbered lines for a row loop.  Each text
+form has one reader, and its row loop alone decides what is accepted and
+which line an error names.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import re
 import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -830,15 +831,15 @@ def _score_block(lines, ensembles: bool):
         for mid in distinct:
             _check_model_id(mid)
         alpha = np.fromiter(map(float, alpha_text), np.float64, len(ens))
-        known = np.fromiter(map(bool, acc_text), bool, len(ens))
-        accuracy = np.full(len(ens), np.nan)
-        accuracy[known] = np.fromiter(map(float, compress(acc_text, known.tolist())),
-                                      np.float64)
+        # accuracies repeat (hits / samples), so each distinct text is
+        # parsed once; an empty one is NaN
+        value = {text: float(text) if text else math.nan for text in set(acc_text)}
     except (ValidationError, ValueError):
         return None
-    kept = accuracy[known]
-    if not (np.isfinite(alpha).all() and ((kept >= 0.0) & (kept <= 1.0)).all()):
+    if not (np.isfinite(alpha).all()
+            and all(0.0 <= value[text] <= 1.0 for text in value if text)):
         return None
+    accuracy = np.fromiter(map(value.__getitem__, acc_text), np.float64, len(ens))
     if k > 1:
         index = dict(zip(distinct, range(len(distinct))))
         codes = np.sort(np.fromiter(map(index.__getitem__, members), np.intp,

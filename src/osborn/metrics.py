@@ -14,6 +14,7 @@ Lower scores mean a more transferable ensemble.  Entropies use natural log.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,7 +28,8 @@ from .data_io import (
     TEConfig,
     _check_int,
     _check_model_id,
-    read_lines,
+    _numbered_lines,
+    _read_text,
     stratified_indices,
     substream_seed,
     write_table,
@@ -67,6 +69,18 @@ def _members(ensemble) -> list:
         raise ValidationError("an ensemble must be a sequence of model ids, "
                               "got a str")
     return list(ensemble)
+
+
+def _check_finite(ids, wd, wt, pair_h):
+    """Raise ``ValidationError`` naming the first model, or the first
+    ordered pair, of ``ids`` whose ``wd``, ``wt`` or ``pair_h`` entry is not
+    finite, checked in that order."""
+    for arr, what in ((wd, "model"), (wt, "model"), (pair_h, "pair")):
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            key = tuple(ids[i] for i in bad[0])
+            raise ValidationError(f"non-finite cached value for {what} "
+                                  f"{key if what == 'pair' else key[0]!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,12 +124,7 @@ class PairwiseCache:
                 "cache pair table must cover every ordered pair: "
                 f"pair_h has shape {arrays['pair_h'].shape}, expected ({m}, {m})"
             )
-        for name, what in (("wd", "model"), ("wt", "model"), ("pair_h", "pair")):
-            bad = np.argwhere(~np.isfinite(arrays[name]))
-            if bad.size:
-                key = tuple(ids[i] for i in bad[0])
-                raise ValidationError(f"non-finite cached value for {what} "
-                                      f"{key if what == 'pair' else key[0]!r}")
+        _check_finite(ids, arrays["wd"], arrays["wt"], arrays["pair_h"])
         if np.any(np.diagonal(arrays["pair_h"]) != 0.0):
             raise ValidationError("cache pair table must have a zero diagonal")
         object.__setattr__(self, "ids", ids)
@@ -282,17 +291,27 @@ def _zscore(vals: np.ndarray) -> np.ndarray:
     return (vals - float(vals.mean())) / std
 
 
+def _zscored(cache: PairwiseCache):
+    """The ``(wd, wt, pair_h)`` arrays of ``standardize_terms(cache)``; a
+    z-score that is not finite raises the ``ValidationError`` that
+    ``PairwiseCache`` would raise for it."""
+    off = ~np.eye(len(cache.ids), dtype=bool)
+    pair_h = np.zeros_like(cache.pair_h)
+    pair_h[off] = _zscore(cache.pair_h[off])
+    wd, wt = _zscore(cache.wd), _zscore(cache.wt)
+    _check_finite(cache.ids, wd, wt, pair_h)
+    return wd, wt, pair_h
+
+
 def standardize_terms(cache: PairwiseCache) -> PairwiseCache:
     """Z-score W_D and W_T across models and pair entropies across ordered
     pairs, the off-diagonal of ``pair_h`` (population std).  A zero-variance
     column maps to all zeros, so a term with no spread simply stops
     influencing rankings.
     """
-    off = ~np.eye(len(cache.ids), dtype=bool)
-    pair_h = np.zeros_like(cache.pair_h)
-    pair_h[off] = _zscore(cache.pair_h[off])
-    return PairwiseCache(ids=cache.ids, wd=_zscore(cache.wd), wt=_zscore(cache.wt),
-                         converged=cache.converged, pair_h=pair_h)
+    wd, wt, pair_h = _zscored(cache)
+    return PairwiseCache(ids=cache.ids, wd=wd, wt=wt, converged=cache.converged,
+                         pair_h=pair_h)
 
 
 def effective_terms(cache: PairwiseCache, config: TEConfig):
@@ -303,22 +322,26 @@ def effective_terms(cache: PairwiseCache, config: TEConfig):
     and selector reads these same numbers, which keeps greedy's incremental
     gains and ``subset_f``'s sums consistent to rounding.
 
-    A weighted term that is not finite, or a total ``sum |a| + 2 sum |H|``
-    that overflows, raises ``ComputationError``: that total bounds every
-    subset's f, however it is summed, and every greedy gain, so below it all
-    of them are finite.
+    Standardized terms are the arrays of ``standardize_terms``, z-scored
+    from the cache's own arrays without building (and checking) a second
+    ``PairwiseCache``; a z-score that is not finite raises the same
+    ``ValidationError``.  A weighted term that is not finite, or a total
+    ``sum |a| + 2 sum |H|`` that overflows, raises ``ComputationError``:
+    that total bounds every subset's f, however it is summed, and every
+    greedy gain, so below it all of them are finite.
     """
-    use = standardize_terms(cache) if config.standardize else cache
+    wd, wt, pair_h = _zscored(cache) if config.standardize \
+        else (cache.wd, cache.wt, cache.pair_h)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = config.lambda_d * use.wd + config.lambda_t * use.wt
-        H = config.lambda_c * use.pair_h
+        a = config.lambda_d * wd + config.lambda_t * wt
+        H = config.lambda_c * pair_h
         total = np.abs(a).sum() + 2.0 * np.abs(H).sum()
     if not np.isfinite(total):
         raise ComputationError(
             "weighted terms are not finite under weights lambda_d="
             f"{config.lambda_d!r}, lambda_t={config.lambda_t!r}, "
             f"lambda_c={config.lambda_c!r}; lower the weights")
-    return use.ids, a, H
+    return cache.ids, a, H
 
 
 def subset_f(a, H, combos) -> np.ndarray:
@@ -474,21 +497,76 @@ def build_pairwise_cache(pool: PoolManifest, config: TEConfig,
 # ---------------------------------------------------------------------------
 
 
+def _pair_ids(ids):
+    """The first and the second id of every ordered pair of distinct
+    positions in ``ids``, as two lists, in the order
+    ``itertools.permutations(ids, 2)`` gives the pairs."""
+    names = np.array(ids, dtype=object)
+    first, second = np.nonzero(~np.eye(len(names), dtype=bool))
+    return names[first].tolist(), names[second].tolist()
+
+
 def write_cache(cache: PairwiseCache, path):
     """Serialize the cache with one ``model`` row per model and one ``pair``
-    row per ordered pair, both in sorted id order."""
-    ids, pair_h = cache.ids, cache.pair_h.tolist()
-    models = [("model", mid, "wd", d, "wt", t, "converged", int(c))
-              for mid, d, t, c in zip(ids, cache.wd.tolist(), cache.wt.tolist(),
-                                      cache.converged.tolist())]
-    pairs = [("pair", ids[i], ids[j], "h", pair_h[i][j])
-             for i, j in itertools.permutations(range(len(ids)), 2)]
-    write_table(path, models + pairs)
+    row per ordered pair, both in sorted id order.
+
+    Each kind of row is rendered by whole-column ``repr`` and ``format``
+    calls into the bytes that ``write_table`` would give row by row: reals
+    by ``format_real``, ``converged`` as 0 or 1."""
+    ids = cache.ids
+    first, second = _pair_ids(ids)
+    off = ~np.eye(len(ids), dtype=bool)
+    models = map("model,{},wd,{},wt,{},converged,{:d}\n".format, ids,
+                 map(repr, cache.wd.tolist()), map(repr, cache.wt.tolist()),
+                 cache.converged.tolist())
+    pairs = map("pair,{},{},h,{}\n".format, first, second,
+                map(repr, cache.pair_h[off].tolist()))
+    write_table(path, iter(["".join(itertools.chain(models, pairs))]))
 
 
-def read_cache(path) -> PairwiseCache:
+def _cache_block(text):
+    """The cache in ``text``, parsed by whole-column calls, or None where
+    the text is not in the form ``write_cache`` writes or fails any check,
+    ``PairwiseCache``'s own included.  That form is M ``model`` rows, then
+    the M(M - 1) ``pair`` rows with their ids in the order
+    ``itertools.permutations(ids, 2)`` gives, each line ended by ``\\n``
+    and nothing else in the text."""
+    lines = text.split("\n")
+    if lines.pop():
+        return None
+    m = math.isqrt(len(lines))
+    models, pairs = lines[:m], lines[m:]
+    if m * m != len(lines) or set(map(str.count, models, itertools.repeat(","))) != {7} \
+            or not set(map(str.count, pairs, itertools.repeat(","))) <= {4}:
+        return None
+    fields = ",".join(lines).split(",")
+    mf, pf = fields[:8 * m], fields[8 * m:]
+    ids = mf[1::8]
+    first, second = _pair_ids(ids)
+    if mf[0::8] != ["model"] * m or mf[2::8] != ["wd"] * m or mf[4::8] != ["wt"] * m \
+            or mf[6::8] != ["converged"] * m or not set(mf[7::8]) <= {"0", "1"} \
+            or pf[0::5] != ["pair"] * len(pairs) or pf[3::5] != ["h"] * len(pairs) \
+            or pf[1::5] != first or pf[2::5] != second:
+        return None
+    try:
+        pair_h = np.zeros((m, m))
+        pair_h[~np.eye(m, dtype=bool)] = np.fromiter(map(float, pf[4::5]), np.float64,
+                                                     len(pairs))
+        return PairwiseCache(ids=tuple(ids),
+                             wd=np.fromiter(map(float, mf[3::8]), np.float64, m),
+                             wt=np.fromiter(map(float, mf[5::8]), np.float64, m),
+                             converged=[flag == "1" for flag in mf[7::8]],
+                             pair_h=pair_h)
+    except (ValueError, ValidationError):
+        return None
+
+
+def _cache_rows(path, lines) -> PairwiseCache:
+    """The cache in the numbered ``lines`` of cache file ``path``, read one
+    row at a time: this loop alone decides what is accepted, and a row that
+    breaks a rule raises ``ValidationError`` naming its line."""
     models, pair_h = {}, {}
-    for lineno, line in read_lines(path, "cache"):
+    for lineno, line in lines:
         parts = line.split(",")
         try:
             if parts[0] == "model":
@@ -525,3 +603,17 @@ def read_cache(path) -> PairwiseCache:
                              converged=rows[:, 2], pair_h=pair)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def read_cache(path) -> PairwiseCache:
+    """Read a cache file as ``write_cache`` writes it.
+
+    The text is read once, by ``data_io._read_text``.  A text in the form
+    ``write_cache`` writes is parsed in one block by ``_cache_block``; any
+    other text, and one that fails any of its checks, goes line by line
+    (numbered as ``read_lines`` numbers them) to the row loop,
+    ``_cache_rows``, which alone decides what is accepted and which line an
+    error names.  Rows may come in any order there, with blank lines and
+    whitespace around each line."""
+    text = _read_text(path, "cache")
+    return _cache_block(text) or _cache_rows(path, _numbered_lines(text))

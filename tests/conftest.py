@@ -165,6 +165,18 @@ def write_rankings_loop(path, rows):
             fh.write(f"{';'.join(ids)},{float(alpha)!r},{acc_text}\n")
 
 
+def write_cache_loop(path, cache):
+    """Write a ``PairwiseCache`` as a cache file, one line at a time: a
+    ``model`` row per id, then a ``pair`` row per ordered pair of distinct
+    ids, both in id order, reals by ``repr`` and ``converged`` as 0 or 1."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, mid in enumerate(cache.ids):
+            fh.write(f"model,{mid},wd,{float(cache.wd[i])!r},wt,{float(cache.wt[i])!r},"
+                     f"converged,{int(cache.converged[i])}\n")
+        for i, j in itertools.permutations(range(len(cache.ids)), 2):
+            fh.write(f"pair,{cache.ids[i]},{cache.ids[j]},h,{float(cache.pair_h[i, j])!r}\n")
+
+
 def numbered_lines_loop(path):
     """Every non-blank line of a text file as a ``(line number, stripped
     text)`` pair, the file iterated line by line after universal-newline

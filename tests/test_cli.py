@@ -58,6 +58,38 @@ def test_no_arguments_is_a_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 1
 
 
+# each subcommand's required arguments, given as placeholders
+_REQUIRED = {
+    "pairwise": ["--pool", "p.json", "--out", "c.csv"],
+    "select": ["--pool", "p.json", "--cache", "c.csv", "--k", "2", "--out", "s.csv"],
+    "score": ["--pool", "p.json", "--cache", "c.csv", "--k", "2", "--out", "r.csv"],
+    "eval": ["--rankings", "r.csv", "--out", "e.csv"],
+    "synth": ["--spec", "s.spec", "--out", "pool"],
+}
+
+
+def _full_parser_outcome(argv, capsys):
+    """The exit code ``main`` would map the full parser's exit to, and what
+    the full parser prints, for ``argv``."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    out = capsys.readouterr()
+    return (0 if not exc.value.code else 1), out.out, out.err
+
+
+@pytest.mark.parametrize("extra", [["--help"], ["--k"], ["unexpected"]],
+                         ids=["help", "missing value", "unrecognized argument"])
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+def test_a_named_command_parses_as_the_full_parser(capsys, command, extra):
+    # main builds the named subparser alone: its help, and the usage line
+    # and message of a usage error, are the full parser's
+    argv = [command, *_REQUIRED[command], *extra]
+    want = _full_parser_outcome(argv, capsys)
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == want
+
+
 def test_full_pipeline(tmp_path, pool_dir, capsys):
     pool = pool_dir / "pool.json"
     cache = tmp_path / "cache.csv"

@@ -836,6 +836,16 @@ _FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]),
 _ACCURACY = st.one_of(st.just(math.nan), st.floats(0.0, 1.0))
 
 
+def _accuracies(n):
+    """None, or ``n`` accuracies; some lists hold a few values many times,
+    as real ones do (hits / samples), and a block parses each distinct
+    text once."""
+    return st.one_of(
+        st.none(), st.lists(_ACCURACY, min_size=n, max_size=n).map(np.array),
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan]), min_size=n,
+                 max_size=n).map(np.array))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_rankings_round_trip_is_exact(tmp_path_factory, data):
@@ -849,8 +859,7 @@ def test_rankings_round_trip_is_exact(tmp_path_factory, data):
     combos = np.array([data.draw(st.permutations(range(len(ids))))[:k]
                        for _ in range(n)], dtype=np.int64).reshape(n, k)
     alpha = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
-    accuracy = data.draw(st.one_of(
-        st.none(), st.lists(_ACCURACY, min_size=n, max_size=n).map(np.array)))
+    accuracy = data.draw(_accuracies(n))
     p = tmp_path_factory.mktemp("rankings") / "r.csv"
     write_scores(ids, combos, alpha, accuracy, p)
     ensembles, back_alpha, back_acc = read_scores(p)
@@ -1018,8 +1027,7 @@ def test_rankings_reader_matches_the_row_loop(tmp_path_factory, data):
     n = data.draw(st.integers(1, 6))
     combos = np.array([data.draw(st.permutations(range(5)))[:k] for _ in range(n)])
     alpha = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
-    accuracy = data.draw(st.one_of(
-        st.none(), st.lists(_ACCURACY, min_size=n, max_size=n).map(np.array)))
+    accuracy = data.draw(_accuracies(n))
     p = tmp_path_factory.mktemp("rankings") / "r.csv"
     write_scores(ids, combos, alpha, accuracy, p)
     head, *rows = p.read_text(encoding="utf-8").splitlines()

@@ -6,9 +6,11 @@ is defined; every name the benchmark's tracer wraps exists and, but one,
 is called by the pipeline; every export is reached outside the tests;
 every dataclass is declared ``frozen=True``; only ``data_io`` writes
 files, and every file is read in its one text reader; the package
-imports exactly the third-party modules ``pyproject.toml`` declares; and
+imports exactly the third-party modules ``pyproject.toml`` declares; the
+CLI's subcommand table, parser and handlers name the same commands; and
 the CLI loads no scipy."""
 
+import argparse
 import ast
 import importlib.util
 import os
@@ -171,6 +173,17 @@ def test_every_traced_layer_is_called_by_the_pipeline(tmp_path, monkeypatch):
     # change to the benchmark (CHANGES.md, the FOUND line on
     # weighted_kendall_tau; ROADMAP item 2)
     assert uncalled == {"evaluation.weighted_kendall_tau"}, sorted(uncalled)
+
+
+def test_the_cli_commands_agree():
+    # the subcommand table, the full parser's choices and the cmd_<name>
+    # handlers name the same five commands, each entry with its own handler
+    table = list(cli._COMMANDS)
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    handlers = sorted(name[len("cmd_"):] for name in vars(cli) if name.startswith("cmd_"))
+    assert len(table) == 5 and list(sub.choices) == table and sorted(table) == handlers
+    assert all(run is getattr(cli, f"cmd_{name}") for name, (*_, run) in cli._COMMANDS.items())
 
 
 def _names_used_outside_their_definitions():

@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from osborn import metrics
-from osborn.data_io import LabelVector, PoolManifest, PredictionVector, TEConfig
+from osborn.data_io import LabelVector, PoolManifest, PredictionVector, TEConfig, read_lines
 from osborn.errors import ValidationError
 from osborn.metrics import (
     PairwiseCache,
     build_pairwise_cache,
     cohesion_pair,
+    effective_terms,
     joint_from_coupling,
     osborn_score,
     read_cache,
@@ -27,7 +28,7 @@ from osborn.ot_core import Coupling, MarginalWeights, cost_matrix, \
 from osborn.synth import SynthSpec, build_pool
 
 from conftest import cohesion_pair_loop, cond_entropy_rows_given_cols, joint_table_loop, \
-    peak_ratio
+    peak_ratio, write_cache_loop
 
 
 def _coupling_from_plan(plan):
@@ -542,3 +543,143 @@ def test_cache_reader_rejects_incomplete_pair_table(tmp_path):
     )
     with pytest.raises(ValidationError, match="every ordered pair"):
         read_cache(p)
+
+
+_CACHE_REAL = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-300]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _caches(draw):
+    """A ``PairwiseCache`` of 1 to 5 models with any finite reals, signed
+    zeros and subnormals among them."""
+    m = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.sampled_from(["a", "b", "m0", "m10", "m9", "x.y", "Z", "é"]),
+                        min_size=m, max_size=m, unique=True))
+    reals = st.lists(_CACHE_REAL, min_size=m, max_size=m)
+    pair_h = np.array(draw(st.lists(_CACHE_REAL, min_size=m * m, max_size=m * m)))
+    pair_h = pair_h.reshape(m, m)
+    np.fill_diagonal(pair_h, 0.0)
+    return PairwiseCache(ids=tuple(sorted(ids)), wd=draw(reals), wt=draw(reals),
+                         converged=draw(st.lists(st.booleans(), min_size=m, max_size=m)),
+                         pair_h=pair_h)
+
+
+_ONE_MODEL = PairwiseCache(ids=("a",), wd=[-0.0], wt=[5e-324], converged=[False],
+                           pair_h=[[0.0]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cache=_caches())
+@example(cache=_ONE_MODEL)
+def test_cache_writer_matches_the_row_by_row_render(tmp_path_factory, cache):
+    d = tmp_path_factory.mktemp("cache")
+    write_cache(cache, d / "columns.csv")
+    write_cache_loop(d / "rows.csv", cache)
+    assert (d / "columns.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
+
+def _cache_outcome(read, path):
+    """What ``read`` gives for cache file ``path``: the cache's ids and the
+    dtype and bytes of each of its arrays, or its error message."""
+    try:
+        cache = read(path)
+    except ValidationError as exc:
+        return str(exc)
+    return cache.ids, [(getattr(cache, name).dtype, getattr(cache, name).tobytes())
+                       for name in ("wd", "wt", "converged", "pair_h")]
+
+
+def _cache_row_loop(path):
+    return metrics._cache_rows(path, read_lines(path, "cache"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cache=_caches())
+@example(cache=_ONE_MODEL)
+def test_cache_reader_reads_written_caches_bit_for_bit(tmp_path_factory, cache):
+    # a written cache is read in one block, into the arrays it was written
+    # from and into what the row loop alone reads from the same file
+    p = tmp_path_factory.mktemp("cache") / "c.csv"
+    write_cache(cache, p)
+    assert metrics._cache_block(p.read_text(encoding="utf-8")) is not None
+    want = _cache_outcome(lambda _: cache, p)
+    assert _cache_outcome(read_cache, p) == want
+    assert _cache_outcome(_cache_row_loop, p) == want
+
+
+_THREE_MODELS = PairwiseCache(
+    ids=("a", "b", "c"), wd=[0.5, -0.0, 2.0], wt=[1.0, 5e-324, 3.0],
+    converged=[True, False, True], pair_h=[[0.0, 0.1, 0.2], [0.3, 0.0, 0.4], [0.5, 0.6, 0.0]])
+
+
+def _written_lines(tmp_path):
+    """The lines of ``_THREE_MODELS`` as ``write_cache`` writes it: model
+    rows a, b, c on lines 1-3, then pairs ab, ac, ba, bc, ca, cb on 4-9."""
+    write_cache(_THREE_MODELS, tmp_path / "written.csv")
+    return (tmp_path / "written.csv").read_text(encoding="utf-8").splitlines()
+
+
+def _rename_b(lines):
+    return [",".join("b " if field == "b" else field for field in line.split(","))
+            for line in lines]
+
+
+@pytest.mark.parametrize("edit,msg", [
+    (lambda lines: lines[:6] + [lines[4]] + lines[7:], "c.csv:7: duplicate pair ('a', 'c')"),
+    (lambda lines: [lines[0], lines[1][:-1] + "2", *lines[2:]], "c.csv:2: malformed cache row"),
+    (lambda lines: lines[:5] + ["pair,b,a,h,nan"] + lines[6:],
+     "c.csv: non-finite cached value for pair ('b', 'a')"),
+    (_rename_b, "c.csv: model id 'b ' contains a reserved character "
+                "(comma/semicolon/tab/line break) or outer whitespace"),
+], ids=["repeated pair row", "converged 2", "nan pair value", "id with outer whitespace"])
+def test_cache_reader_rejects_a_full_size_cache_as_the_row_loop(tmp_path, monkeypatch,
+                                                                edit, msg):
+    # nine rows, as many as three models write, that fail the block route:
+    # the row loop's own message and line
+    lines = edit(_written_lines(tmp_path))
+    assert len(lines) == 9
+    monkeypatch.chdir(tmp_path)
+    p = "c.csv"
+    with open(p, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert _cache_outcome(read_cache, p) == _cache_outcome(_cache_row_loop, p) == msg
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:3] + lines[3:][::-1],
+    lambda lines: lines[:3] + [""] + lines[3:],
+    lambda lines: lines[:4] + [" \t" + lines[4] + "  "] + lines[5:],
+    lambda lines: lines[1:3] + lines[:1] + lines[3:],
+], ids=["pair rows reversed", "blank line", "outer whitespace", "model rows out of order"])
+def test_cache_reader_reads_other_valid_forms_through_the_row_loop(tmp_path, edit):
+    written = _written_lines(tmp_path)
+    p = tmp_path / "c.csv"
+    text = "\n".join(edit(written)) + "\n"
+    p.write_text(text, encoding="utf-8")
+    assert metrics._cache_block(text) is None
+    assert _cache_outcome(read_cache, p) == _cache_outcome(read_cache, tmp_path / "written.csv")
+
+
+def test_cache_reader_reads_a_crlf_copy_as_the_written_form(tmp_path):
+    written = _written_lines(tmp_path)
+    p = tmp_path / "c.csv"
+    p.write_bytes(("\r\n".join(written) + "\r\n").encode("utf-8"))
+    assert _cache_outcome(read_cache, p) == _cache_outcome(read_cache, tmp_path / "written.csv")
+
+
+@pytest.mark.parametrize("wt,pair_h,msg", [
+    ([1.7e308, 1.7e308, 1.0], [[0.0, 1.0, 2.0], [3.0, 0.0, 4.0], [5.0, 6.0, 0.0]],
+     "non-finite cached value for model 'a'"),
+    ([1.0, 2.0, 1.0], [[0.0, 1.7e308, 1.7e308], [1.7e308, 0.0, 1.0], [1.0, 1.0, 0.0]],
+     r"non-finite cached value for pair \('a', 'b'\)"),
+])
+def test_standardized_terms_that_overflow_are_refused(wt, pair_h, msg):
+    # the mean of two 1.7e308 entries overflows, so their z-scores are NaN
+    cache = PairwiseCache(ids=("a", "b", "c"), wd=[1.0, 2.0, 3.0], wt=wt,
+                          converged=[True] * 3, pair_h=pair_h)
+    with np.errstate(all="ignore"):
+        for call in (lambda: effective_terms(cache, TEConfig(standardize=True)),
+                     lambda: standardize_terms(cache)):
+            with pytest.raises(ValidationError, match=msg):
+                call()
