@@ -10,7 +10,9 @@ blocks of whole lines (``read_scores``), a cache file in the form
 ``metrics.write_cache`` writes in one block (``metrics.read_cache``), and
 every other text is split into numbered lines for a row loop.  Each text
 form has one reader, and its row loop alone decides what is accepted and
-which line an error names.
+which line an error names.  A pool directory is written by ``write_pool``
+and read by ``load_pool``, both from one table of its files
+(``_POOL_FILES``).
 """
 
 from __future__ import annotations
@@ -52,21 +54,12 @@ def _format_field(x) -> str:
 
 def write_table(path, rows, header=None):
     """Write ``rows`` as comma-separated lines, each field rendered by
-    ``_format_field``, after the ``header`` line if one is given.  A 2-d
-    numpy array of rows is rendered all by ``format_real`` (a float dtype)
-    or all by ``str``, as ``_format_field`` would, with no per-value check.
+    ``_format_field``, after the ``header`` line if one is given.
     ``rows`` may also be an iterator of text blocks, each a run of whole
     lines already rendered by that rule; they are written one at a time,
     so a long table is never held at once."""
     if not isinstance(rows, Iterator):
-        fmt = _format_field
-        if isinstance(rows, np.ndarray):
-            fmt = str
-            if rows.dtype.kind == "f":
-                # as Python floats, which repr renders as format_real does
-                fmt, rows = repr, rows.astype(np.float64, copy=False)
-            rows = rows.tolist()
-        rows = ("".join([",".join(map(fmt, row)) + "\n" for row in rows]),)
+        rows = ("".join([",".join(map(_format_field, row)) + "\n" for row in rows]),)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(chain(() if header is None else (header + "\n",), rows))
 
@@ -521,7 +514,9 @@ def write_features(features: np.ndarray, path):
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
         raise ValidationError("feature matrix must be 2-d and non-empty")
-    write_table(path, X, header=f"d={X.shape[1]}")
+    # as Python floats, whose repr is format_real's
+    write_table(path, iter(["".join([",".join(map(repr, row)) + "\n" for row in X.tolist()])]),
+                header=f"d={X.shape[1]}")
 
 
 # a class file as osborn writes it: a header of at most 18 digits, so
@@ -552,19 +547,21 @@ def _read_class_file(path, kind: str, cls):
             pass
     num_classes, rows = _read_headed(path, _numbered_lines(text), kind, "C",
                                      "class-count")
+    values = []
+    for lineno, row in rows:
+        try:
+            value = int(row)
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: non-integer {kind} value") from None
+        if not 0 <= value < num_classes:
+            raise ValidationError(f"{path}:{lineno}: {kind}s must lie in "
+                                  f"[0, {num_classes}), got {value}")
+        values.append(value)
     try:
-        return cls(np.array([int(x) for _, x in rows], dtype=np.int64), num_classes)
-    except (ValueError, OverflowError, ValidationError) as exc:
-        for lineno, row in rows:
-            try:
-                value = int(row)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{lineno}: non-integer {kind} value") from exc
-            if not 0 <= value < num_classes:
-                raise ValidationError(f"{path}:{lineno}: {kind}s must lie in "
-                                      f"[0, {num_classes}), got {value}") from exc
-        raise ValidationError(f"{path}: {exc}") from exc
+        return cls(np.array(values, dtype=np.int64), num_classes)
+    except OverflowError as exc:
+        # a class wider than int64 under a header wider still
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def read_labels(path) -> LabelVector:
@@ -575,17 +572,14 @@ def read_predictions(path) -> PredictionVector:
     return _read_class_file(path, "prediction", PredictionVector)
 
 
-def _write_class_file(values, num_classes, path):
-    write_table(path, np.asarray(values, dtype=np.int64).reshape(-1, 1),
-                header=f"C={int(num_classes)}")
-
-
 def write_labels(labels: LabelVector, path):
-    _write_class_file(labels.values, labels.num_classes, path)
+    """Write a ``LabelVector`` or ``PredictionVector``: a ``C=<int>``
+    header then one class a line."""
+    write_table(path, iter(["\n".join(map(str, labels.values.tolist())) + "\n"]),
+                header=f"C={labels.num_classes}")
 
 
-def write_predictions(preds: PredictionVector, path):
-    _write_class_file(preds.values, preds.num_classes, path)
+write_predictions = write_labels
 
 
 # ---------------------------------------------------------------------------
@@ -603,16 +597,25 @@ def _check_model_id(mid):
                               "(comma/semicolon/tab/line break) or outer whitespace")
 
 
-_ENTRY_KEYS = ("source_features", "source_labels", "target_features",
-               "target_predictions")
+# a pool directory holds target_labels.csv, pool.json and, for each model,
+# one file per entry key below: the ModelRecord field the file holds, named
+# after the model's id plus the suffix, with its reader and its writer
+_POOL_FILES = {
+    "source_features": ("_source_features.csv", read_features, write_features),
+    "source_labels": ("_source_labels.csv", read_labels, write_labels),
+    "target_features": ("_target_features.csv", read_features, write_features),
+    "target_predictions": ("_predictions.csv", read_predictions, write_predictions),
+}
 
 
-def _read_manifest(manifest_path):
+def _read_manifest(manifest_path, keys):
     """Parse a pool manifest and read its target labels.
 
-    Returns ``(target_labels, entries)``: one ``(model id, {key: path})``
-    pair per model, in manifest order, with every path resolved against the
-    manifest's directory and every id checked and unique.
+    Every model entry must give each ``_POOL_FILES`` key a path string, and
+    every id must be checked and unique.  Returns ``(target_labels,
+    entries)``: one ``(model id, {key: path})`` pair per model, in manifest
+    order, with the paths of ``keys`` alone, each resolved against the
+    manifest's directory.
     """
     text = _read_text(manifest_path, "manifest")
     try:
@@ -623,11 +626,11 @@ def _read_manifest(manifest_path):
         raise ValidationError(f"manifest '{manifest_path}' must be a JSON object")
     base = os.path.dirname(os.path.abspath(manifest_path))
 
-    def resolve(p, key, where="manifest"):
+    def checked(p, key, where="manifest"):
         if not isinstance(p, str):
             raise ValidationError(f"{where} key '{key}' must be a path string, "
                                   f"got {json.dumps(p)}")
-        return p if os.path.isabs(p) else os.path.join(base, p)
+        return p
 
     try:
         target_labels_path = doc["target_labels"]
@@ -636,7 +639,9 @@ def _read_manifest(manifest_path):
         raise ValidationError(f"manifest missing required key {exc}") from exc
     if not isinstance(raw_entries, list) or not raw_entries:
         raise ValidationError("manifest must list at least one model")
-    target_labels = read_labels(resolve(target_labels_path, "target_labels"))
+    # os.path.join keeps an absolute path as it is
+    target_labels = read_labels(os.path.join(base, checked(target_labels_path,
+                                                           "target_labels")))
 
     entries = []
     seen = set()
@@ -646,14 +651,13 @@ def _read_manifest(manifest_path):
         try:
             mid = entry["id"]
             _check_model_id(mid)
-            paths = {key: resolve(entry[key], key, f"model '{mid}'")
-                     for key in _ENTRY_KEYS}
+            paths = {key: checked(entry[key], key, f"model '{mid}'") for key in _POOL_FILES}
         except KeyError as exc:
             raise ValidationError(f"model entry missing required key {exc}") from exc
         if mid in seen:
             raise ValidationError(f"duplicate model id '{mid}' in manifest")
         seen.add(mid)
-        entries.append((mid, paths))
+        entries.append((mid, {key: os.path.join(base, paths[key]) for key in keys}))
     return target_labels, entries
 
 
@@ -664,15 +668,10 @@ def load_pool(manifest_path) -> PoolManifest:
     directory.  The records and the pool check themselves as they are built,
     so downstream code can assume a well-formed pool.
     """
-    target_labels, entries = _read_manifest(manifest_path)
+    target_labels, entries = _read_manifest(manifest_path, _POOL_FILES)
     models = tuple(
-        ModelRecord(
-            model_id=mid,
-            source_features=read_features(paths["source_features"]),
-            source_labels=read_labels(paths["source_labels"]),
-            target_features=read_features(paths["target_features"]),
-            target_predictions=read_predictions(paths["target_predictions"]),
-        )
+        ModelRecord(model_id=mid, **{key: read(paths[key])
+                                     for key, (_, read, _) in _POOL_FILES.items()})
         for mid, paths in entries
     )
     return PoolManifest(models=models, target_labels=target_labels)
@@ -682,10 +681,37 @@ def load_pool_predictions(manifest_path) -> PoolPredictions:
     """Load only the model ids, target predictions and target labels of a
     pool, checked as ``load_pool`` checks them; no feature or source-label
     file is read.  This is all that selection and scoring need."""
-    target_labels, entries = _read_manifest(manifest_path)
+    target_labels, entries = _read_manifest(manifest_path, ("target_predictions",))
     predictions = {mid: read_predictions(paths["target_predictions"])
                    for mid, paths in entries}
     return PoolPredictions(predictions=predictions, target_labels=target_labels)
+
+
+def write_pool(pool: PoolManifest, out_dir) -> str:
+    """Write ``pool`` as the directory ``load_pool`` reads and return the
+    path of its manifest: ``target_labels.csv``, each model's files named
+    as ``_POOL_FILES`` gives, and ``pool.json``, which lists them by
+    relative path (indent 2, sorted keys, a trailing newline).  A model id
+    that holds a path separator names no file in ``out_dir``; it raises
+    ``ValidationError`` before anything is written."""
+    for mid in pool.model_ids():
+        if os.path.basename(mid) != mid:
+            raise ValidationError(f"model id '{mid}' holds a path separator")
+    os.makedirs(out_dir, exist_ok=True)
+    write_labels(pool.target_labels, os.path.join(out_dir, "target_labels.csv"))
+    entries = []
+    for rec in pool.models:
+        entry = {"id": rec.model_id}
+        for key, (suffix, _, write) in _POOL_FILES.items():
+            entry[key] = rec.model_id + suffix
+            write(getattr(rec, key), os.path.join(out_dir, entry[key]))
+        entries.append(entry)
+    manifest = os.path.join(out_dir, "pool.json")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump({"target_labels": "target_labels.csv", "models": entries}, fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+    return manifest
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ byte-identical pool every time.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +43,12 @@ from .data_io import (
     format_real,
     read_fields,
     substream_seed,
-    write_features,
     write_fields,
-    write_labels,
-    write_predictions,
+    write_pool,
     write_table,
 )
 from .errors import ValidationError
 from .evaluation import majority_vote_accuracy
-
-import json
-import os
 
 
 def _reals(values, name: str) -> tuple:
@@ -305,30 +301,12 @@ def write_synth_spec(spec: SynthSpec, path):
 def generate(spec: SynthSpec, out_dir) -> SynthPool:
     """Build the pool and write it as a loadable directory.
 
-    Emits ``pool.json`` plus per-model CSV files, the resolved spec, and
-    ``truth.csv`` (per-model group, knobs, and measured accuracy).
+    Writes the pool by ``data_io.write_pool``, then the resolved spec
+    (``synth.spec``) and ``truth.csv`` (per-model group, knobs, and
+    measured accuracy).
     """
     pool = build_pool(spec)
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {"target_labels": "target_labels.csv", "models": []}
-    write_labels(pool.manifest.target_labels, os.path.join(out_dir, "target_labels.csv"))
-    for rec in pool.manifest.models:
-        mid = rec.model_id
-        names = {
-            "source_features": f"{mid}_source_features.csv",
-            "source_labels": f"{mid}_source_labels.csv",
-            "target_features": f"{mid}_target_features.csv",
-            "target_predictions": f"{mid}_predictions.csv",
-        }
-        write_features(rec.source_features, os.path.join(out_dir, names["source_features"]))
-        write_labels(rec.source_labels, os.path.join(out_dir, names["source_labels"]))
-        write_features(rec.target_features, os.path.join(out_dir, names["target_features"]))
-        write_predictions(rec.target_predictions,
-                          os.path.join(out_dir, names["target_predictions"]))
-        manifest["models"].append({"id": mid, **names})
-    with open(os.path.join(out_dir, "pool.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_pool(pool.manifest, out_dir)
     write_synth_spec(spec, os.path.join(out_dir, "synth.spec"))
     write_table(os.path.join(out_dir, "truth.csv"),
                 [(mid, pool.groups[mid], shift, noise, pool.qualities[mid])

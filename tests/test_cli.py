@@ -13,13 +13,13 @@ import pytest
 from osborn import cli
 from osborn.data_io import (
     LabelVector,
+    ModelRecord,
+    PoolManifest,
     PredictionVector,
     TEConfig,
     load_pool,
     read_scores,
-    write_features,
-    write_labels,
-    write_predictions,
+    write_pool,
 )
 from osborn.metrics import osborn_score, read_cache
 from osborn.selection import exhaustive_select
@@ -438,22 +438,12 @@ def _write_pool(root, models, target_labels, target_classes):
     """Write a pool directory from ``models``, a dict from model id to
     (source features, source labels, source classes, target features,
     target predictions); returns the manifest path."""
-    root.mkdir()
-    write_labels(LabelVector(np.array(target_labels), target_classes), root / "t.csv")
-    entries = []
-    for mid, (xs, ys, cs, xt, preds) in models.items():
-        names = {key: f"{mid}_{key}.csv" for key in (
-            "source_features", "source_labels", "target_features",
-            "target_predictions")}
-        write_features(np.array(xs, dtype=float), root / names["source_features"])
-        write_labels(LabelVector(np.array(ys), cs), root / names["source_labels"])
-        write_features(np.array(xt, dtype=float), root / names["target_features"])
-        write_predictions(PredictionVector(np.array(preds), cs),
-                          root / names["target_predictions"])
-        entries.append({"id": mid, **names})
-    manifest = root / "pool.json"
-    manifest.write_text(json.dumps({"target_labels": "t.csv", "models": entries}))
-    return manifest
+    records = tuple(
+        ModelRecord(mid, np.array(xs, dtype=float), LabelVector(np.array(ys), cs),
+                    np.array(xt, dtype=float), PredictionVector(np.array(preds), cs))
+        for mid, (xs, ys, cs, xt, preds) in models.items())
+    return write_pool(PoolManifest(records, LabelVector(np.array(target_labels),
+                                                        target_classes)), root)
 
 
 def _features(seed, n):

@@ -33,6 +33,7 @@ from osborn.data_io import (
     write_config,
     write_features,
     write_labels,
+    write_pool,
     write_predictions,
     write_scores,
 )
@@ -657,6 +658,59 @@ def test_load_pool_predictions_checks_what_load_pool_checks(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValidationError, match="not valid JSON"):
         load_pool_predictions(path)
+
+
+def test_load_pool_reads_back_what_write_pool_writes_bit_for_bit(tmp_path):
+    # signed zeros, subnormals, the largest double and wide exponents, and
+    # class counts from 1 to one past the 18 digits the one-call route takes
+    rng = np.random.default_rng(3)
+    special = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1e-300], [0.1, 1 / 3]])
+    records = tuple(
+        ModelRecord(mid, np.vstack([special, rng.normal(size=(2, 2))]),
+                    LabelVector(np.append(rng.integers(0, c, 4), c - 1), c),
+                    rng.normal(size=(4, 2)) * 10.0 ** rng.integers(-200, 200, size=(4, 2)),
+                    PredictionVector(rng.integers(0, c, 4), c))
+        for mid, c in (("a", 1), ("m-1", 3), ("x.y", 10 ** 18)))
+    pool = PoolManifest(records, LabelVector(np.array([0, 1, 1, 0]), 2))
+    manifest = write_pool(pool, tmp_path / "pool")
+    assert manifest == str(tmp_path / "pool" / "pool.json")
+    text = (tmp_path / "pool" / "pool.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    back = load_pool(manifest)
+    assert back.model_ids() == pool.model_ids()
+    vectors = [(pool.target_labels, back.target_labels)]
+    for rec, got in zip(pool.models, back.models):
+        for key in ("source_features", "target_features"):
+            want, have = getattr(rec, key), getattr(got, key)
+            assert have.dtype == np.float64 and have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
+        vectors += [(rec.source_labels, got.source_labels),
+                    (rec.target_predictions, got.target_predictions)]
+    for want, have in vectors:
+        assert type(have) is type(want) and have.num_classes == want.num_classes
+        assert have.values.dtype == np.int64
+        assert have.values.tobytes() == want.values.tobytes()
+    # an id is a file-name prefix, so one with a path separator is refused
+    for mid in ("a/b", "../x"):
+        bad = PoolManifest((dataclasses.replace(records[0], model_id=mid),),
+                           pool.target_labels)
+        with pytest.raises(ValidationError, match="path separator"):
+            write_pool(bad, tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
+
+
+def test_write_pool_rewrites_a_synth_directory_byte_for_byte(tmp_path):
+    spec = SynthSpec(num_models=11, feature_dim=3, source_classes=3, target_classes=2,
+                     samples=24, domain_shift=(0.5,) * 11,
+                     prediction_noise=tuple(r / 20 for r in range(11)), seed=4)
+    generate(spec, tmp_path / "synth")
+    write_pool(load_pool(tmp_path / "synth" / "pool.json"), tmp_path / "again")
+    names = sorted(os.listdir(tmp_path / "again"))
+    assert names == sorted(set(os.listdir(tmp_path / "synth")) - {"synth.spec", "truth.csv"})
+    assert len(names) == 2 + 4 * 11
+    for name in names:
+        assert ((tmp_path / "again" / name).read_bytes()
+                == (tmp_path / "synth" / name).read_bytes()), name
 
 
 def test_model_record_checks_shapes_and_ids():

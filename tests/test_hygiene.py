@@ -283,12 +283,11 @@ def _file_writes(tree):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "data_io.py"],
                          ids=lambda p: p.name)
 def test_only_data_io_writes_files(path):
-    # every table goes through data_io.write_table, so its row format lives
-    # in one place; the one exception is synth's pool.json, which is JSON
+    # every table goes through data_io.write_table, and a pool's manifest
+    # through data_io.write_pool, so each format lives in one place
     tree = ast.parse(path.read_text(encoding="utf-8"))
     writes = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
-              for node in _file_writes(tree)
-              if not (path.name == "synth.py" and "pool.json" in ast.unparse(node))]
+              for node in _file_writes(tree)]
     assert not writes, "files written outside data_io: " + ", ".join(writes)
 
 
