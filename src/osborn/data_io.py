@@ -4,15 +4,17 @@ All text formats are plain CSV-like files with deterministic field order so
 that repeated runs produce byte-identical artifacts.  Reals are rendered with
 ``repr`` (shortest round-tripping form), which preserves the exact float64
 value across a write/read cycle.  Every input is opened and decoded once,
-by ``_read_text``; a label or prediction file in the form osborn writes
-(``_CLASS_TEXT``) is then parsed by one numpy call, a rankings file in
+by ``_read_text``; a feature file in the form osborn writes
+(``_FEATURE_HEAD``) and a label or prediction file in that form
+(``_CLASS_TEXT``) are then parsed by one numpy call, a rankings file in
 blocks of whole lines (``read_scores``), a cache file in the form
-``metrics.write_cache`` writes in one block (``metrics.read_cache``), and
-every other text is split into numbered lines for a row loop.  Each text
-form has one reader, and its row loop alone decides what is accepted and
-which line an error names.  A pool directory is written by ``write_pool``
-and read by ``load_pool``, both from one table of its files
-(``_POOL_FILES``).
+``metrics.write_cache`` writes in one block (``metrics.read_cache``).  Any
+other text, and a config or spec file always, is split into numbered
+lines (``_numbered_lines``) for a row loop.  Each text form has one
+reader, and its row loop alone decides what is accepted and which line an
+error names.  Every output is opened and written once, by
+``write_table``.  A pool directory is written by ``write_pool`` and read
+by ``load_pool``, both from one table of its files (``_POOL_FILES``).
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ def write_table(path, rows, header=None):
     """Write ``rows`` as comma-separated lines, each field rendered by
     ``_format_field``, after the ``header`` line if one is given.
     ``rows`` may also be an iterator of text blocks, each a run of whole
-    lines already rendered by that rule; they are written one at a time,
-    so a long table is never held at once."""
+    lines already rendered; they are written one at a time, so a long
+    table is never held at once.  Every file osborn writes is opened
+    here."""
     if not isinstance(rows, Iterator):
         rows = ("".join([",".join(map(_format_field, row)) + "\n" for row in rows]),)
     with open(path, "w", encoding="utf-8") as fh:
@@ -261,13 +264,6 @@ def _numbered_lines(text: str, first: int = 1):
             if s]
 
 
-def read_lines(path, kind: str):
-    """Every non-blank line of a text input as a ``(line number, stripped
-    text)`` pair, numbered as the file is, so that an error can name the
-    file's own line (see ``_read_text``)."""
-    return _numbered_lines(_read_text(path, kind))
-
-
 def _parse_bool(text: str) -> bool:
     t = text.lower()
     if t in ("true", "1", "yes"):
@@ -353,7 +349,7 @@ def read_fields(cls, path, kind: str, overrides=None):
     """
     codecs = _codecs(cls, overrides or {})
     values, linenos = {}, {}
-    for lineno, line in read_lines(path, kind):
+    for lineno, line in _numbered_lines(_read_text(path, kind)):
         if line.startswith("#"):
             continue
         key, eq, text = (part.strip() for part in line.partition("="))
@@ -379,9 +375,9 @@ def read_fields(cls, path, kind: str, overrides=None):
 def write_fields(obj, path, overrides=None):
     """Write dataclass ``obj`` as one ``key = value`` line per field, in field
     order, each value formatted as ``read_fields`` parses it back."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, (*_, fmt) in _codecs(type(obj), overrides or {}).items():
-            fh.write(f"{name} = {fmt(getattr(obj, name))}\n")
+    codecs = _codecs(type(obj), overrides or {})
+    write_table(path, iter(["".join(f"{name} = {fmt(getattr(obj, name))}\n"
+                                    for name, (*_, fmt) in codecs.items())]))
 
 
 # ---------------------------------------------------------------------------
@@ -471,38 +467,46 @@ def _read_headed(path, lines, kind: str, key: str, noun: str):
 # numpy's reader takes these separators for spaces, which float() refuses
 _NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 
+# a feature file's header as osborn writes it, the first line of the text
+_FEATURE_HEAD = re.compile(r"d=([0-9]+)\n")
+
 
 def read_features(path) -> np.ndarray:
     """Read a feature matrix: a ``d=<int>`` header then one CSV row per sample.
 
-    numpy's C reader parses the rows in one call.  The row loop, one
-    ``float`` per value, reads them instead where numpy refuses a row,
-    returns other than ``d`` values a row, or might take a character of
-    ``_NUMPY_ONLY_SPACES`` for a space: the loop alone decides what is
-    accepted and which line an error names.  Where both accept a value,
-    both give the same float64."""
-    d, rows = _read_headed(path, read_lines(path, "feature"), "feature", "d",
-                           "dimension")
-    texts = [row for _, row in rows]
-    joined = "".join(texts)
-    out = None
-    if not any(ch in joined for ch in _NUMPY_ONLY_SPACES):
+    A text that starts with a ``_FEATURE_HEAD`` line, and whose body is
+    not blank and holds no character of ``_NUMPY_ONLY_SPACES``, is parsed
+    by one ``np.loadtxt`` call over its lines; numpy's C reader skips
+    empty lines and the whitespace around a value, as the row loop does,
+    and refuses a line of whitespace alone.  Its result is kept where it
+    has ``d`` columns and only finite values.  Any other text, and one
+    numpy refuses, goes to the row loop over numbered lines, one ``float``
+    per value, which alone decides what is accepted and which line an
+    error names.  Where both accept a value, both give the same float64."""
+    text = _read_text(path, "feature")
+    head = _FEATURE_HEAD.match(text)
+    body = text[head.end():] if head else ""
+    if body.strip() and not any(ch in body for ch in _NUMPY_ONLY_SPACES):
         try:
-            out = np.loadtxt(texts, dtype=np.float64, delimiter=",",
+            out = np.loadtxt(body.split("\n"), dtype=np.float64, delimiter=",",
                              comments=None, ndmin=2)
+            # int() refuses a header of more digits than its limit, as the
+            # row loop's header check does
+            if out.shape[1] == int(head[1]) and np.isfinite(out).all():
+                return out
         except ValueError:
             pass
-    if out is None or out.shape != (len(rows), d):
-        out = np.empty((len(rows), d), dtype=np.float64)
-        for i, (lineno, row) in enumerate(rows):
-            parts = row.split(",")
-            if len(parts) != d:
-                raise ValidationError(
-                    f"{path}:{lineno}: row has {len(parts)} values, expected {d}")
-            try:
-                out[i] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: non-numeric value") from exc
+    d, rows = _read_headed(path, _numbered_lines(text), "feature", "d", "dimension")
+    out = np.empty((len(rows), d), dtype=np.float64)
+    for i, (lineno, row) in enumerate(rows):
+        parts = row.split(",")
+        if len(parts) != d:
+            raise ValidationError(
+                f"{path}:{lineno}: row has {len(parts)} values, expected {d}")
+        try:
+            out[i] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: non-numeric value") from exc
     finite = np.isfinite(out)
     if not finite.all():
         lineno = rows[int(np.argmin(finite.all(axis=1)))][0]
@@ -707,10 +711,8 @@ def write_pool(pool: PoolManifest, out_dir) -> str:
             write(getattr(rec, key), os.path.join(out_dir, entry[key]))
         entries.append(entry)
     manifest = os.path.join(out_dir, "pool.json")
-    with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump({"target_labels": "target_labels.csv", "models": entries}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    doc = {"target_labels": "target_labels.csv", "models": entries}
+    write_table(manifest, iter([json.dumps(doc, indent=2, sort_keys=True) + "\n"]))
     return manifest
 
 
@@ -764,6 +766,16 @@ def stratified_indices(labels: LabelVector, cap: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_combos(combos) -> np.ndarray:
+    """``combos`` as an array, which must be 2-d, of an integer dtype and
+    at least one column wide; anything else raises ``ValidationError``.
+    Whether its entries index anything is the caller's to check."""
+    combos = np.asarray(combos)
+    if combos.ndim != 2 or combos.shape[1] == 0 or combos.dtype.kind not in "iu":
+        raise ValidationError("combos must be a 2-d integer array with >= 1 column")
+    return combos
+
+
 def _ranking_column(values, name: str, n: int, bad, rule: str) -> np.ndarray:
     """``values`` as a float64 vector of ``n`` numbers; the first r where
     ``bad(vector)[r]`` raises ``ValidationError`` naming row r and ``rule``."""
@@ -806,9 +818,7 @@ def write_scores(ids, combos, alpha, accuracy, path):
         _check_model_id(mid)
     if len(set(ids)) != len(ids):
         raise ValidationError("ids repeat a model id")
-    combos = np.asarray(combos)
-    if combos.ndim != 2 or combos.shape[1] == 0 or combos.dtype.kind not in "iu":
-        raise ValidationError("combos must be a 2-d integer array with >= 1 column")
+    combos = _check_combos(combos)
     members = np.sort(combos, axis=1)
     if members.size and (members[:, 0].min() < 0 or members[:, -1].max() >= len(ids)
                          or (members[:, 1:] == members[:, :-1]).any()):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import LabelVector, PredictionVector, write_table
+from .data_io import LabelVector, PredictionVector, _check_combos, write_table
 from .errors import ComputationError, ValidationError
 
 # entries of the (ensembles, classes, samples) vote table that
@@ -56,9 +56,7 @@ def majority_vote_accuracy(members, truth: LabelVector, combos) -> np.ndarray:
             raise ValidationError(
                 f"member has {len(m)} predictions but truth has {n} labels"
             )
-    combos = np.asarray(combos)
-    if combos.ndim != 2 or combos.shape[1] == 0 or combos.dtype.kind not in "iu":
-        raise ValidationError("combos must be a 2-d integer array with >= 1 column")
+    combos = _check_combos(combos)
     if combos.size and (combos.min() < 0 or combos.max() >= len(members)):
         raise ValidationError("combos index a member that does not exist")
     # classes above every member's range get no votes and so never win,

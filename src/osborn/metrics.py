@@ -401,7 +401,7 @@ def osborn_score(ensemble, cache: PairwiseCache, config: TEConfig) -> ScoreBreak
     p = np.sort(cache.positions(ensemble))
     _, a, H = effective_terms(cache, config)
     f = float(subset_f(a, H, p[None, :])[0])
-    use = standardize_terms(cache) if config.standardize else cache
+    wd, wt, pair_h = _zscored(cache) if config.standardize else (cache.wd, cache.wt, cache.pair_h)
     members = tuple(cache.ids[i] for i in p)
     pairs = list(itertools.permutations(p, 2))
 
@@ -416,9 +416,9 @@ def osborn_score(ensemble, cache: PairwiseCache, config: TEConfig) -> ScoreBreak
         wd_raw=per_model(cache.wd),
         wt_raw=per_model(cache.wt),
         pair_h_raw=per_pair(cache.pair_h),
-        wd_used=per_model(use.wd),
-        wt_used=per_model(use.wt),
-        pair_h_used=per_pair(use.pair_h),
+        wd_used=per_model(wd),
+        wt_used=per_model(wt),
+        pair_h_used=per_pair(pair_h),
         weights=(config.lambda_d, config.lambda_t, config.lambda_c),
         standardized=config.standardize,
         converged=per_model(cache.converged),
@@ -611,7 +611,7 @@ def read_cache(path) -> PairwiseCache:
     The text is read once, by ``data_io._read_text``.  A text in the form
     ``write_cache`` writes is parsed in one block by ``_cache_block``; any
     other text, and one that fails any of its checks, goes line by line
-    (numbered as ``read_lines`` numbers them) to the row loop,
+    (numbered by ``data_io._numbered_lines``) to the row loop,
     ``_cache_rows``, which alone decides what is accepted and which line an
     error names.  Rows may come in any order there, with blank lines and
     whitespace around each line."""

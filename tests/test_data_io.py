@@ -286,8 +286,13 @@ def test_features_round_trip_bit_exact(tmp_path):
 @pytest.mark.parametrize("text,msg", [
     ("3,4\n", "d="),
     ("d=x\n1.0\n", "bad dimension"),
+    # more digits than int() takes, on either route
+    ("d=" + "1" * 5000 + "\n1.0\n", "bad dimension header"),
     ("d=0\n", ">= 1"),
+    # a header alone, or with blank lines, never reaches numpy, which would
+    # warn of a text with no data
     ("d=2\n", "no feature rows"),
+    ("d=2\n\n \n", "no feature rows"),
     ("d=2\n1.0\n", "expected 2"),
     ("d=2\n1.0,zzz\n", "non-numeric"),
     ("d=1\ninf\n", "non-finite"),
@@ -487,11 +492,13 @@ def test_class_file_readers_match_the_row_loop(tmp_path_factory, data):
     "C=9223372036854775807\n9223372036854775806\n",
     "C=999999999999999999\n999999999999999998\n1\n",
     "C=3\n0000000000000000000000002\n1",
+    "C=99999999999999999999999\n0\n100000000000000000000\n",
 ], ids=["wide value in wide range", "wide value only", "int64 maximum",
-        "18 digits", "wide leading zeros"])
+        "18 digits", "wide leading zeros", "wide value below a wider header"])
 def test_class_file_values_at_the_width_of_int64(tmp_path, text):
     # np.fromstring saturates a value wider than int64; such a file reads
-    # as the row loop reads it, never as the saturated value
+    # as the row loop reads it, never as the saturated value, and a class
+    # in [0, C) that int64 cannot hold is refused, naming the file
     p = tmp_path / "l.csv"
     p.write_text(text)
     _assert_class_readers_match_the_loop(p)

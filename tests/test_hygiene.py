@@ -291,6 +291,19 @@ def test_only_data_io_writes_files(path):
     assert not writes, "files written outside data_io: " + ", ".join(writes)
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_file_is_written_by_write_table(path):
+    # every output is opened in data_io.write_table, data_io's own writers
+    # included, so that one place opens and encodes every output
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for top in tree.body if path.name == "data_io.py"
+              and getattr(top, "name", None) == "write_table" for node in ast.walk(top)}
+    writes = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+              for node in _file_writes(tree) if id(node) not in inside]
+    assert not writes, "files written outside data_io.write_table: " + ", ".join(writes)
+    assert (path.name == "data_io.py") == bool(inside), "data_io.write_table is gone"
+
+
 # calls that read a file other than through open(): pathlib's and numpy's
 # path readers, and json's, numpy's or pickle's load
 _FILE_READERS = ("read_text", "read_bytes", "fromfile", "genfromtxt", "load", "memmap")
@@ -300,7 +313,7 @@ def _file_reads(tree):
     """Every call that opens or loads a file for reading: ``open`` or
     ``fdopen`` with no mode or a read-only constant one, and each of
     ``_FILE_READERS``.  ``np.loadtxt`` is not counted: ``read_features``
-    hands it decoded lines, not a path."""
+    hands it the lines of the text ``_read_text`` decoded, not a path."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue

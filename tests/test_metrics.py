@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from osborn import metrics
-from osborn.data_io import LabelVector, PoolManifest, PredictionVector, TEConfig, read_lines
+from osborn.data_io import (LabelVector, PoolManifest, PredictionVector, TEConfig,
+                            _numbered_lines, _read_text)
 from osborn.errors import ValidationError
 from osborn.metrics import (
     PairwiseCache,
@@ -591,7 +592,7 @@ def _cache_outcome(read, path):
 
 
 def _cache_row_loop(path):
-    return metrics._cache_rows(path, read_lines(path, "cache"))
+    return metrics._cache_rows(path, _numbered_lines(_read_text(path, "cache")))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -666,6 +667,18 @@ def test_cache_reader_reads_a_crlf_copy_as_the_written_form(tmp_path):
     p = tmp_path / "c.csv"
     p.write_bytes(("\r\n".join(written) + "\r\n").encode("utf-8"))
     assert _cache_outcome(read_cache, p) == _cache_outcome(read_cache, tmp_path / "written.csv")
+
+
+def test_cache_reader_reads_a_cache_with_no_final_line_end_through_the_row_loop(tmp_path):
+    # the written form ends every line with "\n"; a last line without one
+    # is refused by the block route and read by the row loop
+    written = _written_lines(tmp_path)
+    p = tmp_path / "c.csv"
+    text = "\n".join(written)
+    p.write_text(text, encoding="utf-8")
+    assert metrics._cache_block(text) is None
+    assert _cache_outcome(read_cache, p) == _cache_outcome(_cache_row_loop, p) \
+        == _cache_outcome(read_cache, tmp_path / "written.csv")
 
 
 @pytest.mark.parametrize("wt,pair_h,msg", [

@@ -332,6 +332,15 @@ def test_cost_validation_reports_non_finite_before_negative(solver, bad):
         solver(C, marg)
 
 
+@pytest.mark.parametrize("solver", [sinkhorn, sinkhorn_frobenius],
+                         ids=["sinkhorn", "frobenius"])
+@pytest.mark.parametrize("cost", [np.ones(3), np.ones((0, 3)), np.ones((2, 0))],
+                         ids=["1-d", "no rows", "no columns"])
+def test_cost_that_is_not_a_non_empty_matrix_is_refused(solver, cost):
+    with pytest.raises(ValidationError, match="cost matrix must be 2-d and non-empty"):
+        solver(cost, MarginalWeights.uniform(2, 3), 1.0)
+
+
 def test_sinkhorn_reports_non_convergence_without_lying():
     rng = np.random.default_rng(8)
     C = cost_matrix(rng.normal(size=(8, 3)), rng.normal(size=(8, 3)) + 2.0)
