@@ -14,8 +14,8 @@ Exit codes: 0 success, 1 bad input or usage, 2 numerical failure.
 Every subcommand is one entry of ``_COMMANDS``: its name, help line,
 argument builder and handler.  ``main`` builds the parser of the one
 subcommand its first argument names; ``--help``, a missing command and an
-unknown one get ``build_parser()``, which builds all of them.  Help texts
-and usage errors are the same either way.
+unknown one get the full parser, ``_parser`` of every name in
+``_COMMANDS``.  Help texts and usage errors are the same either way.
 """
 
 from __future__ import annotations
@@ -192,11 +192,6 @@ def _parser(names) -> argparse.ArgumentParser:
         text, add_arguments, _ = _COMMANDS[name]
         add_arguments(sub.add_parser(name, help=text))
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The ``osborn`` parser with every subcommand."""
-    return _parser(list(_COMMANDS))
 
 
 def main(argv=None) -> int:

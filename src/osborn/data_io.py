@@ -70,10 +70,11 @@ def write_table(path, rows, header=None):
 def substream_seed(seed: int, *tags: str) -> int:
     """Derive a stable child seed from a base seed and a sequence of names.
 
-    Uses CRC32 of each tag as entropy words for a SeedSequence, so the result
-    does not depend on interpreter hash randomization.
+    The seed, which must be non-negative, and CRC32 of each tag are the
+    entropy words of a SeedSequence, so the result does not depend on
+    interpreter hash randomization, and no two seeds share a stream.
     """
-    words = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    words = [int(seed)]
     words.extend(zlib.crc32(t.encode("utf-8")) for t in tags)
     ss = np.random.SeedSequence(words)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -425,6 +426,8 @@ class TEConfig:
                 raise ValidationError(f"{name} must be finite and >= 0")
         if self.subsample_cap < 1:
             raise ValidationError("subsample_cap must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 def read_config(path) -> TEConfig:
@@ -798,22 +801,13 @@ _BLOCK_CHARS = 1 << 19
 _SCORES_HEADER = "ensemble,alpha,accuracy"
 
 
-def write_scores(ids, combos, alpha, accuracy, path):
-    """Write a rankings file: an ``ensemble,alpha,accuracy`` row per row of
-    ``combos``.
-
-    Row r names the ensemble ``ids[combos[r]]``, in the row's order, with
-    ``alpha[r]`` and ``accuracy[r]``.  ``accuracy`` None, or a NaN entry,
-    leaves the accuracy field empty, which ``read_scores`` reads back as
-    NaN.  A non-finite alpha or an accuracy outside [0, 1] raises
-    ``ValidationError`` naming its row r, as do a bad or repeated model id
-    and a row of ``combos`` that repeats a member or indexes no id; nothing
-    is written then.  Every row is checked before the first is written;
-    the rows are then rendered ``_BLOCK_ROWS`` at a time, each block by
-    whole-column ``repr`` and ``join`` calls (each distinct accuracy is
-    rendered once), into the bytes that ``write_table`` would give row by
-    row.
-    """
+def _check_rankings(ids, combos, alpha, accuracy):
+    """The rules of a rankings table: ``ids`` are model ids, none repeated;
+    every row of ``combos`` (``_check_combos``) indexes ``ids`` with no
+    member repeated; ``alpha`` is finite; ``accuracy`` is None, or NaN or in
+    [0, 1] per row.  Returns ``(combos, alpha, accuracy)`` as arrays, a None
+    accuracy as NaN; a broken rule raises ``ValidationError``, naming the
+    row r of a bad alpha or accuracy."""
     for mid in ids:
         _check_model_id(mid)
     if len(set(ids)) != len(ids):
@@ -827,6 +821,24 @@ def write_scores(ids, combos, alpha, accuracy, path):
     alpha = _ranking_column(alpha, "alpha", n, lambda a: ~np.isfinite(a), "must be finite")
     acc = np.full(n, np.nan) if accuracy is None else _ranking_column(
         accuracy, "accuracy", n, lambda a: (a < 0.0) | (a > 1.0), "must lie in [0, 1]")
+    return combos, alpha, acc
+
+
+def write_scores(ids, combos, alpha, accuracy, path):
+    """Write a rankings file: an ``ensemble,alpha,accuracy`` row per row of
+    ``combos``.
+
+    Row r names the ensemble ``ids[combos[r]]``, in the row's order, with
+    ``alpha[r]`` and ``accuracy[r]``.  ``accuracy`` None, or a NaN entry,
+    leaves the accuracy field empty, which ``read_scores`` reads back as
+    NaN.  Every row is checked by ``_check_rankings`` before the first is
+    written, and nothing is written when one breaks a rule.  The rows are
+    then rendered ``_BLOCK_ROWS`` at a time, each block by whole-column
+    ``repr`` and ``join`` calls (each distinct accuracy is rendered once),
+    into the bytes that ``write_table`` would give row by row.
+    """
+    combos, alpha, acc = _check_rankings(ids, combos, alpha, accuracy)
+    n = combos.shape[0]
     names = np.asarray(ids, dtype=object)
 
     def blocks():
@@ -848,11 +860,12 @@ def write_scores(ids, combos, alpha, accuracy, path):
 def _score_block(lines, ensembles: bool):
     """The ``(ensembles, alpha, accuracy)`` of ``lines``, the rows of one
     block, parsed by whole-block calls, or None where any row is not in
-    the form ``write_scores`` writes or fails any check: not three fields,
-    a member count that differs between rows, a member that is empty,
-    repeated in its row or no model id, a non-finite alpha, or an accuracy
-    that is not empty and not in [0, 1].  ``ensembles`` False leaves the
-    id tuples unbuilt (None)."""
+    the form ``write_scores`` writes or breaks a rule: not three fields, a
+    member count that differs between rows, a field that does not parse, a
+    non-empty accuracy that parses to NaN, or any rule of
+    ``_check_rankings``, which is handed the block's distinct members as
+    the ids and each row's member codes as its combos.  ``ensembles``
+    False leaves the id tuples unbuilt (None)."""
     if set(map(str.count, lines, repeat(","))) != {2}:
         return None
     fields = ",".join(lines).split(",")
@@ -862,26 +875,20 @@ def _score_block(lines, ensembles: bool):
         return None
     k = sizes.pop() + 1
     members = ";".join(ens).split(";")
-    distinct = set(members)
+    index = {mid: i for i, mid in enumerate(set(members))}
+    codes = np.fromiter(map(index.__getitem__, members), np.intp,
+                        len(members)).reshape(-1, k)
     try:
-        for mid in distinct:
-            _check_model_id(mid)
         alpha = np.fromiter(map(float, alpha_text), np.float64, len(ens))
         # accuracies repeat (hits / samples), so each distinct text is
         # parsed once; an empty one is NaN
         value = {text: float(text) if text else math.nan for text in set(acc_text)}
+        accuracy = np.fromiter(map(value.__getitem__, acc_text), np.float64, len(ens))
+        _check_rankings(list(index), codes, alpha, accuracy)
     except (ValidationError, ValueError):
         return None
-    if not (np.isfinite(alpha).all()
-            and all(0.0 <= value[text] <= 1.0 for text in value if text)):
+    if any(value[text] != value[text] for text in value if text):
         return None
-    accuracy = np.fromiter(map(value.__getitem__, acc_text), np.float64, len(ens))
-    if k > 1:
-        index = dict(zip(distinct, range(len(distinct))))
-        codes = np.sort(np.fromiter(map(index.__getitem__, members), np.intp,
-                                    len(members)).reshape(-1, k), axis=1)
-        if (codes[:, 1:] == codes[:, :-1]).any():
-            return None
     return (list(zip(*[iter(members)] * k)) if ensembles else None), alpha, accuracy
 
 

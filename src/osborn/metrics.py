@@ -191,14 +191,15 @@ def joint_from_coupling(coupling: Coupling, source_labels: LabelVector,
     return table
 
 
-def _conditional_entropy(P: np.ndarray, col=None, split_log=False) -> np.ndarray:
+def _conditional_entropy(P: np.ndarray, col=None) -> np.ndarray:
     """H(row | column) of each non-negative joint table in a (tables, rows,
     columns) stack, in nats: per table the sum over positive cells of
     p(a,b) * log(p(b) / p(a,b)), where p(b), the column sums, default to
     ``P.sum(axis=1)``.  Each term is non-negative because the column
-    marginal dominates the cell; a table without mass has entropy 0.
-    ``split_log`` takes the log as log p(b) - log p(a,b), which stays finite
-    where the ratio overflows.
+    marginal dominates the cell; a table without mass has entropy 0.  A
+    cell whose ratio p(b) / p(a,b) overflows (a subnormal cell) takes its
+    log as log p(b) - log p(a,b) instead, which stays finite; every other
+    cell's log, and so every table without such a cell, is unchanged.
 
     A table's positive cells are summed by one pairwise ``np.sum`` in
     row-major order, so zero rows or columns padded onto a table leave its
@@ -210,7 +211,10 @@ def _conditional_entropy(P: np.ndarray, col=None, split_log=False) -> np.ndarray
     mask = P > 0
     cells = P[mask]
     marg = np.broadcast_to(col[:, None, :], P.shape)[mask]
-    logs = np.log(marg) - np.log(cells) if split_log else np.log(marg / cells)
+    with np.errstate(over="ignore"):
+        logs = np.log(marg / cells)
+    over = np.isinf(logs)
+    logs[over] = np.log(marg[over]) - np.log(cells[over])
     terms = cells * logs
     lengths = mask.sum(axis=(1, 2))
     starts = np.cumsum(lengths) - lengths
@@ -224,11 +228,7 @@ def _conditional_entropy(P: np.ndarray, col=None, split_log=False) -> np.ndarray
 def w_task(table: np.ndarray) -> float:
     """Task difference: H(source label | target label) of the joint table
     from ``joint_from_coupling``, in nats."""
-    P = table[None]
-    with np.errstate(over="ignore"):
-        h = float(_conditional_entropy(P)[0])
-    # a subnormal cell's ratio to its column overflows, but its term is finite
-    return float(_conditional_entropy(P, split_log=True)[0]) if h == np.inf else h
+    return float(_conditional_entropy(table[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Two routes to a transport plan:
 
 * ``sinkhorn``         -- entropic regularization, kernel-domain scaling on a
   stabilized kernel whose large scalings are absorbed into log-domain
-  potentials (Cuturi 2013; Schmitzer 2019), finished at every size by
-  matrix-free inexact Newton steps (Brauer, Clason, Lorenz & Wirth 2017)
+  potentials, with a log-domain sweep wherever a scaling step meets a
+  kernel row or column that underflowed (Cuturi 2013; Schmitzer 2019),
+  finished at every size by matrix-free inexact Newton steps (Brauer,
+  Clason, Lorenz & Wirth 2017)
 * ``sinkhorn_frobenius`` -- squared-Frobenius regularization, solved at
   every size by globalized semismooth Newton steps on its smooth dual in
   the potentials (Blondel, Seguy & Rolet 2018; Lorenz, Manns & Meyer 2021),
@@ -19,8 +21,10 @@ Both regularized duals have the Hessian ``[[diag(r), W], [W^T, diag(c)]]``
 and take their Newton steps from one ``_newton_direction``; they differ only
 in how products with ``W`` are formed.  Both solvers accept explicit marginal
 weights and tolerate zero-mass rows or columns by solving the reduced problem
-and re-inserting zero rows/columns.  ``converged`` means the returned plan's
-worse marginal residual (infinity norm) is at most ``tol``.
+and re-inserting zero rows/columns.  Every returned plan is judged once, by
+``_coupling``, from its worse marginal residual (infinity norm):
+``converged`` means it is at most ``tol``, and a residual that is not
+finite raises ``ComputationError``; no solver scans its plan itself.
 """
 
 from __future__ import annotations
@@ -211,21 +215,24 @@ def _reduce(C, marginals: MarginalWeights):
 
 
 def _coupling(C, P, rows, cols, iterations_used, marginals, tol) -> Coupling:
-    """Re-insert the zero rows/columns around the reduced plan ``P``;
-    ``converged`` means the returned plan's marginal residual is at most
-    ``tol``."""
+    """Re-insert the zero rows/columns around the reduced plan ``P`` and
+    judge the returned plan by one number, its marginal residual, the
+    worse of its row and column marginal defects (infinity norm):
+    ``converged`` means it is at most ``tol``, and a residual that is not
+    finite raises ``ComputationError`` (a NaN or infinite entry makes its
+    row and column sums, and so the residual, non-finite)."""
     if P.shape == C.shape:
         plan = P
     else:
         plan = np.zeros(C.shape, dtype=np.float64)
         plan[np.ix_(rows, cols)] = P
+    res = max(float(np.abs(plan.sum(axis=1) - marginals.source).max()),
+              float(np.abs(plan.sum(axis=0) - marginals.target).max()))
+    if not np.isfinite(res):
+        raise ComputationError("transport solve produced non-finite plan entries")
     plan.setflags(write=False)
-    return Coupling(
-        plan=plan,
-        transport_cost=float(np.vdot(C, plan)),
-        iterations_used=iterations_used,
-        converged=_residual(plan, marginals.source, marginals.target) <= tol,
-    )
+    return Coupling(plan=plan, transport_cost=float(np.vdot(C, plan)),
+                    iterations_used=iterations_used, converged=res <= tol)
 
 
 def _log_sum_exp(A, axis):
@@ -243,6 +250,16 @@ def _log_kernel(Cr, epsilon, f, h, out):
     out += f[:, None]
     out += h[None, :]
     return out
+
+
+def _log_sweep(Cr, epsilon, f, h, b, g, Kt):
+    """One log-domain iteration from the potentials ``(f, h)``: ``f`` fits
+    the rows, then ``h`` the columns.  Returns the new potentials, with
+    ``Kt`` holding the stabilized kernel ``exp(-C / epsilon + f_i + h_j)``."""
+    f = f + (np.log(b) - _log_sum_exp(_log_kernel(Cr, epsilon, f, h, Kt), axis=1))
+    h = h + (np.log(g) - _log_sum_exp(_log_kernel(Cr, epsilon, f, h, Kt), axis=0))
+    np.exp(_log_kernel(Cr, epsilon, f, h, Kt), out=Kt)
+    return f, h
 
 
 def _clipped_excess(Cr, f, h, out):
@@ -346,12 +363,6 @@ def _frobenius_dual(x, Cr, b, g, epsilon, buf, screen):
     grad[:nr] -= b
     grad[nr:] -= g
     return value, grad, cells
-
-
-def _residual(P, b, g) -> float:
-    """The worse of the row and column marginal defects (infinity norm)."""
-    return max(float(np.abs(P.sum(axis=1) - b).max()),
-               float(np.abs(P.sum(axis=0) - g).max()))
 
 
 def _tikhonov(r, c) -> float:
@@ -460,7 +471,12 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     a scaling leaves ``[1 / SCALING_BOUND, SCALING_BOUND]`` it is absorbed
     into the potentials, ``Kt`` is rebuilt and the scalings reset to one
     (Schmitzer 2019), so small ``epsilon`` neither overflows nor underflows
-    whole rows of the kernel.  The loop stops when its residual drops to
+    whole rows of the kernel.  At a tiny ``epsilon`` a row or column of
+    ``Kt`` can still underflow against the scalings, so that an entry of
+    ``b / (Kt v)`` or ``g / (Kt^T u)`` is not positive and finite (both are
+    taken under ``np.errstate``): the last scalings are then absorbed into the
+    potentials and iteration 1's log-domain sweep, ``_log_sweep``, is taken
+    again from them.  The loop stops when its residual drops to
     ``tol``, or after ``STALL_STEPS`` iterations in a row at a residual
     within ``max(100 tol, 1e-4)`` that do not lower the best residual so far
     (a ``tol`` below the rounding floor); ``converged`` is taken on the
@@ -480,7 +496,7 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     matrix-vector products too.  A step counts as one iteration; one that
     cannot lower the residual hands the rest of the solve back to scaling.
     The call holds one n x m array, ``Kt``, which finally becomes the plan
-    in place.
+    in place; ``_coupling`` judges it.
     """
     epsilon, max_iters, tol = _validate_settings(epsilon, max_iters, tol)
     C = _validate_problem(cost, marginals)
@@ -488,13 +504,8 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
     # iteration 1 in the log domain, in the one n x m work buffer that
     # then holds the stabilized kernel and finally the plan
     Kt = np.empty_like(Cr)
-    f = np.zeros_like(b)
-    h = np.zeros_like(g)
-    f = np.log(b) - _log_sum_exp(_log_kernel(Cr, epsilon, f, h, Kt), axis=1)
-    h = np.log(g) - _log_sum_exp(_log_kernel(Cr, epsilon, f, h, Kt), axis=0)
-    np.exp(_log_kernel(Cr, epsilon, f, h, Kt), out=Kt)
-    u = np.ones_like(b)
-    v = np.ones_like(g)
+    f, h = _log_sweep(Cr, epsilon, np.zeros_like(b), np.zeros_like(g), b, g, Kt)
+    u, v = np.ones_like(b), np.ones_like(g)
     Kv = Kt @ v
     res = float(np.abs(Kv - b).max())
     iters = 1
@@ -510,15 +521,24 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
             u, v, Kv, res, newton_ok = _newton_cg_step(Kt, u, v, Kv, b, g, res, tol)
         else:
             res_before = res
-            u = b / Kv
-            v = g / (Kt.T @ u)
-            if (min(u.min(), v.min()) < 1.0 / SCALING_BOUND
-                    or max(u.max(), v.max()) > SCALING_BOUND):
-                f += np.log(u)
-                h += np.log(v)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                u_next = b / Kv
+                v_next = g / (Kt.T @ u_next)
+            # np.minimum and np.maximum, unlike min and max, keep a NaN
+            lo = np.minimum(u_next.min(), v_next.min())
+            hi = np.maximum(u_next.max(), v_next.max())
+            if not (lo > 0 and hi < np.inf):
+                # a row or column of the kernel underflowed against the
+                # scalings: absorb them and sweep again in the log domain
+                f, h = _log_sweep(Cr, epsilon, f + np.log(u), h + np.log(v), b, g, Kt)
+                u, v = np.ones_like(b), np.ones_like(g)
+            elif lo < 1.0 / SCALING_BOUND or hi > SCALING_BOUND:
+                f += np.log(u_next)
+                h += np.log(v_next)
                 np.exp(_log_kernel(Cr, epsilon, f, h, Kt), out=Kt)
-                u = np.ones_like(b)
-                v = np.ones_like(g)
+                u, v = np.ones_like(b), np.ones_like(g)
+            else:
+                u, v = u_next, v_next
             Kv = Kt @ v
             res = float(np.abs(u * Kv - b).max())
             contraction = res / res_before
@@ -529,8 +549,6 @@ def sinkhorn(cost, marginals: MarginalWeights, epsilon: float,
         best = min(best, res)
     Kt *= u[:, None]
     Kt *= v[None, :]
-    if not np.all(np.isfinite(Kt)):
-        raise ComputationError("sinkhorn produced non-finite plan entries")
     return _coupling(C, Kt, rows, cols, iters, marginals, tol)
 
 
@@ -636,13 +654,10 @@ def sinkhorn_frobenius(cost, marginals: MarginalWeights, epsilon: float,
         res = float(np.abs(grad).max())
         shift = shift / 2.0 if alpha == 1.0 else shift * 2.0
     if support is None:
-        P = values = _clipped_excess(Cr, x[:nr], x[nr:], buf)
+        P = _clipped_excess(Cr, x[:nr], x[nr:], buf)
         P /= 2.0 * epsilon
     else:
-        values = support[2] / (2.0 * epsilon)
         P = buf
         P.fill(0.0)
-        P[support[0], support[1]] = values
-    if not np.all(np.isfinite(values)):
-        raise ComputationError("frobenius solver produced non-finite plan entries")
+        P[support[0], support[1]] = support[2] / (2.0 * epsilon)
     return _coupling(C, P, rows, cols, iters, marginals, tol)

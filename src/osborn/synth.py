@@ -79,6 +79,8 @@ class SynthSpec:
         cs, ct = self.source_classes, self.target_classes
         if m < 2:
             raise ValidationError("num_models must be >= 2")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if cs < 1 or ct < 1:
             raise ValidationError("class counts must be >= 1")
         if d < max(cs, ct):

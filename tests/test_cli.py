@@ -72,7 +72,7 @@ def _full_parser_outcome(argv, capsys):
     """The exit code ``main`` would map the full parser's exit to, and what
     the full parser prints, for ``argv``."""
     with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(argv)
+        cli._parser(list(cli._COMMANDS)).parse_args(argv)
     out = capsys.readouterr()
     return (0 if not exc.value.code else 1), out.out, out.err
 
@@ -288,6 +288,34 @@ def test_synth_seed_flag_overrides_spec(tmp_path):
     m = "m00_target_features.csv"
     assert not filecmp.cmp(a / m, b / m, shallow=False)
     assert filecmp.cmp(b / m, c / m, shallow=False)
+
+
+def test_synth_refuses_a_negative_seed(tmp_path, capsys):
+    spec = tmp_path / "pool.spec"
+    spec.write_text(SPEC_TEXT)
+    assert cli.main(["synth", "--spec", str(spec), "--seed", "-1",
+                     "--out", str(tmp_path / "pool")]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_pairwise_at_a_tiny_epsilon_flags_its_terms(tmp_path):
+    # at 1e-30 x the median cost a kernel row underflows in sinkhorn's
+    # scaling step: every model still gets a row, converged or flagged,
+    # and no numpy warning reaches stderr
+    spec = tmp_path / "pool.spec"
+    spec.write_text("num_models = 2\nfeature_dim = 2\nsource_classes = 2\n"
+                    "target_classes = 2\nsamples = 8\nseed = 7\n"
+                    "domain_shift = 0.0;1.5\nprediction_noise = 0.0;0.4\n")
+    assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "pool")]) == 0
+    cache = tmp_path / "cache.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "osborn.cli", "pairwise", "--pool",
+         str(tmp_path / "pool" / "pool.json"), "--epsilon", "1e-30", "--out", str(cache)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert read_cache(cache).ids == ("m00", "m01")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_pipeline_outputs_are_byte_stable(tmp_path, pool_dir):

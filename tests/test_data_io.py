@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ def test_substream_seed_deterministic_and_tag_sensitive():
     assert 0 <= a < 2 ** 64
 
 
+def test_no_two_seeds_share_a_stream():
+    # a seed is an entropy word as it is: seeds 2**64 apart once shared one
+    assert substream_seed(1, "x") != substream_seed(2 ** 64 + 1, "x")
+    assert substream_seed(2 ** 64 - 1, "x") != substream_seed(2 ** 64 + 2 ** 64 - 1, "x")
+    # and one below 2**64 keeps its stream: the seed and each tag's CRC32
+    words = [5, zlib.crc32(b"x")]
+    assert substream_seed(5, "x") == int(
+        np.random.SeedSequence(words).generate_state(1, dtype=np.uint64)[0])
+
+
 def test_label_vector_validation():
     lv = LabelVector(np.array([0, 1, 2]), 3)
     assert len(lv) == 3
@@ -152,6 +163,7 @@ def test_config_defaults_pass_validation():
     ("lambda_c", float("nan")),
     ("lambda_c", float("inf")),
     ("subsample_cap", 0),
+    ("seed", -1),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValidationError):

@@ -179,7 +179,7 @@ def test_the_cli_commands_agree():
     # the subcommand table, the full parser's choices and the cmd_<name>
     # handlers name the same five commands, each entry with its own handler
     table = list(cli._COMMANDS)
-    sub = next(action for action in cli.build_parser()._actions
+    sub = next(action for action in cli._parser(list(cli._COMMANDS))._actions
                if isinstance(action, argparse._SubParsersAction))
     handlers = sorted(name[len("cmd_"):] for name in vars(cli) if name.startswith("cmd_"))
     assert len(table) == 5 and list(sub.choices) == table and sorted(table) == handlers

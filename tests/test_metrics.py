@@ -139,6 +139,18 @@ def test_w_task_is_finite_with_a_subnormal_cell():
     assert 0.0 <= w_task(table) < 1e-309
 
 
+def test_conditional_entropy_splits_the_log_of_an_overflowing_cell_alone():
+    # one stack holds a table whose subnormal cell's ratio to its column
+    # overflows, and an ordinary table: each value is finite, and each is
+    # the value w_task gives the table alone
+    subnormal = np.array([[2.2250738585e-313, 0.25], [0.5, 0.25]])
+    ordinary = np.array([[0.125, 0.25], [0.375, 0.25]])
+    values = metrics._conditional_entropy(np.stack([subnormal, ordinary]))
+    assert np.isfinite(values).all()
+    assert values.tolist() == [w_task(subnormal), w_task(ordinary)]
+    assert values[0] == pytest.approx(cond_entropy_rows_given_cols(subnormal), abs=1e-12)
+
+
 def test_w_task_empty_table_is_zero():
     assert w_task(np.zeros((2, 3))) == 0.0
 

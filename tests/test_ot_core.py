@@ -386,6 +386,43 @@ def test_sinkhorn_absorption_follows_the_log_domain_iterates():
     assert coup.transport_cost == pytest.approx(10.008905817159754, rel=1e-12)
 
 
+# small synth instances whose scaling step, at a tiny epsilon, meets a kernel
+# row (b / (Kt v) overflows) or a column (g / (Kt^T u) divides by zero) that
+# underflowed against the scalings: (samples, seed, epsilon x median)
+@pytest.mark.parametrize("samples,seed,eps_mult", [(8, 7, 1e-30), (12, 1, 1e-20)],
+                         ids=["row", "column"])
+def test_sinkhorn_sweeps_again_when_the_kernel_underflows(monkeypatch, samples, seed,
+                                                          eps_mult):
+    # the solve absorbs its scalings and sweeps again in the log domain,
+    # with no numpy warning (the suite makes one an error), and returns a
+    # finite plan that converged judges by its residual
+    sweeps = []
+    sweep = ot_core._log_sweep
+    monkeypatch.setattr(ot_core, "_log_sweep", lambda *a: sweeps.append(a) or sweep(*a))
+    spec = SynthSpec(num_models=2, feature_dim=2, source_classes=2,
+                     target_classes=2, samples=samples, domain_shift=(0.0, 1.5),
+                     prediction_noise=(0.0, 0.4), seed=seed)
+    rec = build_pool(spec).manifest.models[1]
+    C = cost_matrix(rec.source_features, rec.target_features)
+    marg = MarginalWeights.uniform(*C.shape)
+    coup = sinkhorn(C, marg, eps_mult * median_positive_cost(C))
+    assert len(sweeps) > 1
+    assert np.all(np.isfinite(coup.plan))
+    assert coup.converged == (_residual(coup, marg) <= 1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_coupling_refuses_a_plan_with_a_non_finite_entry(bad):
+    # the residual that decides converged also judges the entries: one NaN
+    # or infinite entry makes its row sum, and so the residual, non-finite
+    C = np.ones((2, 3))
+    plan = np.full((2, 3), 1.0 / 6.0)
+    plan[1, 2] = bad
+    with pytest.raises(ComputationError, match="non-finite plan entries"):
+        ot_core._coupling(C, plan, np.arange(2), np.arange(3), 1,
+                          MarginalWeights.uniform(2, 3), 1e-6)
+
+
 @pytest.mark.parametrize("support", [False, True])
 def test_newton_direction_solves_the_dense_system(support):
     # the Schur-complement step against a dense (n+m) solve of the same

@@ -62,6 +62,7 @@ def _spec(**kw):
     (dict(source_jitter=float("nan")), "source_jitter must be finite"),
     (dict(source_jitter=float("inf")), "source_jitter must be finite"),
     (dict(source_classes=0), "class counts must be >= 1"),
+    (dict(seed=-1), "seed must be >= 0"),
 ])
 def test_spec_rejects_infeasible_settings(kw, msg):
     with pytest.raises(ValidationError, match=msg):
